@@ -11,6 +11,7 @@ threshold, 4 numerical failure.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import click
@@ -92,6 +93,20 @@ def _quad_config(quad_tol: float) -> QuadratureConfig:
         raise click.UsageError(str(err))
 
 
+def _numerical_failure_exits(command):
+    """Report an :class:`IntegrationError` on stderr and exit with ``EXIT_NUMERICAL``."""
+
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except IntegrationError as err:
+            click.echo(f"numerical failure: {err}", err=True)
+            click.get_current_context().exit(EXIT_NUMERICAL)
+
+    return wrapper
+
+
 def _validated(builder):
     """Run a constructor, turning domain violations into usage errors."""
     try:
@@ -116,7 +131,8 @@ _quad_tol_option = click.option(
     default=1e-10,
     show_default=True,
     envvar="GMCAP_QUAD_TOL",
-    help="Absolute quadrature tolerance (overridable via GMCAP_QUAD_TOL).",
+    help="Absolute tolerance of the environment-entropy integral "
+    "(overridable via GMCAP_QUAD_TOL).",
 )
 
 
@@ -194,6 +210,7 @@ def mono(ctx, gq, gp, nbar, out_path):
 @_quad_tol_option
 @_out_option
 @click.pass_context
+@_numerical_failure_exits
 def capacity(ctx, phi, variance, nbar, allow_below, first_mode, quad_tol, out_path):
     """Infinite-use capacity of the correlated-noise channel."""
     cfg = _quad_config(quad_tol)
@@ -209,27 +226,23 @@ def capacity(ctx, phi, variance, nbar, allow_below, first_mode, quad_tol, out_pa
         columns += ["first_mode_variance", "first_mode_variance_alt"]
     columns.append("status")
     echo = [_fmt(phi), _fmt(variance), _fmt(nbar), _fmt(threshold)]
+    fm_fields = []
+    if first_mode:
+        fm_fields = [
+            _fmt(first_mode_variance(phi, alt_form=False)),
+            _fmt(first_mode_variance(phi, alt_form=True)),
+        ]
     try:
-        fm_fields = []
-        if first_mode:
-            fm_fields = [
-                _fmt(first_mode_variance(phi, alt_form=False, config=cfg)),
-                _fmt(first_mode_variance(phi, alt_form=True, config=cfg)),
-            ]
-        try:
-            sol = _validated(lambda: multimode_solve(noise, nbar, cfg))
-        except BelowThresholdError:
-            row = echo + ["", "", ""] + fm_fields + ["below_threshold"]
-            _emit(_render("capacity", params, columns, [row]), out_path)
-            ctx.exit(EXIT_OK if allow_below else EXIT_BELOW_THRESHOLD)
-        row = echo + [
-            _fmt(sol.squeezing_fraction), _fmt(sol.water_level),
-            _fmt(sol.capacity_bits),
-        ] + fm_fields + ["ok"]
+        sol = _validated(lambda: multimode_solve(noise, nbar, cfg))
+    except BelowThresholdError:
+        row = echo + ["", "", ""] + fm_fields + ["below_threshold"]
         _emit(_render("capacity", params, columns, [row]), out_path)
-    except IntegrationError as err:
-        click.echo(f"numerical failure: {err}", err=True)
-        ctx.exit(EXIT_NUMERICAL)
+        ctx.exit(EXIT_OK if allow_below else EXIT_BELOW_THRESHOLD)
+    row = echo + [
+        _fmt(sol.squeezing_fraction), _fmt(sol.water_level),
+        _fmt(sol.capacity_bits),
+    ] + fm_fields + ["ok"]
+    _emit(_render("capacity", params, columns, [row]), out_path)
 
 
 def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
@@ -247,8 +260,8 @@ def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
 @click.option("--steps", type=int, default=15, show_default=True, help="Geometric steps over [n-min, n-max].")
 @_quad_tol_option
 @_out_option
-@click.pass_context
-def fig3(ctx, phis, n_min, n_max, steps, quad_tol, out_path):
+@_numerical_failure_exits
+def fig3(phis, n_min, n_max, steps, quad_tol, out_path):
     """Capacity, squeezing fraction and classical limit along the fixed-SNR protocol.
 
     For each correlation the signal-to-noise ratio nbar/N is pinned to the
@@ -269,28 +282,22 @@ def fig3(ctx, phis, n_min, n_max, steps, quad_tol, out_path):
         "capacity_bits", "classical_limit_bits", "status",
     ]
     rows = []
-    try:
-        for phi in phis:
-            snr = _validated(lambda: multimode_threshold(MarkovNoise(1.0, phi)))
-            for variance in _geometric_floats(n_min, n_max, steps):
-                noise = MarkovNoise(variance, phi)
-                nbar = variance * snr
-                threshold = multimode_threshold(noise)
-                ccl = _fmt(classical_limit_capacity(noise, snr))
-                echo = [_fmt(phi), _fmt(variance), _fmt(nbar), _fmt(threshold)]
-                try:
-                    eta = squeezing_fraction(noise, nbar, cfg)
-                    cap = asymptotic_capacity(noise, nbar, cfg)
-                except BelowThresholdError:
-                    rows.append(echo + ["", "", "", ccl, "below_threshold"])
-                    continue
-                mu_global = nbar + variance + 0.5
-                rows.append(
-                    echo + [_fmt(eta), _fmt(mu_global), _fmt(cap), ccl, "ok"]
-                )
-    except IntegrationError as err:
-        click.echo(f"numerical failure: {err}", err=True)
-        ctx.exit(EXIT_NUMERICAL)
+    for phi in phis:
+        snr = _validated(lambda: multimode_threshold(MarkovNoise(1.0, phi)))
+        for variance in _geometric_floats(n_min, n_max, steps):
+            noise = MarkovNoise(variance, phi)
+            nbar = variance * snr
+            threshold = multimode_threshold(noise)
+            ccl = _fmt(classical_limit_capacity(noise, snr))
+            echo = [_fmt(phi), _fmt(variance), _fmt(nbar), _fmt(threshold)]
+            try:
+                eta = squeezing_fraction(noise, nbar)
+                cap = asymptotic_capacity(noise, nbar, cfg)
+            except BelowThresholdError:
+                rows.append(echo + ["", "", "", ccl, "below_threshold"])
+                continue
+            mu_global = nbar + variance + 0.5
+            rows.append(echo + [_fmt(eta), _fmt(mu_global), _fmt(cap), ccl, "ok"])
     _emit(_render("fig3", params, columns, rows), out_path)
 
 
@@ -314,8 +321,8 @@ def _geometric_ints(n_max: int, points: int = 25) -> list[int]:
               help="Explicit channel-use counts (overrides the --n-max grid).")
 @_quad_tol_option
 @_out_option
-@click.pass_context
-def fig4(ctx, phis, variance, nbar, n_max, n_values, quad_tol, out_path):
+@_numerical_failure_exits
+def fig4(phis, variance, nbar, n_max, n_values, quad_tol, out_path):
     """Finite-use transmission rate versus channel uses, with the asymptotic value."""
     cfg = _quad_config(quad_tol)
     if n_max < 1:
@@ -331,21 +338,17 @@ def fig4(ctx, phis, variance, nbar, n_max, n_values, quad_tol, out_path):
     ]
     columns = ["phi", "n", "rate_bits", "capacity_bits", "status"]
     rows = []
-    try:
-        for phi in phis:
-            noise = _validated(lambda: MarkovNoise(variance, phi))
-            try:
-                cap = _fmt(asymptotic_capacity(noise, nbar, cfg))
-                status = "ok"
-            except BelowThresholdError:
-                cap = ""
-                status = "below_threshold"
-            for n in uses:
-                rate = _validated(lambda: finite_n_rate(noise, nbar, n))
-                rows.append([_fmt(phi), str(n), _fmt(rate), cap, status])
-    except IntegrationError as err:
-        click.echo(f"numerical failure: {err}", err=True)
-        ctx.exit(EXIT_NUMERICAL)
+    for phi in phis:
+        noise = _validated(lambda: MarkovNoise(variance, phi))
+        try:
+            cap = _fmt(asymptotic_capacity(noise, nbar, cfg))
+            status = "ok"
+        except BelowThresholdError:
+            cap = ""
+            status = "below_threshold"
+        for n in uses:
+            rate = _validated(lambda: finite_n_rate(noise, nbar, n))
+            rows.append([_fmt(phi), str(n), _fmt(rate), cap, status])
     _emit(_render("fig4", params, columns, rows), out_path)
 
 

@@ -1,15 +1,15 @@
 """Deterministic numerical kernels used by the capacity solvers.
 
-Three self-contained pieces: an adaptive Gauss-Legendre quadrature for
-smooth integrands on a finite interval, a dense symmetric eigensolver
-front end, and a coarse-to-fine grid maximizer.  All of them are pure
+Four self-contained pieces: a trapezoid rule on numpy arrays for smooth
+integrands on a finite interval, the complete elliptic integral K(m) by
+the arithmetic-geometric mean, a dense symmetric eigensolver front end,
+and a coarse-to-fine grid maximizer.  All of them are pure
 functions with fixed evaluation order, so repeated calls with identical
 inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,9 +19,9 @@ import numpy as np
 
 __all__ = [
     "QuadratureConfig",
-    "EigenConfig",
     "IntegrationError",
     "integrate",
+    "ellipk",
     "symmetric_eigen",
     "grid_maximize",
 ]
@@ -29,55 +29,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for :func:`integrate`.
+    """Tolerance for :func:`integrate`.
 
-    ``abs_tol`` is the absolute error target for the whole interval,
-    ``max_subdivisions`` caps the number of panel splits, and
-    ``rule_order`` is the number of Gauss-Legendre nodes per panel.
-    Each segment's error is floored at ``50 * eps * (|left| + |right|)``
-    of its two half-panel estimates, so an ``abs_tol`` below that
-    round-off floor is unattainable and :func:`integrate` raises
-    :class:`IntegrationError` for it.
+    ``abs_tol`` is the absolute error target for the whole interval.  The
+    error bound is floored at the round-off level ``50 * eps * integral
+    of |f|``, so an ``abs_tol`` below that floor is unattainable and
+    :func:`integrate` raises :class:`IntegrationError` for it.
     """
 
     abs_tol: float = 1e-10
-    max_subdivisions: int = 2**14
-    rule_order: int = 16
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0:
             raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-        if self.rule_order < 2:
-            raise ValueError("rule_order must be at least 2")
-
-
-@dataclass(frozen=True)
-class EigenConfig:
-    """Validation tolerances for :func:`symmetric_eigen`.
-
-    ``off_diag_tol`` bounds the accepted asymmetry of the input,
-    relative to its largest entry (floored at 1).  ``max_sweeps`` is an
-    iteration guard kept for interface stability; the LAPACK backend
-    converges internally and does not consult it.
-    """
-
-    off_diag_tol: float = 1e-12
-    max_sweeps: int = 64
-
-    def __post_init__(self) -> None:
-        if self.off_diag_tol <= 0:
-            raise ValueError("off_diag_tol must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
 
 
 class IntegrationError(RuntimeError):
-    """Raised when adaptive quadrature runs out of subdivisions.
+    """Raised when :func:`integrate` cannot certify its tolerance.
 
-    Carries the best available ``estimate`` of the integral and the
-    accumulated ``error_bound`` at the point of failure.
+    Carries the best available ``estimate`` of the integral and its
+    ``error_bound`` at the point of failure.
     """
 
     def __init__(self, message: str, estimate: float, error_bound: float):
@@ -86,64 +57,40 @@ class IntegrationError(RuntimeError):
         self.error_bound = error_bound
 
 
-_gl_cache: dict[int, tuple[list[float], list[float]]] = {}
+# Panels of the first trapezoid level and the cap on panel doubling.
+_FIRST_PANELS = 16
+_MAX_PANELS = 2**20
 
-
-def _gl_rule(order: int) -> tuple[list[float], list[float]]:
-    if order not in _gl_cache:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        _gl_cache[order] = (nodes.tolist(), weights.tolist())
-    return _gl_cache[order]
-
-
-def _panel(f, lo: float, hi: float, nodes: list[float], weights: list[float]) -> float:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    acc = 0.0
-    for x, w in zip(nodes, weights):
-        acc += w * f(mid + half * x)
-    return half * acc
-
-
-# A segment's error is at least this times |left| + |right|: the QUADPACK
+# The error bound is at least this times the integral of |f|: the QUADPACK
 # round-off floor of 50 * eps (Piessens et al. 1983).
-_ROUNDOFF_FACTOR = 50.0 * np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+_ROUNDOFF_FACTOR = 50.0 * _EPS
 
-
-def _refine(f, lo: float, hi: float, whole: float, nodes, weights):
-    """Bisect a segment: (error vs whole, bisected estimate, left, right).
-
-    The error is ``|refined - whole|``, floored at the round-off level of
-    the two half-panel estimates so that it never falsely reaches zero.
-    """
-    mid = 0.5 * (lo + hi)
-    left = _panel(f, lo, mid, nodes, weights)
-    right = _panel(f, mid, hi, nodes, weights)
-    refined = left + right
-    err = max(abs(refined - whole), _ROUNDOFF_FACTOR * (abs(left) + abs(right)))
-    return err, refined, left, right
+# Accepted asymmetry in :func:`symmetric_eigen`, relative to the largest
+# entry (floored at 1).
+_SYMMETRY_TOL = 1e-12
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     config: QuadratureConfig | None = None,
 ) -> float:
-    """Integrate ``f`` over ``[a, b]`` with globally adaptive Gauss-Legendre panels.
+    """Integrate ``f`` over ``[a, b]`` by the trapezoid rule after a sin^2 substitution.
 
-    Each segment carries the estimate from its bisection and the change
-    the bisection produced as the local error, floored at the round-off
-    level ``50 * eps * (|left| + |right|)`` of its two halves.  Segments
-    are refined worst-error-first (leftmost wins ties) until the summed
-    error meets ``abs_tol``; the refinement order is fully deterministic.
-    The running total is only a trigger: convergence is confirmed by a
-    fresh ``math.fsum`` over the live segments' errors.  Raises
-    :class:`IntegrationError`, carrying the best estimate and its error
-    bound, when ``max_subdivisions`` splits are not enough or a segment
-    shrinks to the rounding limit while the target is still missed; an
-    ``abs_tol`` below the round-off floor therefore always raises and is
-    never returned as converged.
+    ``f`` takes a numpy array of nodes and returns the integrand values
+    there.  The substitution ``x = a + (b - a) (t - sin(2 pi t) / (2 pi))``
+    (Sidi's sin^2 transformation) makes the integrand in ``t`` vanish with
+    its first derivatives at both ends, so the trapezoid rule on ``[0, 1]``
+    converges fast for smooth ``f`` and geometrically for analytic,
+    periodic ones (Trefethen & Weideman 2014).  The panels double from 16,
+    reusing every earlier node, and each level's error bound is
+    ``max(change from the previous level, 50 * eps * integral of |f|)``.
+    Raises :class:`IntegrationError`, carrying the estimate and its bound,
+    when the change is already at that round-off floor but the bound is
+    above ``abs_tol``, or when 2**20 panels are not enough; an ``abs_tol``
+    below the floor therefore always raises.
     """
     cfg = config or QuadratureConfig()
     a = float(a)
@@ -153,35 +100,36 @@ def integrate(
     if b < a:
         return -integrate(f, b, a, cfg)
 
-    nodes, weights = _gl_rule(cfg.rule_order)
-    whole = _panel(f, a, b, nodes, weights)
-    err, est, left, right = _refine(f, a, b, whole, nodes, weights)
-    # Worst-first queue; entries: (-error, lo, hi, estimate, left, right).
-    segments = [(-err, a, b, est, left, right)]
-    total_err = err
-    splits = 0
+    width = b - a
 
-    def _finalize() -> tuple[float, float]:
-        ordered = sorted(segments, key=lambda seg: seg[1])
-        return sum(seg[3] for seg in ordered), sum(-seg[0] for seg in ordered)
+    def transformed(t: np.ndarray) -> np.ndarray:
+        angle = 2.0 * np.pi * t
+        x = a + width * (t - np.sin(angle) / (2.0 * np.pi))
+        return width * (1.0 - np.cos(angle)) * f(x)
 
+    # The transformed integrand vanishes at t = 0 and t = 1, so only
+    # interior nodes enter the sums.
+    panels = _FIRST_PANELS
+    values = transformed(np.arange(1, panels) / panels)
+    total = float(np.sum(values))
+    total_abs = float(np.sum(np.abs(values)))
+    estimate = total / panels
     while True:
-        if total_err <= cfg.abs_tol:
-            # The running total drifts by round-off as errors are added and
-            # removed; confirm convergence with a fresh sum over the segments.
-            total_err = math.fsum(-seg[0] for seg in segments)
-            if total_err <= cfg.abs_tol:
-                break
-        neg_err, lo, hi, est, left, right = heapq.heappop(segments)
-        mid = 0.5 * (lo + hi)
-        splits += 1
-        if splits > cfg.max_subdivisions or mid <= lo or mid >= hi:
-            heapq.heappush(segments, (neg_err, lo, hi, est, left, right))
-            estimate, bound = _finalize()
+        panels *= 2
+        values = transformed(np.arange(1, panels, 2) / panels)
+        total += float(np.sum(values))
+        total_abs += float(np.sum(np.abs(values)))
+        previous, estimate = estimate, total / panels
+        change = abs(estimate - previous)
+        floor = _ROUNDOFF_FACTOR * total_abs / panels
+        bound = max(change, floor)
+        if bound <= cfg.abs_tol:
+            return estimate
+        if change <= floor or panels >= _MAX_PANELS:
             reason = (
-                "a segment shrank to the rounding limit"
-                if splits <= cfg.max_subdivisions
-                else f"{cfg.max_subdivisions} subdivisions were not enough"
+                "the round-off floor is above it"
+                if change <= floor
+                else f"{_MAX_PANELS} panels were not enough"
             )
             raise IntegrationError(
                 f"quadrature missed abs_tol={cfg.abs_tol:g}: {reason} "
@@ -189,28 +137,35 @@ def integrate(
                 estimate=estimate,
                 error_bound=bound,
             )
-        total_err += neg_err  # remove this segment's error from the budget
-        for c_lo, c_hi, c_whole in ((lo, mid, left), (mid, hi, right)):
-            c_err, c_est, c_left, c_right = _refine(f, c_lo, c_hi, c_whole, nodes, weights)
-            heapq.heappush(segments, (-c_err, c_lo, c_hi, c_est, c_left, c_right))
-            total_err += c_err
-    return _finalize()[0]
 
 
-def symmetric_eigen(
-    m: np.ndarray, config: EigenConfig | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def ellipk(m: float) -> float:
+    """Complete elliptic integral of the first kind K(m), with parameter m = k^2 in [0, 1).
+
+    ``pi / (2 AGM(1, sqrt(1 - m)))`` by the arithmetic-geometric mean
+    (Borwein & Borwein, *Pi and the AGM*, 1987), which converges
+    quadratically to machine precision.
+    """
+    m = float(m)
+    if not 0.0 <= m < 1.0:
+        raise ValueError(f"parameter must lie in [0, 1), got {m}")
+    a, b = 1.0, math.sqrt(1.0 - m)
+    while a - b > 2.0 * _EPS * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (a + b)
+
+
+def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
 
     Eigenvectors are returned as columns, so ``m ~= V @ diag(w) @ V.T``.
     Backed by the LAPACK symmetric solver via ``numpy.linalg.eigh``.
     """
-    cfg = config or EigenConfig()
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    if float(np.max(np.abs(m - m.T))) > cfg.off_diag_tol * scale:
+    if float(np.max(np.abs(m - m.T))) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     values, vectors = np.linalg.eigh(0.5 * (m + m.T))
     return values[::-1].copy(), vectors[:, ::-1].copy()

@@ -19,8 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gaussian import VACUUM_VARIANCE, thermal_entropy
-from .numerics import EigenConfig, QuadratureConfig, grid_maximize, integrate
+from .numerics import QuadratureConfig, ellipk, grid_maximize, integrate
 from .spectra import MarkovNoise, SpectralFunction, finite_spectrum, markov_matrix, markov_symbol
 
 # Cap for the closed-form solvers: thresholds and water levels diverge as
@@ -218,25 +220,32 @@ def env_spectrum_p(noise: MarkovNoise) -> SpectralFunction:
 def env_symplectic_spectrum(noise: MarkovNoise) -> SpectralFunction:
     """Geometric mean of the two quadrature noise spectra.
 
-    variance (1 - c^2) / sqrt((1 + c^2)^2 - 4 c^2 cos^2 x); equals the
+    variance (1 - c^2) / sqrt((1 - c^2)^2 + 4 c^2 sin^2 x), the same as
+    variance (1 - c^2) / sqrt((1 + c^2)^2 - 4 c^2 cos^2 x) but free of its
+    cancellation near the endpoints at strong correlation; equals the
     plain variance at both endpoints, so the integrands built on it stay
     smooth for |correlation| < 1.
     """
     c = noise.correlation
     scale = noise.variance * (1.0 - c * c)
-    square = (1.0 + c * c) ** 2
+    square = (1.0 - c * c) ** 2
 
-    def evaluate(x: float) -> float:
-        cos_x = math.cos(x)
-        return scale / math.sqrt(square - 4.0 * c * c * cos_x * cos_x)
+    def evaluate(x):
+        sin_x = np.sin(x)
+        return scale / np.sqrt(square + 4.0 * c * c * sin_x * sin_x)
 
     return SpectralFunction(evaluate)
 
 
-def _input_q_value(c: float, x: float) -> float:
-    cos_x = math.cos(x)
+def _input_q_value(c: float, x):
+    cos_x = np.cos(x)
     one_plus = 1.0 + c * c
-    return 0.5 * math.sqrt((one_plus + 2.0 * c * cos_x) / (one_plus - 2.0 * c * cos_x))
+    return 0.5 * np.sqrt((one_plus + 2.0 * c * cos_x) / (one_plus - 2.0 * c * cos_x))
+
+
+def _entropies(nu: np.ndarray) -> np.ndarray:
+    """:func:`thermal_entropy` of every entry of ``nu``."""
+    return np.fromiter(map(thermal_entropy, nu.tolist()), float, nu.size)
 
 
 def input_spectrum_q(noise: MarkovNoise) -> SpectralFunction:
@@ -247,7 +256,7 @@ def input_spectrum_q(noise: MarkovNoise) -> SpectralFunction:
     """
     c = noise.correlation
 
-    def evaluate(x: float) -> float:
+    def evaluate(x):
         return _input_q_value(c, x)
 
     return SpectralFunction(evaluate)
@@ -257,7 +266,7 @@ def input_spectrum_p(noise: MarkovNoise) -> SpectralFunction:
     """Optimal pure-input spectrum for p (reciprocal of the q branch over 4)."""
     c = noise.correlation
 
-    def evaluate(x: float) -> float:
+    def evaluate(x):
         return 0.5 / (2.0 * _input_q_value(c, x))
 
     return SpectralFunction(evaluate)
@@ -274,24 +283,22 @@ def multimode_threshold(noise: MarkovNoise) -> float:
     return ((1.0 + c) / (1.0 - c) - 1.0) * (noise.variance + VACUUM_VARIANCE)
 
 
-def squeezing_fraction(
-    noise: MarkovNoise, n_bar: float, config: QuadratureConfig | None = None
-) -> float:
+def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
     """Fraction of the photon budget spent on squeezing the input.
 
     (mean input variance - 1/2) / n_bar with the mean taken over the
-    spectral interval; zero for white noise, independent of the noise
-    variance by construction.  Lies in [0, 1] whenever n_bar is at or
-    above :func:`multimode_threshold`; larger values signal that the
+    spectral interval, in closed form
+    ((1 + c^2) K(c^4) - pi/2) / (pi n_bar) with K the complete elliptic
+    integral of parameter c^4; zero for white noise, independent of the
+    noise variance by construction.  Lies in [0, 1] whenever n_bar is at
+    or above :func:`multimode_threshold`; larger values signal that the
     energy cannot cover the squeezing demanded by the noise anisotropy.
     """
     _require_solver_noise(noise)
     if not n_bar > 0:
         raise ValueError(f"n_bar must be positive, got {n_bar}")
     c = noise.correlation
-    if c == 0.0:
-        return 0.0
-    total = integrate(lambda x: _input_q_value(c, x), 0.0, math.pi, config)
+    total = (1.0 + c * c) * ellipk(c**4)
     return (total - 0.5 * math.pi) / (math.pi * n_bar)
 
 
@@ -306,7 +313,7 @@ def mean_environment_entropy(
     """
     _require_solver_noise(noise)
     nu_env = env_symplectic_spectrum(noise)
-    total = integrate(lambda x: thermal_entropy(nu_env(x)), 0.0, math.pi, config)
+    total = integrate(lambda x: _entropies(nu_env(x)), 0.0, math.pi, config)
     return total / math.pi
 
 
@@ -345,14 +352,14 @@ def multimode_solve(
     noise_q = env_spectrum_q(noise)
     noise_p = env_spectrum_p(noise)
 
-    def mod_q(x: float) -> float:
+    def mod_q(x):
         return level - in_q(x) - noise_q(x)
 
-    def mod_p(x: float) -> float:
+    def mod_p(x):
         return level - in_p(x) - noise_p(x)
 
     return MultimodeSolution(
-        squeezing_fraction=squeezing_fraction(noise, n_bar, config),
+        squeezing_fraction=squeezing_fraction(noise, n_bar),
         water_level=level,
         capacity_bits=asymptotic_capacity(noise, n_bar, config),
         threshold=threshold,
@@ -370,7 +377,6 @@ def finite_n_rate(
     n_bar: float,
     n: int,
     same_order_pairing: bool = False,
-    eigen_config: EigenConfig | None = None,
 ) -> float:
     """Optimal transmission rate for n channel uses, in bits per use.
 
@@ -387,8 +393,8 @@ def finite_n_rate(
         raise ValueError(f"n must be positive, got {n}")
     if n_bar < 0:
         raise ValueError(f"n_bar must be non-negative, got {n_bar}")
-    lam_q = finite_spectrum(markov_matrix(noise, 1, n), eigen_config)
-    lam_p = finite_spectrum(markov_matrix(noise, -1, n), eigen_config)
+    lam_q = finite_spectrum(markov_matrix(noise, 1, n))
+    lam_p = finite_spectrum(markov_matrix(noise, -1, n))
     if not same_order_pairing:
         lam_p = lam_p[::-1]
     mean_term = (
@@ -447,15 +453,14 @@ def symmetric_noise_solution(
     level = n_bar + noise.variance + VACUUM_VARIANCE
     spectrum = markov_symbol(noise, sign=1)
 
-    def coherent(x: float) -> float:
-        return VACUUM_VARIANCE
+    def coherent(x):
+        return np.full_like(x, VACUUM_VARIANCE, dtype=float)
 
-    def modulation(x: float) -> float:
+    def modulation(x):
         return level - VACUUM_VARIANCE - spectrum(x)
 
     capacity = thermal_entropy(n_bar + noise.variance) - (
-        integrate(lambda x: thermal_entropy(spectrum(x)), 0.0, math.pi, config)
-        / math.pi
+        integrate(lambda x: _entropies(spectrum(x)), 0.0, math.pi, config) / math.pi
     )
     flat_input = SpectralFunction(coherent)
     water = SpectralFunction(modulation)
@@ -473,31 +478,26 @@ def symmetric_noise_solution(
     )
 
 
-def first_mode_variance(
-    correlation: float,
-    alt_form: bool = False,
-    config: QuadratureConfig | None = None,
-) -> float:
+def first_mode_variance(correlation: float, alt_form: bool = False) -> float:
     """Variance of the first mode of the optimal input, rotated back to the mode basis.
 
     (1/2 pi) integral of sqrt((1 + c + 2 c cos x) / (1 + c - 2 c cos x))
-    over [0, pi]; equal in q and p by construction, 1/2 (coherent) for
-    white noise and strictly larger otherwise, which exposes the
-    entanglement of the first mode with the rest.  ``alt_form=True``
-    replaces 1 + c by 1 + c^2 in both places, which makes the integrand
-    the mean input spectrum; the two variants are reported side by side
-    by the CLI since they differ materially at strong correlation.
+    over [0, pi], in closed form K(k^2) / pi with k = 2c / (1 + c) and K
+    the complete elliptic integral; equal in q and p by construction,
+    1/2 (coherent) for white noise and strictly larger otherwise, which
+    exposes the entanglement of the first mode with the rest.
+    ``alt_form=True`` replaces 1 + c by 1 + c^2 in both places, which
+    makes the integrand the mean input spectrum, (1 + c^2) K(c^4) / pi;
+    the two variants are reported side by side by the CLI since they
+    differ materially at strong correlation.
     """
     if not 0.0 <= correlation < 1.0:
         raise ValueError(f"correlation must lie in [0, 1), got {correlation}")
     c = correlation
-    base = 1.0 + (c * c if alt_form else c)
-
-    def integrand(x: float) -> float:
-        shift = 2.0 * c * math.cos(x)
-        return math.sqrt((base + shift) / (base - shift))
-
-    return integrate(integrand, 0.0, math.pi, config) / (2.0 * math.pi)
+    if alt_form:
+        return (1.0 + c * c) * ellipk(c**4) / math.pi
+    k = 2.0 * c / (1.0 + c)
+    return ellipk(k * k) / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ covariance in the large-size limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numerics import EigenConfig, symmetric_eigen
+from .numerics import symmetric_eigen
 
 __all__ = [
     "MarkovNoise",
@@ -91,16 +91,13 @@ class ToeplitzSpec:
 class SpectralFunction:
     """Eigenvalue density on the spectral interval [0, pi].
 
-    ``tag`` records which closed form the evaluator implements:
-    ``markov_symbol`` (AR(1) covariance symbol), ``inverse_symbol``
-    (its reciprocal, the tridiagonal-inverse symbol) or
-    ``custom_sampled`` for anything else.
+    The evaluator is built from numpy ufuncs, so it takes a float or an
+    array of spectral parameters.
     """
 
-    evaluate: Callable[[float], float]
-    tag: str = "custom_sampled"
+    evaluate: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         return self.evaluate(x)
 
 
@@ -187,10 +184,10 @@ def markov_symbol(noise: MarkovNoise, sign: int = 1) -> SpectralFunction:
     one_plus = 1.0 + c * c
     scale = variance * (1.0 - c * c)
 
-    def evaluate(x: float) -> float:
-        return scale / (one_plus - 2.0 * c * math.cos(x))
+    def evaluate(x):
+        return scale / (one_plus - 2.0 * c * np.cos(x))
 
-    return SpectralFunction(evaluate, tag="markov_symbol")
+    return SpectralFunction(evaluate)
 
 
 def tridiagonal_inverse(noise: MarkovNoise, n: int) -> np.ndarray:
@@ -219,10 +216,10 @@ def inverse_symbol(noise: MarkovNoise) -> SpectralFunction:
     prefactor = 1.0 / (noise.variance * (1.0 - c * c))
     one_plus = 1.0 + c * c
 
-    def evaluate(x: float) -> float:
-        return prefactor * (one_plus - 2.0 * c * math.cos(x))
+    def evaluate(x):
+        return prefactor * (one_plus - 2.0 * c * np.cos(x))
 
-    return SpectralFunction(evaluate, tag="inverse_symbol")
+    return SpectralFunction(evaluate)
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -255,7 +252,7 @@ def symplectic_block_check(
     return float(np.max(np.abs(u_q.T @ u_p - eye))) <= tol
 
 
-def finite_spectrum(m: np.ndarray, config: EigenConfig | None = None) -> np.ndarray:
+def finite_spectrum(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, descending."""
-    values, _ = symmetric_eigen(m, config)
+    values, _ = symmetric_eigen(m)
     return values

@@ -133,12 +133,19 @@ class TestCapacity:
             first_mode_variance(0.5, alt_form=True)
         )
 
-    def test_numerical_failure_exit_code(self, runner):
-        result = runner.invoke(
-            main,
-            ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "4", "--quad-tol", "1e-30"],
-        )
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "4"],
+            ["fig3"],
+            ["fig4"],
+        ],
+        ids=["capacity", "fig3", "fig4"],
+    )
+    def test_numerical_failure_exit_code(self, runner, args):
+        result = runner.invoke(main, args + ["--quad-tol", "1e-30"])
         assert result.exit_code == 4
+        assert result.stderr.startswith("numerical failure: ")
 
     def test_correlation_out_of_range_is_usage_error(self, runner):
         result = runner.invoke(main, ["capacity", "--phi", "1.2", "--N", "1", "--nbar", "2"])

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gmcapacity.numerics import (
-    EigenConfig,
     IntegrationError,
     QuadratureConfig,
+    ellipk,
     grid_maximize,
     integrate,
     symmetric_eigen,
@@ -17,31 +17,31 @@ from gmcapacity.numerics import (
 
 class TestIntegrate:
     def test_constant(self):
-        assert integrate(lambda x: 1.0, 0.0, math.pi) == pytest.approx(math.pi, abs=1e-12)
+        assert integrate(np.ones_like, 0.0, math.pi) == pytest.approx(math.pi, abs=1e-12)
 
     def test_cosine(self):
-        assert integrate(math.cos, 0.0, math.pi) == pytest.approx(0.0, abs=1e-12)
+        assert integrate(np.cos, 0.0, math.pi) == pytest.approx(0.0, abs=1e-12)
 
     def test_markov_symbol_normalization(self):
         # Mean of the AR(1) spectrum over [0, pi] is the plain variance,
         # so the unit-variance symbol integrates to pi.
         phi = 0.5
-        f = lambda x: (1 - phi**2) / (1 + phi**2 - 2 * phi * math.cos(x))
+        f = lambda x: (1 - phi**2) / (1 + phi**2 - 2 * phi * np.cos(x))
         assert integrate(f, 0.0, math.pi) == pytest.approx(math.pi, abs=1e-10)
 
     def test_linearity(self):
         cfg = QuadratureConfig()
-        f = lambda x: math.exp(-x) * math.sin(3 * x)
+        f = lambda x: np.exp(-x) * np.sin(3 * x)
         g = lambda x: 1.0 / (1.0 + x * x)
         combo = integrate(lambda x: 2.5 * f(x) - 1.25 * g(x), 0.0, 2.0, cfg)
         parts = 2.5 * integrate(f, 0.0, 2.0, cfg) - 1.25 * integrate(g, 0.0, 2.0, cfg)
         assert combo == pytest.approx(parts, abs=2 * cfg.abs_tol)
 
     def test_empty_interval(self):
-        assert integrate(math.sin, 1.0, 1.0) == 0.0
+        assert integrate(np.sin, 1.0, 1.0) == 0.0
 
     def test_reversed_interval(self):
-        assert integrate(math.sin, math.pi, 0.0) == pytest.approx(-2.0, abs=1e-12)
+        assert integrate(np.sin, math.pi, 0.0) == pytest.approx(-2.0, abs=1e-12)
 
     def test_sharp_peak(self):
         # Narrow Lorentzian: forces real subdivision work.
@@ -54,14 +54,14 @@ class TestIntegrate:
         # Exact value pi / (1 - phi^2); at phi = 0.99 the integrand peaks
         # at 1e4 in a boundary layer of width ~1e-2.
         for phi in (0.5, 0.9, 0.99):
-            f = lambda x: 1.0 / (1 + phi * phi - 2 * phi * math.cos(x))
+            f = lambda x: 1.0 / (1 + phi * phi - 2 * phi * np.cos(x))
             exact = math.pi / (1 - phi * phi)
             assert integrate(f, 0.0, math.pi) == pytest.approx(exact, rel=1e-12)
 
     def test_non_convergence_carries_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-30, max_subdivisions=8)
+        cfg = QuadratureConfig(abs_tol=1e-30)
         with pytest.raises(IntegrationError) as excinfo:
-            integrate(math.cos, 0.0, math.pi, cfg)
+            integrate(np.cos, 0.0, math.pi, cfg)
         err = excinfo.value
         assert abs(err.estimate) < 1e-6
         assert math.isfinite(err.error_bound)
@@ -69,16 +69,16 @@ class TestIntegrate:
     @pytest.mark.parametrize(
         "f, a, b, exact",
         [
-            (math.sin, 0.0, math.pi, 2.0),
-            (math.exp, 0.0, 1.0, math.e - 1.0),
-            (math.cos, 0.0, math.pi, 0.0),
+            (np.sin, 0.0, math.pi, 2.0),
+            (np.exp, 0.0, 1.0, math.e - 1.0),
+            (np.cos, 0.0, math.pi, 0.0),
         ],
         ids=["sin", "exp", "cos"],
     )
     def test_unattainable_tolerance_raises(self, f, a, b, exact):
         # Double precision cannot certify 1e-30: the round-off floor keeps
-        # every segment's error positive, so the target is never met.
-        cfg = QuadratureConfig(abs_tol=1e-30, max_subdivisions=8)
+        # the error bound positive, so the target is never met.
+        cfg = QuadratureConfig(abs_tol=1e-30)
         with pytest.raises(IntegrationError) as excinfo:
             integrate(f, a, b, cfg)
         err = excinfo.value
@@ -91,20 +91,45 @@ class TestIntegrate:
         # 1e-8, so the default 1e-10 target must fail; the raised error
         # still carries an estimate good to the reported bound.
         phi = 0.999
-        f = lambda x: 1.0 / (1 + phi * phi - 2 * phi * math.cos(x))
+        f = lambda x: 1.0 / (1 + phi * phi - 2 * phi * np.cos(x))
         exact = math.pi / (1 - phi * phi)
-        cfg = QuadratureConfig(abs_tol=1e-10, max_subdivisions=2048)
+        cfg = QuadratureConfig(abs_tol=1e-10)
         with pytest.raises(IntegrationError) as excinfo:
             integrate(f, 0.0, math.pi, cfg)
         err = excinfo.value
         assert abs(err.estimate - exact) <= 1e-6
         assert err.error_bound < 1e-6
 
+    def test_unattainable_tolerance_fails_fast(self):
+        # Once the change between levels is at the round-off floor, more
+        # panels cannot help: the failure comes after a few levels, not
+        # after the panel cap.
+        calls = []
+
+        def counted_cos(x):
+            calls.append(x.size)
+            return np.cos(x)
+
+        with pytest.raises(IntegrationError):
+            integrate(counted_cos, 0.0, math.pi, QuadratureConfig(abs_tol=1e-30))
+        assert len(calls) <= 3
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
+
+
+class TestEllipk:
+    @pytest.mark.parametrize("m", [0.0, 0.5, 0.99, 0.999999])
+    def test_against_mpmath(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        exact = float(mpmath.ellipk(m))
+        assert ellipk(m) == pytest.approx(exact, rel=1e-15)
+
+    def test_domain(self):
+        for m in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                ellipk(m)
 
 
 class TestSymmetricEigen:
@@ -135,10 +160,6 @@ class TestSymmetricEigen:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             symmetric_eigen(np.zeros((2, 3)))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EigenConfig(off_diag_tol=-1.0)
 
 
 class TestGridMaximize:

@@ -2,7 +2,8 @@
 
 Reference values are cross-checked against a dense trapezoidal
 integration oracle defined inline (vectorized numpy, 400k+ points),
-independent of the package's adaptive quadrature; headline regression
+independent of the package's quadrature and closed forms, and against
+mpmath at 30 digits where it is installed; headline regression
 constants were frozen from 2,000,001-point evaluations of the same
 oracle.
 """
@@ -60,6 +61,57 @@ def trapezoid_mean(values, xs):
 
 XS_DENSE = np.linspace(0.0, math.pi, 400001)
 GRID = np.linspace(0.0, math.pi, 1001)
+
+
+def mpmath_mean(integrand):
+    """(1/pi) times the integral over [0, pi] by mpmath at 30 digits.
+
+    Breakpoints near both ends resolve the boundary layers that strong
+    correlations put there.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        pi = mpmath.pi
+        cuts = [mpmath.mpf(d) for d in ("1e-4", "1e-2", "0.5")]
+        points = [0] + cuts + [pi - d for d in reversed(cuts)] + [pi]
+        return mpmath.quad(lambda x: integrand(mpmath, x), points) / pi
+
+
+class TestHighPrecisionReference:
+    @pytest.mark.parametrize("phi", [0.3, 0.9, 0.999])
+    def test_squeezing_fraction(self, phi):
+        def input_q(mp, x):
+            c = mp.mpf(phi)
+            return 0.5 * mp.sqrt((1 + c * c + 2 * c * mp.cos(x)) / (1 + c * c - 2 * c * mp.cos(x)))
+
+        n_bar = 2.0
+        expected = float((mpmath_mean(input_q) - 0.5) / n_bar)
+        value = squeezing_fraction(MarkovNoise(1.0, phi), n_bar)
+        assert value == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("phi", [0.3, 0.9, 0.999])
+    @pytest.mark.parametrize("alt_form", [False, True])
+    def test_first_mode_variance(self, phi, alt_form):
+        def integrand(mp, x):
+            c = mp.mpf(phi)
+            base = 1 + (c * c if alt_form else c)
+            return 0.5 * mp.sqrt((base + 2 * c * mp.cos(x)) / (base - 2 * c * mp.cos(x)))
+
+        expected = float(mpmath_mean(integrand))
+        value = first_mode_variance(phi, alt_form=alt_form)
+        assert value == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("variance", [1.0, 100.0])
+    def test_mean_environment_entropy(self, phi, variance):
+        def entropy_of_env(mp, x):
+            c = mp.mpf(phi)
+            nu = variance * (1 - c * c) / mp.sqrt((1 - c * c) ** 2 + 4 * c * c * mp.sin(x) ** 2)
+            return (nu + 1) * mp.log(nu + 1, 2) - nu * mp.log(nu, 2)
+
+        expected = float(mpmath_mean(entropy_of_env))
+        value = mean_environment_entropy(MarkovNoise(variance, phi))
+        assert value == pytest.approx(expected, abs=5e-14)
 
 
 class TestMonoNoise:
