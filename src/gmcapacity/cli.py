@@ -285,14 +285,14 @@ def fig3(phis, n_min, n_max, steps, quad_tol, out_path):
     for phi in phis:
         snr = _validated(lambda: multimode_threshold(MarkovNoise(1.0, phi)))
         for variance in _geometric_floats(n_min, n_max, steps):
-            noise = MarkovNoise(variance, phi)
+            noise = _validated(lambda: MarkovNoise(variance, phi))
             nbar = variance * snr
             threshold = multimode_threshold(noise)
             ccl = _fmt(classical_limit_capacity(noise, snr))
             echo = [_fmt(phi), _fmt(variance), _fmt(nbar), _fmt(threshold)]
             try:
-                eta = squeezing_fraction(noise, nbar)
-                cap = asymptotic_capacity(noise, nbar, cfg)
+                eta = _validated(lambda: squeezing_fraction(noise, nbar))
+                cap = _validated(lambda: asymptotic_capacity(noise, nbar, cfg))
             except BelowThresholdError:
                 rows.append(echo + ["", "", "", ccl, "below_threshold"])
                 continue
@@ -341,7 +341,7 @@ def fig4(phis, variance, nbar, n_max, n_values, quad_tol, out_path):
     for phi in phis:
         noise = _validated(lambda: MarkovNoise(variance, phi))
         try:
-            cap = _fmt(asymptotic_capacity(noise, nbar, cfg))
+            cap = _fmt(_validated(lambda: asymptotic_capacity(noise, nbar, cfg)))
             status = "ok"
         except BelowThresholdError:
             cap = ""

@@ -20,6 +20,9 @@ VACUUM_VARIANCE = 0.5
 SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
 
+_LN2 = math.log(2.0)
+_TINY = 2.0**-1000
+
 __all__ = [
     "VACUUM_VARIANCE",
     "CovarianceBlocks",
@@ -41,14 +44,20 @@ def thermal_entropy(mean_photons: float) -> float:
     """Entropy, in bits, of a single-mode thermal state with the given mean photon number.
 
     g(x) = (x+1) log2(x+1) - x log2(x), with g(0) = 0.  Strictly
-    increasing and concave on [0, inf).
+    increasing and concave on [0, inf).  Evaluated as
+    (log1p(x) + x log1p(1/x)) / ln 2, which is free of the cancellation
+    of the two large terms for large x.  Below 2**-1000, where 1/x
+    could overflow, the defining form is used; its two terms are both
+    non-negative there.
     """
     x = float(mean_photons)
     if x < 0:
         raise ValueError(f"mean photon number must be non-negative, got {x}")
-    if x == 0.0:
-        return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    if x < _TINY:
+        if x == 0.0:
+            return 0.0
+        return ((1.0 + x) * math.log1p(x) - x * math.log(x)) / _LN2
+    return (math.log1p(x) + x * math.log1p(1.0 / x)) / _LN2
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,7 @@
 
 Four self-contained pieces: a trapezoid rule on numpy arrays for smooth
 integrands on a finite interval, the complete elliptic integral K(m) by
-the arithmetic-geometric mean, a dense symmetric eigensolver front end,
+the arithmetic-geometric mean, a dense symmetric eigenvalue front end,
 and a coarse-to-fine grid maximizer.  All of them are pure
 functions with fixed evaluation order, so repeated calls with identical
 inputs give bit-identical results.
@@ -40,8 +40,8 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
 
 
 class IntegrationError(RuntimeError):
@@ -90,7 +90,8 @@ def integrate(
     Raises :class:`IntegrationError`, carrying the estimate and its bound,
     when the change is already at that round-off floor but the bound is
     above ``abs_tol``, or when 2**20 panels are not enough; an ``abs_tol``
-    below the floor therefore always raises.
+    below the floor therefore always raises.  A non-finite integrand value
+    raises after the second level, with an infinite bound.
     """
     cfg = config or QuadratureConfig()
     a = float(a)
@@ -119,6 +120,15 @@ def integrate(
         values = transformed(np.arange(1, panels, 2) / panels)
         total += float(np.sum(values))
         total_abs += float(np.sum(np.abs(values)))
+        if not math.isfinite(total_abs):
+            # A NaN or infinite value stays in every later sum, so more
+            # panels cannot help.
+            raise IntegrationError(
+                f"quadrature failed: the integrand is not finite on [{a:g}, {b:g}] "
+                f"(estimate {total / panels:.12g})",
+                estimate=total / panels,
+                error_bound=math.inf,
+            )
         previous, estimate = estimate, total / panels
         change = abs(estimate - previous)
         floor = _ROUNDOFF_FACTOR * total_abs / panels
@@ -155,11 +165,11 @@ def ellipk(m: float) -> float:
     return math.pi / (a + b)
 
 
-def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
+def symmetric_eigen(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending.
 
-    Eigenvectors are returned as columns, so ``m ~= V @ diag(w) @ V.T``.
-    Backed by the LAPACK symmetric solver via ``numpy.linalg.eigh``.
+    Backed by the LAPACK symmetric solver via ``numpy.linalg.eigvalsh``,
+    which skips the eigenvectors.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -167,8 +177,7 @@ def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
     if float(np.max(np.abs(m - m.T))) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    values, vectors = np.linalg.eigh(0.5 * (m + m.T))
-    return values[::-1].copy(), vectors[:, ::-1].copy()
+    return np.linalg.eigvalsh(0.5 * (m + m.T))[::-1].copy()
 
 
 def grid_maximize(

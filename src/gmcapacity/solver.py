@@ -75,9 +75,10 @@ class MonoNoise:
     var_p: float
 
     def __post_init__(self) -> None:
-        if not (self.var_q > 0 and self.var_p > 0):
+        if not all(math.isfinite(v) and v > 0 for v in (self.var_q, self.var_p)):
             raise ValueError(
-                f"noise variances must be positive, got ({self.var_q}, {self.var_p})"
+                "noise variances must be finite and positive, "
+                f"got ({self.var_q}, {self.var_p})"
             )
 
 
@@ -128,6 +129,11 @@ def _require_solver_noise(noise: MarkovNoise) -> None:
         )
 
 
+def _check_energy(n_bar: float) -> None:
+    if not (math.isfinite(n_bar) and n_bar >= 0):
+        raise ValueError(f"n_bar must be finite and non-negative, got {n_bar}")
+
+
 def _ensure_above(n_bar: float, threshold: float) -> None:
     # Relative slack absorbs round-off when n_bar sits exactly at the
     # threshold (the closed form may land a few ulps on either side).
@@ -166,8 +172,7 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
     :class:`BelowThresholdError` when a modulation variance would turn
     negative.
     """
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be non-negative, got {n_bar}")
+    _check_energy(n_bar)
     threshold = mono_threshold(noise)
     _ensure_above(n_bar, threshold)
     input_q = 0.5 * math.sqrt(noise.var_q / noise.var_p)
@@ -193,8 +198,7 @@ def mono_capacity(noise: MonoNoise, n_bar: float) -> float:
     noise); for symmetric noise this is the thermal-channel value
     g(n_bar + N) - g(N).
     """
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be non-negative, got {n_bar}")
+    _check_energy(n_bar)
     _ensure_above(n_bar, mono_threshold(noise))
     mean_noise = 0.5 * (noise.var_q + noise.var_p)
     return thermal_entropy(n_bar + mean_noise) - thermal_entropy(
@@ -295,8 +299,9 @@ def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
     energy cannot cover the squeezing demanded by the noise anisotropy.
     """
     _require_solver_noise(noise)
-    if not n_bar > 0:
-        raise ValueError(f"n_bar must be positive, got {n_bar}")
+    _check_energy(n_bar)
+    if n_bar == 0:
+        raise ValueError("n_bar must be positive, got 0")
     c = noise.correlation
     total = (1.0 + c * c) * ellipk(c**4)
     return (total - 0.5 * math.pi) / (math.pi * n_bar)
@@ -326,6 +331,7 @@ def asymptotic_capacity(
     noise spectrum.  Only valid above :func:`multimode_threshold`.
     """
     _require_solver_noise(noise)
+    _check_energy(n_bar)
     _ensure_above(n_bar, multimode_threshold(noise))
     return thermal_entropy(n_bar + noise.variance) - mean_environment_entropy(
         noise, config
@@ -344,6 +350,7 @@ def multimode_solve(
     modulation would turn negative somewhere on the spectrum.
     """
     _require_solver_noise(noise)
+    _check_energy(n_bar)
     threshold = multimode_threshold(noise)
     _ensure_above(n_bar, threshold)
     level = n_bar + noise.variance + VACUUM_VARIANCE
@@ -382,24 +389,22 @@ def finite_n_rate(
 
     g(n_bar + variance) - mean over modes of g(sqrt(lq_k * lp_k)), with
     lq, lp the numerically obtained eigenvalues of the two finite noise
-    blocks.  By default the descending q eigenvalues pair with ascending
-    p eigenvalues, mirroring the x <-> pi - x relation of the limiting
-    spectra; ``same_order_pairing=True`` pairs both descending instead,
-    for sensitivity checks.  Converges to :func:`asymptotic_capacity`
-    as n grows.
+    blocks.  The p block variance (-c)^|i-j| is D T D with D =
+    diag((-1)^i) and T the q block, so both blocks have the same
+    spectrum and one eigenvalue solve serves both.  By default the
+    descending q eigenvalues pair with ascending p eigenvalues, mirroring
+    the x <-> pi - x relation of the limiting spectra;
+    ``same_order_pairing=True`` pairs both descending instead, for
+    sensitivity checks.  Converges to :func:`asymptotic_capacity` as n
+    grows.
     """
     _require_solver_noise(noise)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be non-negative, got {n_bar}")
+    _check_energy(n_bar)
     lam_q = finite_spectrum(markov_matrix(noise, 1, n))
-    lam_p = finite_spectrum(markov_matrix(noise, -1, n))
-    if not same_order_pairing:
-        lam_p = lam_p[::-1]
-    mean_term = (
-        sum(thermal_entropy(math.sqrt(lq * lp)) for lq, lp in zip(lam_q, lam_p)) / n
-    )
+    lam_p = lam_q if same_order_pairing else lam_q[::-1]
+    mean_term = float(np.mean(_entropies(np.sqrt(lam_q * lam_p))))
     return thermal_entropy(n_bar + noise.variance) - mean_term
 
 
@@ -425,8 +430,7 @@ def full_correlation_capacity(noise: MarkovNoise, n_bar: float) -> float:
     solvers cap the correlation at ``MAX_CORRELATION``: the threshold
     diverges, so the limit is only reached with ever-growing energy.
     """
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be non-negative, got {n_bar}")
+    _check_energy(n_bar)
     return thermal_entropy(n_bar + noise.variance)
 
 
@@ -448,6 +452,7 @@ def symmetric_noise_solution(
     common level n_bar + variance + 1/2.
     """
     _require_solver_noise(noise)
+    _check_energy(n_bar)
     threshold = symmetric_threshold(noise)
     _ensure_above(n_bar, threshold)
     level = n_bar + noise.variance + VACUUM_VARIANCE
@@ -520,8 +525,7 @@ def brute_force_mono_oracle(
     also explores the below-threshold regime, where it returns a
     boundary solution with one modulation variance pinned at zero.
     """
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be non-negative, got {n_bar}")
+    _check_energy(n_bar)
     if resolution < 64:
         raise ValueError(f"resolution must be at least 64, got {resolution}")
     var_q = noise.var_q

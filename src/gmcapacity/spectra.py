@@ -46,8 +46,8 @@ class MarkovNoise:
     correlation: float
 
     def __post_init__(self) -> None:
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not (math.isfinite(self.variance) and self.variance > 0):
+            raise ValueError(f"variance must be finite and positive, got {self.variance}")
         if not abs(self.correlation) < 1:
             raise ValueError(
                 f"|correlation| must be below 1, got {self.correlation}"
@@ -117,9 +117,8 @@ def markov_matrix(noise: MarkovNoise, sign: int, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be positive")
     idx = np.arange(n)
-    return noise.variance * (sign * noise.correlation) ** np.abs(
-        idx[:, None] - idx[None, :]
-    )
+    powers = (sign * noise.correlation) ** idx
+    return noise.variance * powers[np.abs(idx[:, None] - idx[None, :])]
 
 
 def circulant_embedding(noise: MarkovNoise, sign: int, n: int) -> np.ndarray:
@@ -254,5 +253,4 @@ def symplectic_block_check(
 
 def finite_spectrum(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, descending."""
-    values, _ = symmetric_eigen(m)
-    return values
+    return symmetric_eigen(m)

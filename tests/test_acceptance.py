@@ -231,12 +231,9 @@ def test_c10_energy_closure_and_flatness():
         )
     assert worst_flat <= 1e-10
     xs = np.linspace(0.0, math.pi, 200001)
-    input_mean = np.trapezoid(
-        [0.5 * (solution.input_q(float(x)) + solution.input_p(float(x))) for x in xs], xs
-    ) / math.pi
+    input_mean = np.trapezoid(0.5 * (solution.input_q(xs) + solution.input_p(xs)), xs) / math.pi
     modulation_mean = np.trapezoid(
-        [0.5 * (solution.modulation_q(float(x)) + solution.modulation_p(float(x))) for x in xs],
-        xs,
+        0.5 * (solution.modulation_q(xs) + solution.modulation_p(xs)), xs
     ) / math.pi
     energy = input_mean + modulation_mean - 0.5
     assert abs(energy - n_bar) <= 1e-8

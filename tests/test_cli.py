@@ -272,6 +272,28 @@ class TestSpectrum:
         assert result.exit_code == 2
 
 
+NON_FINITE_ARGS = {
+    "mono-nbar": ["mono", "--gq", "2", "--gp", "0.5", "--nbar", "{}"],
+    "mono-gq": ["mono", "--gq", "{}", "--gp", "0.5", "--nbar", "2"],
+    "capacity-nbar": ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "{}"],
+    "capacity-N": ["capacity", "--phi", "0.5", "--N", "{}", "--nbar", "5"],
+    "capacity-quad-tol": ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "5", "--quad-tol", "{}"],
+    "fig4-nbar": ["fig4", "--phi", "0.4", "--N", "1", "--nbar", "{}", "--n", "3"],
+    "fig4-N": ["fig4", "--phi", "0.4", "--N", "{}", "--nbar", "7.5", "--n", "3"],
+    "fig3-n-max": ["fig3", "--phi", "0.4", "--n-max", "{}", "--steps", "2"],
+    "oracle-nbar": ["oracle", "--gq", "2", "--gp", "0.5", "--nbar", "{}", "--resolution", "64"],
+    "spectrum-N": ["spectrum", "--kind", "toeplitz", "--phi", "0.5", "--N", "{}", "--n", "3"],
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_ARGS))
+    def test_usage_error(self, runner, case, bad):
+        result = runner.invoke(main, [a.format(bad) for a in NON_FINITE_ARGS[case]])
+        assert result.exit_code == 2, result.output
+
+
 class TestOracle:
     def test_matches_library(self, runner):
         result = runner.invoke(

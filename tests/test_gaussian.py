@@ -45,6 +45,22 @@ class TestThermalEntropy:
             mid = 0.5 * (a + b)
             assert thermal_entropy(mid) >= 0.5 * (thermal_entropy(a) + thermal_entropy(b))
 
+    def test_against_mpmath(self):
+        # Reference in the log1p form at 50 digits: the direct form
+        # (x+1) log2(x+1) - x log2(x) would need more than 2 log10(x)
+        # digits to survive its own cancellation.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for x in np.logspace(-300, 300, 241).tolist() + [0.5, 1.0, 2.0, 1e-310]:
+                xm = mpmath.mpf(x)
+                exact = (mpmath.log1p(xm) + xm * mpmath.log1p(1 / xm)) / mpmath.log(2)
+                assert thermal_entropy(x) == pytest.approx(float(exact), rel=1e-15), x
+
+    def test_extreme_arguments_finite(self):
+        for x in (5e-324, 1e308, 1.7976931348623157e308):
+            value = thermal_entropy(x)
+            assert math.isfinite(value) and value > 0.0
+
     def test_excess_over_log_positive_decreasing(self):
         xs = [10.0**k for k in range(0, 7)]
         gaps = [thermal_entropy(x) - math.log2(x) for x in xs]

@@ -114,9 +114,29 @@ class TestIntegrate:
             integrate(counted_cos, 0.0, math.pi, QuadratureConfig(abs_tol=1e-30))
         assert len(calls) <= 3
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integrand_fails_fast(self, bad):
+        # A non-finite value poisons every later level sum: the failure
+        # comes at once, not after 2**20 panels.
+        calls = []
+
+        def poisoned(x):
+            calls.append(x.size)
+            return np.where(x > 0.3, bad, 1.0)
+
+        with pytest.raises(IntegrationError, match="not finite") as excinfo:
+            integrate(poisoned, 0.0, 1.0)
+        assert len(calls) <= 2
+        assert excinfo.value.error_bound == math.inf
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            QuadratureConfig(abs_tol=bad)
 
 
 class TestEllipk:
@@ -134,24 +154,23 @@ class TestEllipk:
 
 class TestSymmetricEigen:
     def test_diagonal(self):
-        values, vectors = symmetric_eigen(np.diag([3.0, 1.0, 2.0]))
+        values = symmetric_eigen(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(values, [3.0, 2.0, 1.0])
-        # Permutation eigenvectors up to sign.
-        assert np.allclose(np.abs(vectors), np.eye(3)[:, [0, 2, 1]])
 
     def test_2x2_closed_form(self):
-        values, _ = symmetric_eigen(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        values = symmetric_eigen(np.array([[1.0, 0.5], [0.5, 1.0]]))
         assert values == pytest.approx([1.5, 0.5], abs=1e-12)
 
     def test_reconstruction_seeded_random(self):
+        # Without eigenvectors the spectrum is pinned by two invariants:
+        # the trace and the squared Frobenius norm.
         rng = np.random.default_rng(20260808)
         a = rng.standard_normal((64, 64))
         m = 0.5 * (a + a.T)
-        values, vectors = symmetric_eigen(m)
-        rebuilt = vectors @ np.diag(values) @ vectors.T
-        assert np.linalg.norm(rebuilt - m) <= 1e-9
+        values = symmetric_eigen(m)
         assert np.all(np.diff(values) <= 0)
         assert np.sum(values) == pytest.approx(np.trace(m), abs=1e-9 * 64)
+        assert np.sum(values**2) == pytest.approx(np.sum(m * m), rel=1e-12)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

@@ -314,7 +314,7 @@ class TestMultimodeSolve:
         noise = MarkovNoise(1.0, 0.7)
         n_bar = 7.5
         sol = multimode_solve(noise, n_bar)
-        mods = np.array([sol.modulation_q(float(x)) for x in XS_DENSE])
+        mods = sol.modulation_q(XS_DENSE)
         assert trapezoid_mean(mods, XS_DENSE) == pytest.approx(
             (1.0 - sol.squeezing_fraction) * n_bar, abs=1e-8
         )
@@ -374,6 +374,16 @@ class TestAsymptoticCapacity:
         with pytest.raises(BelowThresholdError):
             asymptotic_capacity(MarkovNoise(1.0, 0.9), 7.5)
 
+    def test_huge_energy_stays_non_negative(self):
+        # g(1e300) needs the cancellation-free form; the direct one gave
+        # a capacity of -1.73 bits here.
+        noise = MarkovNoise(1.0, 0.5)
+        value = asymptotic_capacity(noise, 1e300)
+        assert value >= 0.0
+        assert value == pytest.approx(
+            thermal_entropy(1e300) - mean_environment_entropy(noise), rel=1e-15
+        )
+
 
 class TestFiniteNRate:
     def test_single_use(self):
@@ -405,6 +415,52 @@ class TestFiniteNRate:
     def test_validation(self):
         with pytest.raises(ValueError):
             finite_n_rate(MarkovNoise(1.0, 0.5), 7.5, 0)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 0.9, 0.999])
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 300])
+    @pytest.mark.parametrize("same_order", [False, True])
+    def test_matches_two_block_reference(self, phi, n, same_order):
+        # Reference: both noise blocks built here and solved separately.
+        variance, n_bar = 1.3, 7.5
+        dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        lam_q = np.linalg.eigh(variance * phi**dist)[0][::-1]
+        lam_p = np.linalg.eigh(variance * (-phi) ** dist)[0][::-1]
+        if not same_order:
+            lam_p = lam_p[::-1]
+        expected = float(g_vec(n_bar + variance) - np.mean(g_vec(np.sqrt(lam_q * lam_p))))
+        value = finite_n_rate(MarkovNoise(variance, phi), n_bar, n, same_order_pairing=same_order)
+        assert value == pytest.approx(expected, abs=1e-13)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+ENERGY_ENTRY_POINTS = {
+    "mono_solve": lambda e: mono_solve(MonoNoise(2.0, 0.5), e),
+    "mono_capacity": lambda e: mono_capacity(MonoNoise(2.0, 0.5), e),
+    "finite_n_rate": lambda e: finite_n_rate(MarkovNoise(1.0, 0.5), e, 10),
+    "multimode_solve": lambda e: multimode_solve(MarkovNoise(1.0, 0.5), e),
+    "asymptotic_capacity": lambda e: asymptotic_capacity(MarkovNoise(1.0, 0.5), e),
+    "squeezing_fraction": lambda e: squeezing_fraction(MarkovNoise(1.0, 0.5), e),
+    "symmetric_noise_solution": lambda e: symmetric_noise_solution(MarkovNoise(1.0, 0.5), e),
+    "full_correlation_capacity": lambda e: full_correlation_capacity(MarkovNoise(1.0, 0.5), e),
+    "brute_force_mono_oracle": lambda e: brute_force_mono_oracle(MonoNoise(2.0, 0.5), e),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("n_bar", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", sorted(ENERGY_ENTRY_POINTS))
+    def test_energy_rejected(self, entry, n_bar):
+        with pytest.raises(ValueError, match="n_bar must be finite") as excinfo:
+            ENERGY_ENTRY_POINTS[entry](n_bar)
+        assert excinfo.type is ValueError
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_mono_noise_rejected(self, bad):
+        with pytest.raises(ValueError):
+            MonoNoise(bad, 1.0)
+        with pytest.raises(ValueError):
+            MonoNoise(1.0, bad)
 
 
 class TestClassicalLimit:

@@ -38,6 +38,13 @@ class TestMarkovNoise:
     def test_negative_correlation_allowed(self):
         assert MarkovNoise(1.0, -0.5).correlation == -0.5
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            MarkovNoise(bad, 0.5)
+        with pytest.raises(ValueError):
+            MarkovNoise(1.0, bad)
+
 
 class TestMarkovMatrix:
     def test_white_noise_identity(self):
@@ -62,6 +69,26 @@ class TestMarkovMatrix:
     def test_positive_definite(self):
         values = finite_spectrum(markov_matrix(MarkovNoise(1.0, 0.9), 1, 64))
         assert values[-1] > 0
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 0.7, 0.94, 0.999, -0.7])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", [1, 2, 7, 600])
+    def test_equals_elementwise_powers(self, phi, sign, n):
+        # The gathered powers must reproduce n^2 scalar powers bit for bit.
+        noise = MarkovNoise(1.3, phi)
+        idx = np.arange(n)
+        expected = 1.3 * (sign * phi) ** np.abs(idx[:, None] - idx[None, :])
+        assert np.array_equal(markov_matrix(noise, sign, n), expected)
+
+    @pytest.mark.parametrize("phi", [0.3, 0.7, 0.95, 0.999, -0.7])
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 300])
+    def test_sign_branches_share_spectrum(self, phi, n):
+        # The sign=-1 matrix is D T D with D = diag((-1)^i), an orthogonal
+        # similarity of the sign=+1 matrix T.
+        noise = MarkovNoise(1.0, phi)
+        q = np.linalg.eigvalsh(markov_matrix(noise, 1, n))
+        p = np.linalg.eigvalsh(markov_matrix(noise, -1, n))
+        assert np.max(np.abs(p - q)) <= 1e-13 * q[-1]
 
 
 class TestToeplitzSpec:
