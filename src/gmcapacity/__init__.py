@@ -3,122 +3,32 @@
 Covariance-level toolkit: Gaussian entropy primitives, Toeplitz/circulant
 spectral machinery for the noise model, closed-form water-filling
 solvers with an independent brute-force oracle, and a CSV-emitting CLI.
+The package exports the names of the library quick start; everything
+else lives in the ``gaussian``, ``numerics``, ``spectra`` and ``solver``
+submodules.
 """
 
-from .gaussian import (
-    VACUUM_VARIANCE,
-    CovarianceBlocks,
-    UnphysicalStateError,
-    entropy,
-    mean_photon_number,
-    symplectic_eigenvalues,
-    symplectic_form,
-    thermal_entropy,
-    validate_pure_input,
-)
-from .numerics import (
-    IntegrationError,
-    QuadratureConfig,
-    grid_maximize,
-    integrate,
-    symmetric_eigen,
-)
-from .spectra import (
-    MarkovNoise,
-    SpectralFunction,
-    ToeplitzSpec,
-    asymptotic_markov_spectrum,
-    circulant_embedding,
-    commutator_norm,
-    finite_spectrum,
-    fourier_diagonalizer,
-    inverse_symbol,
-    markov_matrix,
-    markov_symbol,
-    symplectic_block_check,
-    tridiagonal_inverse,
-)
+from . import gaussian, numerics, solver, spectra  # noqa: F401
+from .gaussian import thermal_entropy
+from .spectra import MarkovNoise
 from .solver import (
-    MAX_CORRELATION,
     BelowThresholdError,
     MonoNoise,
-    MonoSolution,
-    MultimodeSolution,
     asymptotic_capacity,
-    brute_force_mono_oracle,
-    classical_limit_capacity,
-    env_spectrum_p,
-    env_spectrum_q,
-    env_symplectic_spectrum,
     finite_n_rate,
-    first_mode_variance,
-    full_correlation_capacity,
-    input_spectrum_p,
-    input_spectrum_q,
-    mean_environment_entropy,
-    mono_capacity,
     mono_solve,
-    mono_threshold,
     multimode_solve,
-    multimode_threshold,
-    squeezing_fraction,
-    symmetric_noise_solution,
-    symmetric_threshold,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "VACUUM_VARIANCE",
-    "MAX_CORRELATION",
-    "CovarianceBlocks",
-    "UnphysicalStateError",
-    "entropy",
-    "mean_photon_number",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "thermal_entropy",
-    "validate_pure_input",
-    "IntegrationError",
-    "QuadratureConfig",
-    "grid_maximize",
-    "integrate",
-    "symmetric_eigen",
     "MarkovNoise",
-    "SpectralFunction",
-    "ToeplitzSpec",
-    "asymptotic_markov_spectrum",
-    "circulant_embedding",
-    "commutator_norm",
-    "finite_spectrum",
-    "fourier_diagonalizer",
-    "inverse_symbol",
-    "markov_matrix",
-    "markov_symbol",
-    "symplectic_block_check",
-    "tridiagonal_inverse",
-    "BelowThresholdError",
     "MonoNoise",
-    "MonoSolution",
-    "MultimodeSolution",
-    "asymptotic_capacity",
-    "brute_force_mono_oracle",
-    "classical_limit_capacity",
-    "env_spectrum_p",
-    "env_spectrum_q",
-    "env_symplectic_spectrum",
-    "finite_n_rate",
-    "first_mode_variance",
-    "full_correlation_capacity",
-    "input_spectrum_p",
-    "input_spectrum_q",
-    "mean_environment_entropy",
-    "mono_capacity",
-    "mono_solve",
-    "mono_threshold",
+    "BelowThresholdError",
     "multimode_solve",
-    "multimode_threshold",
-    "squeezing_fraction",
-    "symmetric_noise_solution",
-    "symmetric_threshold",
+    "asymptotic_capacity",
+    "finite_n_rate",
+    "mono_solve",
+    "thermal_entropy",
 ]

@@ -15,6 +15,7 @@ import functools
 import math
 
 import click
+import numpy as np
 
 from .numerics import IntegrationError, QuadratureConfig
 from .spectra import (
@@ -381,11 +382,9 @@ def spectrum(ctx, kind, phi, variance, n, samples, sign, dump_matrix, out_path):
         if samples < 2:
             raise click.UsageError("samples must be at least 2")
         params.append(("samples", _fmt(samples)))
-        rows = []
-        for k in range(samples):
-            x = math.pi * k / (samples - 1)
-            value = asymptotic_markov_spectrum(noise, x, sign_value)
-            rows.append([_fmt(x), _fmt(value)])
+        xs = math.pi * np.arange(samples) / (samples - 1)
+        values = asymptotic_markov_spectrum(noise, xs, sign_value)
+        rows = ([_fmt(x), _fmt(v)] for x, v in zip(xs, values))
         _emit(_render("spectrum", params, ["x", "value"], rows), out_path)
         return
     if n is None:

@@ -40,7 +40,7 @@ class UnphysicalStateError(ValueError):
     """A covariance matrix violates the uncertainty bound nu >= 1/2."""
 
 
-def thermal_entropy(mean_photons: float) -> float:
+def thermal_entropy(mean_photons):
     """Entropy, in bits, of a single-mode thermal state with the given mean photon number.
 
     g(x) = (x+1) log2(x+1) - x log2(x), with g(0) = 0.  Strictly
@@ -48,16 +48,21 @@ def thermal_entropy(mean_photons: float) -> float:
     (log1p(x) + x log1p(1/x)) / ln 2, which is free of the cancellation
     of the two large terms for large x.  Below 2**-1000, where 1/x
     could overflow, the defining form is used; its two terms are both
-    non-negative there.
+    non-negative there.  Takes a float, returning a float, or an array,
+    returning the array of entrywise values.
     """
-    x = float(mean_photons)
-    if x < 0:
-        raise ValueError(f"mean photon number must be non-negative, got {x}")
-    if x < _TINY:
-        if x == 0.0:
-            return 0.0
-        return ((1.0 + x) * math.log1p(x) - x * math.log(x)) / _LN2
-    return (math.log1p(x) + x * math.log1p(1.0 / x)) / _LN2
+    x = np.asarray(mean_photons, dtype=float)
+    small = x < _TINY
+    if small.any():
+        if (x < 0.0).any():
+            raise ValueError(f"mean photon number must be non-negative, got {x.min()}")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tiny = ((1.0 + x) * np.log1p(x) - x * np.log(x)) / _LN2
+            stable = (np.log1p(x) + x * np.log1p(1.0 / x)) / _LN2
+        g = np.where(x == 0.0, 0.0, np.where(small, tiny, stable))
+    else:
+        g = (np.log1p(x) + x * np.log1p(1.0 / x)) / _LN2
+    return float(g) if g.ndim == 0 else g
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +169,7 @@ def entropy(cov: CovarianceBlocks) -> float:
         raise UnphysicalStateError(
             f"symplectic eigenvalue {worst:.12g} violates the physical floor 1/2"
         )
-    return float(sum(thermal_entropy(max(nu - VACUUM_VARIANCE, 0.0)) for nu in nus))
+    return float(np.sum(thermal_entropy(np.maximum(nus - VACUUM_VARIANCE, 0.0))))
 
 
 def mean_photon_number(gamma_in: CovarianceBlocks, gamma_mod: CovarianceBlocks) -> float:

@@ -10,7 +10,6 @@ inputs give bit-identical results.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -169,7 +168,7 @@ def symmetric_eigen(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, descending.
 
     Backed by the LAPACK symmetric solver via ``numpy.linalg.eigvalsh``,
-    which skips the eigenvectors.
+    which skips the eigenvectors and reads only the lower triangle.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -177,11 +176,11 @@ def symmetric_eigen(m: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
     if float(np.max(np.abs(m - m.T))) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh(0.5 * (m + m.T))[::-1].copy()
+    return np.linalg.eigvalsh(m)[::-1].copy()
 
 
 def grid_maximize(
-    objective: Callable[..., float],
+    objective: Callable[..., np.ndarray],
     box: Sequence[tuple[float, float]],
     resolution: int = 65,
     refinements: int = 2,
@@ -191,9 +190,11 @@ def grid_maximize(
     Every pass evaluates the full cartesian grid (``resolution`` points
     per axis); each refinement shrinks the box four-fold around the
     incumbent, clipped to the original bounds.  Ties go to the
-    lexicographically smallest coordinates.  The objective is called as
-    ``objective(x1, ..., xk)`` and must return finite values everywhere
-    in the box.
+    lexicographically smallest coordinates.  The grid is evaluated one
+    slice of the first axis at a time: the objective is called as
+    ``objective(x1, X2, ..., Xk)`` with a float ``x1`` and the
+    ``indexing="ij"`` meshgrid arrays of the other axes, and must return
+    an array of their shape holding finite values.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -210,9 +211,21 @@ def grid_maximize(
     best_point: tuple[float, ...] | None = None
     best_value = -math.inf
     for _ in range(refinements + 1):
-        axes = [np.linspace(lo, hi, resolution).tolist() for lo, hi in current]
-        for point in itertools.product(*axes):
-            value = float(objective(*point))
+        axes = [np.linspace(lo, hi, resolution) for lo, hi in current]
+        rest = np.meshgrid(*axes[1:], indexing="ij")
+        shape = (resolution,) * len(rest)
+        for x1 in axes[0].tolist():
+            values = np.asarray(objective(x1, *rest), dtype=float)
+            if values.shape != shape:
+                raise ValueError(
+                    f"objective returned shape {values.shape}, expected {shape}"
+                )
+            finite = np.isfinite(values)
+            # argmax takes the first hit in C order, which is the
+            # lexicographically smallest point because every axis increases.
+            k = int(np.argmax(values)) if finite.all() else int(np.argmin(finite))
+            point = (x1, *(float(r.flat[k]) for r in rest))
+            value = float(values.flat[k])
             if not math.isfinite(value):
                 raise ValueError(f"objective returned a non-finite value at {point}")
             if value > best_value or (value == best_value and point < best_point):

@@ -247,11 +247,6 @@ def _input_q_value(c: float, x):
     return 0.5 * np.sqrt((one_plus + 2.0 * c * cos_x) / (one_plus - 2.0 * c * cos_x))
 
 
-def _entropies(nu: np.ndarray) -> np.ndarray:
-    """:func:`thermal_entropy` of every entry of ``nu``."""
-    return np.fromiter(map(thermal_entropy, nu.tolist()), float, nu.size)
-
-
 def input_spectrum_q(noise: MarkovNoise) -> SpectralFunction:
     """Optimal pure-input spectrum for q: half the square root of the noise ratio.
 
@@ -318,7 +313,7 @@ def mean_environment_entropy(
     """
     _require_solver_noise(noise)
     nu_env = env_symplectic_spectrum(noise)
-    total = integrate(lambda x: _entropies(nu_env(x)), 0.0, math.pi, config)
+    total = integrate(lambda x: thermal_entropy(nu_env(x)), 0.0, math.pi, config)
     return total / math.pi
 
 
@@ -404,7 +399,7 @@ def finite_n_rate(
     _check_energy(n_bar)
     lam_q = finite_spectrum(markov_matrix(noise, 1, n))
     lam_p = lam_q if same_order_pairing else lam_q[::-1]
-    mean_term = float(np.mean(_entropies(np.sqrt(lam_q * lam_p))))
+    mean_term = float(np.mean(thermal_entropy(np.sqrt(lam_q * lam_p))))
     return thermal_entropy(n_bar + noise.variance) - mean_term
 
 
@@ -465,7 +460,7 @@ def symmetric_noise_solution(
         return level - VACUUM_VARIANCE - spectrum(x)
 
     capacity = thermal_entropy(n_bar + noise.variance) - (
-        integrate(lambda x: _entropies(spectrum(x)), 0.0, math.pi, config) / math.pi
+        integrate(lambda x: thermal_entropy(spectrum(x)), 0.0, math.pi, config) / math.pi
     )
     flat_input = SpectralFunction(coherent)
     water = SpectralFunction(modulation)
@@ -536,13 +531,13 @@ def brute_force_mono_oracle(
     in_q_lo = 0.5 * (budget - spread)
     in_q_hi = 0.5 * (budget + spread)
 
-    def objective(in_q: float, split: float) -> float:
+    def objective(in_q, split):
         in_p = 0.25 / in_q
-        mod_total = max(budget - in_q - in_p, 0.0)
+        mod_total = np.maximum(budget - in_q - in_p, 0.0)
         mod_q = split * mod_total
         mod_p = (1.0 - split) * mod_total
-        nu_out = math.sqrt((in_q + var_q) * (in_p + var_p))
-        nu_bar = math.sqrt((in_q + var_q + mod_q) * (in_p + var_p + mod_p))
+        nu_out = np.sqrt((in_q + var_q) * (in_p + var_p))
+        nu_bar = np.sqrt((in_q + var_q + mod_q) * (in_p + var_p + mod_p))
         return thermal_entropy(nu_bar - 0.5) - thermal_entropy(nu_out - 0.5)
 
     (best_in_q, best_split), best_value = grid_maximize(

@@ -19,7 +19,6 @@ from .numerics import symmetric_eigen
 
 __all__ = [
     "MarkovNoise",
-    "ToeplitzSpec",
     "SpectralFunction",
     "markov_matrix",
     "circulant_embedding",
@@ -29,7 +28,6 @@ __all__ = [
     "tridiagonal_inverse",
     "inverse_symbol",
     "commutator_norm",
-    "symplectic_block_check",
     "finite_spectrum",
 ]
 
@@ -52,39 +50,6 @@ class MarkovNoise:
             raise ValueError(
                 f"|correlation| must be below 1, got {self.correlation}"
             )
-
-
-@dataclass(frozen=True)
-class ToeplitzSpec:
-    """Symmetric Toeplitz matrix given by its diagonal values t_0, t_1, ..., t_{n-1}."""
-
-    diagonals: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        diag = tuple(float(t) for t in self.diagonals)
-        if not diag:
-            raise ValueError("need at least one diagonal value")
-        object.__setattr__(self, "diagonals", diag)
-
-    @property
-    def n(self) -> int:
-        return len(self.diagonals)
-
-    def matrix(self) -> np.ndarray:
-        idx = np.arange(self.n)
-        return np.asarray(self.diagonals)[np.abs(idx[:, None] - idx[None, :])]
-
-    def absolute_sum(self) -> float:
-        """Sum of |t_k|; finite values put the matrix in the Wiener class."""
-        return float(sum(abs(t) for t in self.diagonals))
-
-    @classmethod
-    def from_markov(cls, noise: MarkovNoise, sign: int, n: int) -> "ToeplitzSpec":
-        _check_sign(sign)
-        if n < 1:
-            raise ValueError("n must be positive")
-        rho = sign * noise.correlation
-        return cls(tuple(noise.variance * rho**k for k in range(n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,19 +89,17 @@ def markov_matrix(noise: MarkovNoise, sign: int, n: int) -> np.ndarray:
 def circulant_embedding(noise: MarkovNoise, sign: int, n: int) -> np.ndarray:
     """Circulant surrogate of :func:`markov_matrix` with the same leading diagonals.
 
-    Entries depend only on the cyclic distance: the decay wraps around at
-    kappa = (n-1)/2 (odd n) or n/2 (even n), so every row is a cyclic
-    shift of the first and the matrix is diagonalized exactly by
-    :func:`fourier_diagonalizer`.
+    Entries depend only on the cyclic distance min(|i-j|, n - |i-j|), at
+    most n // 2, so every row is a cyclic shift of the first and the
+    matrix is diagonalized exactly by :func:`fourier_diagonalizer`.
     """
     _check_sign(sign)
     if n < 2:
         raise ValueError("n must be at least 2")
-    kappa = (n - 1) // 2 if n % 2 else n // 2
     idx = np.arange(n)
     dist = np.abs(idx[:, None] - idx[None, :])
-    exponent = np.where(dist <= kappa, dist, n - dist)
-    return noise.variance * (sign * noise.correlation) ** exponent
+    powers = (sign * noise.correlation) ** np.arange(n // 2 + 1)
+    return noise.variance * powers[np.minimum(dist, n - dist)]
 
 
 def fourier_diagonalizer(n: int) -> np.ndarray:
@@ -162,21 +125,25 @@ def fourier_diagonalizer(n: int) -> np.ndarray:
     return qt.T
 
 
-def asymptotic_markov_spectrum(noise: MarkovNoise, x: float, sign: int = 1) -> float:
+def asymptotic_markov_spectrum(noise: MarkovNoise, x, sign: int = 1):
     """Limiting eigenvalue of the AR(1) covariance at spectral parameter x in [0, pi].
+
+    :func:`markov_symbol` evaluated at ``x``, a float or an array, after
+    checking that every entry lies in the spectral interval.
+    """
+    xs = np.asarray(x, dtype=float)
+    outside = ~((xs >= 0.0) & (xs <= math.pi))
+    if outside.any():
+        raise ValueError(f"spectral parameter must lie in [0, pi], got {xs[outside][0]}")
+    return markov_symbol(noise, sign)(x)
+
+
+def markov_symbol(noise: MarkovNoise, sign: int = 1) -> SpectralFunction:
+    """Limiting AR(1) spectrum on [0, pi] as a callable.
 
     variance * (1 - c^2) / (1 + c^2 - 2 c cos x) with c = sign *
     correlation.  The sign=-1 branch equals the sign=+1 branch at pi - x.
     """
-    _check_sign(sign)
-    if not 0.0 <= x <= math.pi:
-        raise ValueError(f"spectral parameter must lie in [0, pi], got {x}")
-    c = sign * noise.correlation
-    return noise.variance * (1.0 - c * c) / (1.0 + c * c - 2.0 * c * math.cos(x))
-
-
-def markov_symbol(noise: MarkovNoise, sign: int = 1) -> SpectralFunction:
-    """The AR(1) spectrum of :func:`asymptotic_markov_spectrum` as a callable."""
     _check_sign(sign)
     variance = noise.variance
     c = sign * noise.correlation
@@ -228,27 +195,6 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need two square matrices of equal shape, got {a.shape} and {b.shape}")
     return float(np.linalg.norm(a @ b - b @ a))
-
-
-def symplectic_block_check(
-    u_q: np.ndarray, u_p: np.ndarray, tol: float = 1e-10
-) -> bool:
-    """True when the pair (u_q, u_p) acts as a passive symplectic transformation.
-
-    Both inputs must be orthogonal within ``tol`` (otherwise a
-    ``ValueError`` flags them); the check itself is u_q^T u_p = identity
-    within ``tol``, i.e. both quadrature blocks are rotated by the same
-    orthogonal matrix.
-    """
-    u_q = np.asarray(u_q, dtype=float)
-    u_p = np.asarray(u_p, dtype=float)
-    if u_q.shape != u_p.shape or u_q.ndim != 2 or u_q.shape[0] != u_q.shape[1]:
-        raise ValueError("need two square matrices of equal shape")
-    eye = np.eye(u_q.shape[0])
-    for name, u in (("u_q", u_q), ("u_p", u_p)):
-        if float(np.max(np.abs(u.T @ u - eye))) > tol:
-            raise ValueError(f"{name} is not orthogonal within tolerance {tol:g}")
-    return float(np.max(np.abs(u_q.T @ u_p - eye))) <= tol
 
 
 def finite_spectrum(m: np.ndarray) -> np.ndarray:

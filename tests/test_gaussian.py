@@ -1,6 +1,7 @@
 """Tests for the Gaussian covariance-matrix primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,32 @@ class TestThermalEntropy:
         for x in (5e-324, 1e308, 1.7976931348623157e308):
             value = thermal_entropy(x)
             assert math.isfinite(value) and value > 0.0
+
+    def test_array_matches_scalar_form(self):
+        # The array evaluation against the scalar stable form, entry by
+        # entry, including the tiny-argument branch and g(0) = 0.
+        def scalar(x):
+            if x == 0.0:
+                return 0.0
+            if x < 2.0**-1000:
+                return ((1.0 + x) * math.log1p(x) - x * math.log(x)) / math.log(2.0)
+            return (math.log1p(x) + x * math.log1p(1.0 / x)) / math.log(2.0)
+
+        xs = np.concatenate([[0.0, 5e-324, 2.0**-1000], np.logspace(-300, 308, 20001)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = thermal_entropy(xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        for x, value in zip(xs.tolist(), values.tolist()):
+            assert value == pytest.approx(scalar(x), rel=4e-16, abs=0.0), x
+
+    def test_array_rejects_one_negative_entry(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            thermal_entropy(np.array([0.0, 1.0, -1e-3, 2.0]))
+
+    def test_scalar_returns_python_float(self):
+        for x in (0.0, 5e-324, 1.0, np.float64(3.0), np.array(3.0)):
+            assert type(thermal_entropy(x)) is float
 
     def test_excess_over_log_positive_decreasing(self):
         xs = [10.0**k for k in range(0, 7)]

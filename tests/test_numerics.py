@@ -1,10 +1,12 @@
 """Tests for the quadrature, eigensolver and grid-search kernels."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from gmcapacity.gaussian import thermal_entropy
 from gmcapacity.numerics import (
     IntegrationError,
     QuadratureConfig,
@@ -194,7 +196,7 @@ class TestGridMaximize:
         assert abs(point[1] + 0.4) <= 1e-3
 
     def test_deterministic(self):
-        objective = lambda x, y: math.sin(5 * x) * math.cos(3 * y)
+        objective = lambda x, y: np.sin(5 * x) * np.cos(3 * y)
         box = [(0.0, 2.0), (0.0, 2.0)]
         first = grid_maximize(objective, box, 65, 2)
         second = grid_maximize(objective, box, 65, 2)
@@ -202,13 +204,13 @@ class TestGridMaximize:
 
     def test_tie_break_lexicographic(self):
         # Flat objective: every grid point ties, the smallest corner wins.
-        point, value = grid_maximize(lambda x, y: 1.0, [(0.0, 1.0), (2.0, 3.0)], 65, 1)
+        point, value = grid_maximize(lambda x, y: np.ones_like(y), [(0.0, 1.0), (2.0, 3.0)], 65, 1)
         assert point == (0.0, 2.0)
         assert value == 1.0
 
     def test_non_finite_objective_rejected(self):
-        with pytest.raises(ValueError):
-            grid_maximize(lambda x: math.inf if x > 0.5 else x, [(0.0, 1.0)], 65, 0)
+        with pytest.raises(ValueError, match="non-finite value"):
+            grid_maximize(lambda x: np.where(x > 0.5, np.inf, x), [(0.0, 1.0)], 65, 0)
 
     def test_degenerate_box(self):
         point, value = grid_maximize(lambda x: -x * x, [(0.5, 0.5)], 65, 1)
@@ -222,3 +224,60 @@ class TestGridMaximize:
             grid_maximize(lambda x: x, [(1.0, 0.0)], 65, 0)
         with pytest.raises(ValueError):
             grid_maximize(lambda x: x, [(0.0, math.inf)], 65, 0)
+
+
+def _scalar_grid_maximize(objective, box, resolution, refinements):
+    """Point-by-point reference: the full grid in itertools order, scalar calls."""
+    original = [(float(lo), float(hi)) for lo, hi in box]
+    current = list(original)
+    best_point, best_value = None, -math.inf
+    for _ in range(refinements + 1):
+        axes = [np.linspace(lo, hi, resolution).tolist() for lo, hi in current]
+        for point in itertools.product(*axes):
+            value = float(objective(*point))
+            if value > best_value or (value == best_value and point < best_point):
+                best_value, best_point = value, point
+        shrunk = []
+        for (olo, ohi), (lo, hi), x in zip(original, current, best_point):
+            width = (hi - lo) / 4.0
+            shrunk.append((max(olo, x - width / 2.0), min(ohi, x + width / 2.0)))
+        current = shrunk
+    return best_point, best_value
+
+
+def _oracle_objective(var_q, var_p, n_bar):
+    """The single-mode oracle objective over (input_q, split), written for arrays."""
+    budget = 2.0 * n_bar + 1.0
+    spread = math.sqrt(budget * budget - 1.0)
+
+    def objective(in_q, split):
+        in_p = 0.25 / in_q
+        mod_total = np.maximum(budget - in_q - in_p, 0.0)
+        nu_out = np.sqrt((in_q + var_q) * (in_p + var_p))
+        nu_bar = np.sqrt(
+            (in_q + var_q + split * mod_total) * (in_p + var_p + (1.0 - split) * mod_total)
+        )
+        return thermal_entropy(nu_bar - 0.5) - thermal_entropy(nu_out - 0.5)
+
+    box = [(0.5 * (budget - spread), 0.5 * (budget + spread)), (0.0, 1.0)]
+    return objective, box
+
+
+class TestGridMaximizeMatchesScalarSearch:
+    @pytest.mark.parametrize(
+        "var_q, var_p, n_bar",
+        [(2.0, 0.5, 2.5), (2.0, 0.5, 0.2), (10.0, 0.1, 20.0)],
+        ids=["above", "below", "anisotropic"],
+    )
+    def test_oracle_objective(self, var_q, var_p, n_bar):
+        objective, box = _oracle_objective(var_q, var_p, n_bar)
+        expected = _scalar_grid_maximize(objective, box, 65, 2)
+        assert grid_maximize(objective, box, 65, 2) == expected
+
+    def test_exact_ties(self):
+        # A plateau of exact ties across slices and passes: the
+        # lexicographically smallest point of the plateau wins.
+        objective = lambda x, y: -np.maximum(np.abs(x - 0.3), np.abs(y - 0.6)) // 0.25
+        box = [(0.0, 1.0), (0.0, 1.0)]
+        expected = _scalar_grid_maximize(objective, box, 65, 2)
+        assert grid_maximize(objective, box, 65, 2) == expected

@@ -8,7 +8,6 @@ import pytest
 from gmcapacity.numerics import integrate
 from gmcapacity.spectra import (
     MarkovNoise,
-    ToeplitzSpec,
     asymptotic_markov_spectrum,
     circulant_embedding,
     commutator_norm,
@@ -17,7 +16,6 @@ from gmcapacity.spectra import (
     inverse_symbol,
     markov_matrix,
     markov_symbol,
-    symplectic_block_check,
     tridiagonal_inverse,
 )
 
@@ -91,21 +89,6 @@ class TestMarkovMatrix:
         assert np.max(np.abs(p - q)) <= 1e-13 * q[-1]
 
 
-class TestToeplitzSpec:
-    def test_matches_markov_builder(self):
-        noise = MarkovNoise(1.5, 0.6)
-        spec = ToeplitzSpec.from_markov(noise, -1, 5)
-        assert np.allclose(spec.matrix(), markov_matrix(noise, -1, 5))
-
-    def test_absolute_sum_finite(self):
-        spec = ToeplitzSpec.from_markov(MarkovNoise(1.0, 0.9), 1, 50)
-        assert spec.absolute_sum() < 1.0 / (1.0 - 0.9) + 1e-9
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ToeplitzSpec(())
-
-
 class TestCirculantEmbedding:
     def test_white_noise(self):
         for n in (2, 5, 6):
@@ -135,6 +118,19 @@ class TestCirculantEmbedding:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             circulant_embedding(MarkovNoise(1.0, 0.5), 1, 1)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 0.7, 0.999, -0.7])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 601, 600])
+    def test_equals_elementwise_powers(self, phi, sign, n):
+        # The gathered powers must reproduce n^2 scalar powers of the
+        # wrapped distance bit for bit, for odd and even n.
+        noise = MarkovNoise(1.3, phi)
+        kappa = (n - 1) // 2 if n % 2 else n // 2
+        idx = np.arange(n)
+        dist = np.abs(idx[:, None] - idx[None, :])
+        expected = 1.3 * (sign * phi) ** np.where(dist <= kappa, dist, n - dist)
+        assert np.array_equal(circulant_embedding(noise, sign, n), expected)
 
 
 class TestFourierDiagonalizer:
@@ -188,6 +184,24 @@ class TestAsymptoticSpectrum:
             asymptotic_markov_spectrum(MarkovNoise(1.0, 0.5), -0.1)
         with pytest.raises(ValueError):
             asymptotic_markov_spectrum(MarkovNoise(1.0, 0.5), math.pi + 0.1)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 0.999, -0.7])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_array_matches_scalar_formula(self, phi, sign):
+        # One array call against the closed form evaluated point by point.
+        noise = MarkovNoise(1.3, phi)
+        xs = np.linspace(0.0, math.pi, 1001)
+        values = asymptotic_markov_spectrum(noise, xs, sign)
+        c = sign * phi
+        for x, value in zip(xs.tolist(), values.tolist()):
+            expected = 1.3 * (1.0 - c * c) / (1.0 + c * c - 2.0 * c * math.cos(x))
+            assert value == pytest.approx(expected, rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.pi + 0.1, math.nan])
+    def test_array_domain_validation(self, bad):
+        xs = np.array([0.0, 1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="must lie in"):
+            asymptotic_markov_spectrum(MarkovNoise(1.0, 0.5), xs)
 
     def test_bounds(self):
         noise = MarkovNoise(2.0, 0.7)
@@ -274,30 +288,6 @@ class TestCommutatorNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             commutator_norm(np.eye(2), np.eye(3))
-
-
-class TestSymplecticBlockCheck:
-    def test_same_basis_passes(self):
-        for n in (3, 8):
-            q = fourier_diagonalizer(n)
-            assert symplectic_block_check(q, q)
-
-    def test_permutation_fails(self):
-        perm = np.eye(4)[:, [1, 0, 2, 3]]
-        assert not symplectic_block_check(np.eye(4), perm)
-
-    def test_rotated_copy_fails(self):
-        q = fourier_diagonalizer(4)
-        angle = 0.3
-        rot = np.eye(4)
-        rot[0, 0] = rot[1, 1] = math.cos(angle)
-        rot[0, 1] = math.sin(angle)
-        rot[1, 0] = -math.sin(angle)
-        assert not symplectic_block_check(q, q @ rot)
-
-    def test_non_orthogonal_flagged(self):
-        with pytest.raises(ValueError):
-            symplectic_block_check(np.eye(2) * 2.0, np.eye(2))
 
 
 class TestFiniteSpectrum:
