@@ -87,35 +87,27 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _quad_config(quad_tol: float) -> QuadratureConfig:
-    try:
-        return QuadratureConfig(abs_tol=quad_tol)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+def _exit_codes(command):
+    """Map a command's domain errors to exit codes.
 
-
-def _numerical_failure_exits(command):
-    """Report an :class:`IntegrationError` on stderr and exit with ``EXIT_NUMERICAL``."""
+    :class:`BelowThresholdError` passes through (the commands report it as
+    a row), any other ``ValueError`` is a usage error (exit 2), and an
+    :class:`IntegrationError` is reported on stderr with ``EXIT_NUMERICAL``.
+    """
 
     @functools.wraps(command)
     def wrapper(*args, **kwargs):
         try:
             return command(*args, **kwargs)
+        except BelowThresholdError:
+            raise
+        except ValueError as err:
+            raise click.UsageError(str(err))
         except IntegrationError as err:
             click.echo(f"numerical failure: {err}", err=True)
             click.get_current_context().exit(EXIT_NUMERICAL)
 
     return wrapper
-
-
-def _validated(builder):
-    """Run a constructor, turning domain violations into usage errors."""
-    try:
-        return builder()
-    except BelowThresholdError:
-        raise
-    except ValueError as err:
-        raise click.UsageError(str(err))
 
 
 _out_option = click.option(
@@ -173,9 +165,10 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 @click.option("--nbar", type=float, required=True, help="Mean photon number per use.")
 @_out_option
 @click.pass_context
+@_exit_codes
 def mono(ctx, gq, gp, nbar, out_path):
     """Single-mode channel: optimal variances, water level and capacity."""
-    noise = _validated(lambda: MonoNoise(gq, gp))
+    noise = MonoNoise(gq, gp)
     threshold = mono_threshold(noise)
     params = [("gq", _fmt(gq)), ("gp", _fmt(gp)), ("nbar", _fmt(nbar))]
     columns = [
@@ -185,7 +178,7 @@ def mono(ctx, gq, gp, nbar, out_path):
     ]
     echo = [_fmt(gq), _fmt(gp), _fmt(nbar), _fmt(threshold)]
     try:
-        sol = _validated(lambda: mono_solve(noise, nbar))
+        sol = mono_solve(noise, nbar)
     except BelowThresholdError:
         row = echo + [""] * 6 + ["below_threshold"]
         _emit(_render("mono", params, columns, [row]), out_path)
@@ -211,12 +204,12 @@ def mono(ctx, gq, gp, nbar, out_path):
 @_quad_tol_option
 @_out_option
 @click.pass_context
-@_numerical_failure_exits
+@_exit_codes
 def capacity(ctx, phi, variance, nbar, allow_below, first_mode, quad_tol, out_path):
     """Infinite-use capacity of the correlated-noise channel."""
-    cfg = _quad_config(quad_tol)
-    noise = _validated(lambda: MarkovNoise(variance, phi))
-    threshold = _validated(lambda: multimode_threshold(noise))
+    cfg = QuadratureConfig(abs_tol=quad_tol)
+    noise = MarkovNoise(variance, phi)
+    threshold = multimode_threshold(noise)
     params = [
         ("phi", _fmt(phi)), ("N", _fmt(variance)), ("nbar", _fmt(nbar)),
         ("allow_below", _fmt(allow_below)), ("first_mode", _fmt(first_mode)),
@@ -234,7 +227,7 @@ def capacity(ctx, phi, variance, nbar, allow_below, first_mode, quad_tol, out_pa
             _fmt(first_mode_variance(phi, alt_form=True)),
         ]
     try:
-        sol = _validated(lambda: multimode_solve(noise, nbar, cfg))
+        sol = multimode_solve(noise, nbar, cfg)
     except BelowThresholdError:
         row = echo + ["", "", ""] + fm_fields + ["below_threshold"]
         _emit(_render("capacity", params, columns, [row]), out_path)
@@ -261,14 +254,14 @@ def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
 @click.option("--steps", type=int, default=15, show_default=True, help="Geometric steps over [n-min, n-max].")
 @_quad_tol_option
 @_out_option
-@_numerical_failure_exits
+@_exit_codes
 def fig3(phis, n_min, n_max, steps, quad_tol, out_path):
     """Capacity, squeezing fraction and classical limit along the fixed-SNR protocol.
 
     For each correlation the signal-to-noise ratio nbar/N is pinned to the
     threshold value at N = 1, which keeps every N >= 1 above threshold.
     """
-    cfg = _quad_config(quad_tol)
+    cfg = QuadratureConfig(abs_tol=quad_tol)
     if steps < 1:
         raise click.UsageError("steps must be at least 1")
     if not 0 < n_min <= n_max:
@@ -284,16 +277,16 @@ def fig3(phis, n_min, n_max, steps, quad_tol, out_path):
     ]
     rows = []
     for phi in phis:
-        snr = _validated(lambda: multimode_threshold(MarkovNoise(1.0, phi)))
+        snr = multimode_threshold(MarkovNoise(1.0, phi))
         for variance in _geometric_floats(n_min, n_max, steps):
-            noise = _validated(lambda: MarkovNoise(variance, phi))
+            noise = MarkovNoise(variance, phi)
             nbar = variance * snr
             threshold = multimode_threshold(noise)
             ccl = _fmt(classical_limit_capacity(noise, snr))
             echo = [_fmt(phi), _fmt(variance), _fmt(nbar), _fmt(threshold)]
             try:
-                eta = _validated(lambda: squeezing_fraction(noise, nbar))
-                cap = _validated(lambda: asymptotic_capacity(noise, nbar, cfg))
+                eta = squeezing_fraction(noise, nbar)
+                cap = asymptotic_capacity(noise, nbar, cfg)
             except BelowThresholdError:
                 rows.append(echo + ["", "", "", ccl, "below_threshold"])
                 continue
@@ -322,10 +315,10 @@ def _geometric_ints(n_max: int, points: int = 25) -> list[int]:
               help="Explicit channel-use counts (overrides the --n-max grid).")
 @_quad_tol_option
 @_out_option
-@_numerical_failure_exits
+@_exit_codes
 def fig4(phis, variance, nbar, n_max, n_values, quad_tol, out_path):
     """Finite-use transmission rate versus channel uses, with the asymptotic value."""
-    cfg = _quad_config(quad_tol)
+    cfg = QuadratureConfig(abs_tol=quad_tol)
     if n_max < 1:
         raise click.UsageError("n-max must be at least 1")
     uses = sorted(set(n_values)) if n_values else _geometric_ints(n_max)
@@ -340,15 +333,15 @@ def fig4(phis, variance, nbar, n_max, n_values, quad_tol, out_path):
     columns = ["phi", "n", "rate_bits", "capacity_bits", "status"]
     rows = []
     for phi in phis:
-        noise = _validated(lambda: MarkovNoise(variance, phi))
+        noise = MarkovNoise(variance, phi)
         try:
-            cap = _fmt(_validated(lambda: asymptotic_capacity(noise, nbar, cfg)))
+            cap = _fmt(asymptotic_capacity(noise, nbar, cfg))
             status = "ok"
         except BelowThresholdError:
             cap = ""
             status = "below_threshold"
         for n in uses:
-            rate = _validated(lambda: finite_n_rate(noise, nbar, n))
+            rate = finite_n_rate(noise, nbar, n)
             rows.append([_fmt(phi), str(n), _fmt(rate), cap, status])
     _emit(_render("fig4", params, columns, rows), out_path)
 
@@ -368,9 +361,10 @@ def fig4(phis, variance, nbar, n_max, n_values, quad_tol, out_path):
               help="Emit the matrix itself: plain rows of space-separated decimals.")
 @_out_option
 @click.pass_context
+@_exit_codes
 def spectrum(ctx, kind, phi, variance, n, samples, sign, dump_matrix, out_path):
     """Noise eigenvalue spectra: finite Toeplitz/circulant matrices or the symbol."""
-    noise = _validated(lambda: MarkovNoise(variance, phi))
+    noise = MarkovNoise(variance, phi)
     sign_value = 1 if sign == "+1" else -1
     params = [
         ("kind", kind), ("phi", _fmt(phi)), ("N", _fmt(variance)),
@@ -391,7 +385,7 @@ def spectrum(ctx, kind, phi, variance, n, samples, sign, dump_matrix, out_path):
         raise click.UsageError(f"--n is required for kind={kind}")
     params.append(("n", str(n)))
     builder = markov_matrix if kind == "toeplitz" else circulant_embedding
-    matrix = _validated(lambda: builder(noise, sign_value, n))
+    matrix = builder(noise, sign_value, n)
     if dump_matrix:
         text = "\n".join(" ".join(_fmt(v) for v in row) for row in matrix) + "\n"
         _emit(text, out_path)
@@ -411,6 +405,7 @@ def spectrum(ctx, kind, phi, variance, n, samples, sign, dump_matrix, out_path):
               help="Coarse-to-fine refinement passes.")
 @_out_option
 @click.pass_context
+@_exit_codes
 def oracle(ctx, gq, gp, nbar, resolution, refinements, out_path):
     """Brute-force grid search for the single-mode optimum.
 
@@ -418,10 +413,8 @@ def oracle(ctx, gq, gp, nbar, resolution, refinements, out_path):
     regime, pinning one modulation variance at zero there; the
     above_threshold column records which side the input energy is on.
     """
-    noise = _validated(lambda: MonoNoise(gq, gp))
-    sol = _validated(
-        lambda: brute_force_mono_oracle(noise, nbar, resolution, refinements)
-    )
+    noise = MonoNoise(gq, gp)
+    sol = brute_force_mono_oracle(noise, nbar, resolution, refinements)
     threshold = mono_threshold(noise)
     params = [
         ("gq", _fmt(gq)), ("gp", _fmt(gp)), ("nbar", _fmt(nbar)),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,11 +41,7 @@ __all__ = [
     "mono_solve",
     "mono_capacity",
     "multimode_threshold",
-    "env_spectrum_q",
-    "env_spectrum_p",
     "env_symplectic_spectrum",
-    "input_spectrum_q",
-    "input_spectrum_p",
     "squeezing_fraction",
     "mean_environment_entropy",
     "multimode_solve",
@@ -134,16 +131,25 @@ def _check_energy(n_bar: float) -> None:
         raise ValueError(f"n_bar must be finite and non-negative, got {n_bar}")
 
 
-def _ensure_above(n_bar: float, threshold: float) -> None:
+def _reaches(n_bar: float, threshold: float) -> bool:
     # Relative slack absorbs round-off when n_bar sits exactly at the
     # threshold (the closed form may land a few ulps on either side).
-    slack = 1e-12 * max(1.0, abs(threshold))
-    if n_bar < threshold - slack:
+    return n_bar >= threshold - 1e-12 * max(1.0, abs(threshold))
+
+
+def _above(
+    noise: MonoNoise | MarkovNoise, n_bar: float, threshold_of: Callable[..., float]
+) -> float:
+    """Validate noise and energy once; return the threshold or raise below it."""
+    threshold = threshold_of(noise)
+    _check_energy(n_bar)
+    if not _reaches(n_bar, threshold):
         raise BelowThresholdError(
             f"input energy {n_bar:g} is below the water-filling threshold "
             f"{threshold:.12g}",
             threshold=threshold,
         )
+    return threshold
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +178,11 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
     :class:`BelowThresholdError` when a modulation variance would turn
     negative.
     """
-    _check_energy(n_bar)
-    threshold = mono_threshold(noise)
-    _ensure_above(n_bar, threshold)
+    _above(noise, n_bar, mono_threshold)
     input_q = 0.5 * math.sqrt(noise.var_q / noise.var_p)
     input_p = 0.5 * math.sqrt(noise.var_p / noise.var_q)
-    level = n_bar + 0.5 * (noise.var_q + noise.var_p) + VACUUM_VARIANCE
+    photons = n_bar + 0.5 * (noise.var_q + noise.var_p)
+    level = photons + VACUUM_VARIANCE
     modulation_q = max(level - input_q - noise.var_q, 0.0)
     modulation_p = max(level - input_p - noise.var_p, 0.0)
     return MonoSolution(
@@ -186,7 +191,8 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
         modulation_q=modulation_q,
         modulation_p=modulation_p,
         water_level=level,
-        capacity_bits=mono_capacity(noise, n_bar),
+        capacity_bits=thermal_entropy(photons)
+        - thermal_entropy(math.sqrt(noise.var_q * noise.var_p)),
         above_threshold=True,
     )
 
@@ -198,27 +204,12 @@ def mono_capacity(noise: MonoNoise, n_bar: float) -> float:
     noise); for symmetric noise this is the thermal-channel value
     g(n_bar + N) - g(N).
     """
-    _check_energy(n_bar)
-    _ensure_above(n_bar, mono_threshold(noise))
-    mean_noise = 0.5 * (noise.var_q + noise.var_p)
-    return thermal_entropy(n_bar + mean_noise) - thermal_entropy(
-        math.sqrt(noise.var_q * noise.var_p)
-    )
+    return mono_solve(noise, n_bar).capacity_bits
 
 
 # ---------------------------------------------------------------------------
 # Correlated multimode channel, infinite-use limit
 # ---------------------------------------------------------------------------
-
-
-def env_spectrum_q(noise: MarkovNoise) -> SpectralFunction:
-    """Noise spectrum seen by the q quadratures (positively correlated branch)."""
-    return markov_symbol(noise, sign=1)
-
-
-def env_spectrum_p(noise: MarkovNoise) -> SpectralFunction:
-    """Noise spectrum seen by the p quadratures: the q spectrum mirrored at pi/2."""
-    return markov_symbol(noise, sign=-1)
 
 
 def env_symplectic_spectrum(noise: MarkovNoise) -> SpectralFunction:
@@ -241,36 +232,6 @@ def env_symplectic_spectrum(noise: MarkovNoise) -> SpectralFunction:
     return SpectralFunction(evaluate)
 
 
-def _input_q_value(c: float, x):
-    cos_x = np.cos(x)
-    one_plus = 1.0 + c * c
-    return 0.5 * np.sqrt((one_plus + 2.0 * c * cos_x) / (one_plus - 2.0 * c * cos_x))
-
-
-def input_spectrum_q(noise: MarkovNoise) -> SpectralFunction:
-    """Optimal pure-input spectrum for q: half the square root of the noise ratio.
-
-    The variance cancels from the ratio, so the input depends on the
-    correlation only.
-    """
-    c = noise.correlation
-
-    def evaluate(x):
-        return _input_q_value(c, x)
-
-    return SpectralFunction(evaluate)
-
-
-def input_spectrum_p(noise: MarkovNoise) -> SpectralFunction:
-    """Optimal pure-input spectrum for p (reciprocal of the q branch over 4)."""
-    c = noise.correlation
-
-    def evaluate(x):
-        return 0.5 / (2.0 * _input_q_value(c, x))
-
-    return SpectralFunction(evaluate)
-
-
 def multimode_threshold(noise: MarkovNoise) -> float:
     """Minimum input energy that lets the modulation cover the whole spectrum.
 
@@ -280,6 +241,21 @@ def multimode_threshold(noise: MarkovNoise) -> float:
     _require_solver_noise(noise)
     c = noise.correlation
     return ((1.0 + c) / (1.0 - c) - 1.0) * (noise.variance + VACUUM_VARIANCE)
+
+
+def _input_q_integral(c: float) -> float:
+    # Integral of the optimal q input spectrum over [0, pi].
+    return (1.0 + c * c) * ellipk(c**4)
+
+
+def _squeezing_fraction(c: float, n_bar: float) -> float:
+    excess = _input_q_integral(c) - 0.5 * math.pi
+    if excess == 0:
+        # White noise (or a correlation too weak to register): no squeezing.
+        return 0.0
+    if n_bar == 0:
+        raise ValueError("n_bar must be positive, got 0")
+    return excess / (math.pi * n_bar)
 
 
 def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
@@ -295,11 +271,12 @@ def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
     """
     _require_solver_noise(noise)
     _check_energy(n_bar)
-    if n_bar == 0:
-        raise ValueError("n_bar must be positive, got 0")
-    c = noise.correlation
-    total = (1.0 + c * c) * ellipk(c**4)
-    return (total - 0.5 * math.pi) / (math.pi * n_bar)
+    return _squeezing_fraction(noise.correlation, n_bar)
+
+
+def _entropy_mean(spectrum: SpectralFunction, config: QuadratureConfig | None) -> float:
+    # Spectral mean of g over a noise spectrum on [0, pi].
+    return integrate(lambda x: thermal_entropy(spectrum(x)), 0.0, math.pi, config) / math.pi
 
 
 def mean_environment_entropy(
@@ -312,9 +289,7 @@ def mean_environment_entropy(
     approaches 1.
     """
     _require_solver_noise(noise)
-    nu_env = env_symplectic_spectrum(noise)
-    total = integrate(lambda x: thermal_entropy(nu_env(x)), 0.0, math.pi, config)
-    return total / math.pi
+    return _entropy_mean(env_symplectic_spectrum(noise), config)
 
 
 def asymptotic_capacity(
@@ -325,11 +300,48 @@ def asymptotic_capacity(
     g(n_bar + variance) minus the spectral mean of g over the symplectic
     noise spectrum.  Only valid above :func:`multimode_threshold`.
     """
-    _require_solver_noise(noise)
-    _check_energy(n_bar)
-    _ensure_above(n_bar, multimode_threshold(noise))
-    return thermal_entropy(n_bar + noise.variance) - mean_environment_entropy(
-        noise, config
+    _above(noise, n_bar, multimode_threshold)
+    return thermal_entropy(n_bar + noise.variance) - _entropy_mean(
+        env_symplectic_spectrum(noise), config
+    )
+
+
+def _water_filling(
+    noise: MarkovNoise,
+    n_bar: float,
+    threshold: float,
+    squeezing: float,
+    input_q: SpectralFunction,
+    input_p: SpectralFunction,
+    noise_q: SpectralFunction,
+    noise_p: SpectralFunction,
+    nu_env: SpectralFunction,
+    config: QuadratureConfig | None,
+) -> MultimodeSolution:
+    """Fill every spectral channel up to the level n_bar + variance + 1/2.
+
+    The capacity is g(n_bar + variance) minus the spectral mean of g over
+    the environment spectrum ``nu_env``.
+    """
+    level = n_bar + noise.variance + VACUUM_VARIANCE
+
+    def mod_q(x):
+        return level - input_q(x) - noise_q(x)
+
+    def mod_p(x):
+        return level - input_p(x) - noise_p(x)
+
+    return MultimodeSolution(
+        squeezing_fraction=squeezing,
+        water_level=level,
+        capacity_bits=thermal_entropy(n_bar + noise.variance) - _entropy_mean(nu_env, config),
+        threshold=threshold,
+        input_q=input_q,
+        input_p=input_p,
+        modulation_q=SpectralFunction(mod_q),
+        modulation_p=SpectralFunction(mod_p),
+        noise_q=noise_q,
+        noise_p=noise_p,
     )
 
 
@@ -338,68 +350,51 @@ def multimode_solve(
 ) -> MultimodeSolution:
     """Global water-filling solution over the AR(1) noise spectrum.
 
-    The input spectra match the noise anisotropy pointwise, the water
-    level is n_bar + variance + 1/2, and the modulation fills every
-    spectral channel up to that level, making the overall output flat.
-    Raises :class:`BelowThresholdError` (carrying the threshold) when the
-    modulation would turn negative somewhere on the spectrum.
+    The pure input spectra match the noise anisotropy pointwise: input_q
+    is half the square root of the q/p noise ratio (the variance cancels,
+    so it depends on the correlation only) and input_p = 1/(4 input_q).
+    The water level is n_bar + variance + 1/2, and the modulation fills
+    every spectral channel up to that level, making the overall output
+    flat.  Raises :class:`BelowThresholdError` (carrying the threshold)
+    when the modulation would turn negative somewhere on the spectrum.
     """
-    _require_solver_noise(noise)
-    _check_energy(n_bar)
-    threshold = multimode_threshold(noise)
-    _ensure_above(n_bar, threshold)
-    level = n_bar + noise.variance + VACUUM_VARIANCE
-    in_q = input_spectrum_q(noise)
-    in_p = input_spectrum_p(noise)
-    noise_q = env_spectrum_q(noise)
-    noise_p = env_spectrum_p(noise)
+    threshold = _above(noise, n_bar, multimode_threshold)
+    c = noise.correlation
+    one_plus = 1.0 + c * c
 
-    def mod_q(x):
-        return level - in_q(x) - noise_q(x)
+    def input_q(x):
+        cos_x = np.cos(x)
+        return 0.5 * np.sqrt((one_plus + 2.0 * c * cos_x) / (one_plus - 2.0 * c * cos_x))
 
-    def mod_p(x):
-        return level - in_p(x) - noise_p(x)
+    def input_p(x):
+        return 0.25 / input_q(x)
 
-    return MultimodeSolution(
-        squeezing_fraction=squeezing_fraction(noise, n_bar),
-        water_level=level,
-        capacity_bits=asymptotic_capacity(noise, n_bar, config),
-        threshold=threshold,
-        input_q=in_q,
-        input_p=in_p,
-        modulation_q=SpectralFunction(mod_q),
-        modulation_p=SpectralFunction(mod_p),
-        noise_q=noise_q,
-        noise_p=noise_p,
+    return _water_filling(
+        noise, n_bar, threshold, _squeezing_fraction(c, n_bar),
+        SpectralFunction(input_q), SpectralFunction(input_p),
+        markov_symbol(noise, sign=1), markov_symbol(noise, sign=-1),
+        env_symplectic_spectrum(noise), config,
     )
 
 
-def finite_n_rate(
-    noise: MarkovNoise,
-    n_bar: float,
-    n: int,
-    same_order_pairing: bool = False,
-) -> float:
+def finite_n_rate(noise: MarkovNoise, n_bar: float, n: int) -> float:
     """Optimal transmission rate for n channel uses, in bits per use.
 
     g(n_bar + variance) - mean over modes of g(sqrt(lq_k * lp_k)), with
     lq, lp the numerically obtained eigenvalues of the two finite noise
     blocks.  The p block variance (-c)^|i-j| is D T D with D =
     diag((-1)^i) and T the q block, so both blocks have the same
-    spectrum and one eigenvalue solve serves both.  By default the
-    descending q eigenvalues pair with ascending p eigenvalues, mirroring
-    the x <-> pi - x relation of the limiting spectra;
-    ``same_order_pairing=True`` pairs both descending instead, for
-    sensitivity checks.  Converges to :func:`asymptotic_capacity` as n
-    grows.
+    spectrum and one eigenvalue solve serves both.  The descending q
+    eigenvalues pair with ascending p eigenvalues, mirroring the
+    x <-> pi - x relation of the limiting spectra.  Converges to
+    :func:`asymptotic_capacity` as n grows.
     """
     _require_solver_noise(noise)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_energy(n_bar)
     lam_q = finite_spectrum(markov_matrix(noise, 1, n))
-    lam_p = lam_q if same_order_pairing else lam_q[::-1]
-    mean_term = float(np.mean(thermal_entropy(np.sqrt(lam_q * lam_p))))
+    mean_term = float(np.mean(thermal_entropy(np.sqrt(lam_q * lam_q[::-1]))))
     return thermal_entropy(n_bar + noise.variance) - mean_term
 
 
@@ -446,35 +441,16 @@ def symmetric_noise_solution(
     modulation water-fills over noise + 1/2 in both quadratures with the
     common level n_bar + variance + 1/2.
     """
-    _require_solver_noise(noise)
-    _check_energy(n_bar)
-    threshold = symmetric_threshold(noise)
-    _ensure_above(n_bar, threshold)
-    level = n_bar + noise.variance + VACUUM_VARIANCE
+    threshold = _above(noise, n_bar, symmetric_threshold)
     spectrum = markov_symbol(noise, sign=1)
 
     def coherent(x):
         return np.full_like(x, VACUUM_VARIANCE, dtype=float)
 
-    def modulation(x):
-        return level - VACUUM_VARIANCE - spectrum(x)
-
-    capacity = thermal_entropy(n_bar + noise.variance) - (
-        integrate(lambda x: thermal_entropy(spectrum(x)), 0.0, math.pi, config) / math.pi
-    )
     flat_input = SpectralFunction(coherent)
-    water = SpectralFunction(modulation)
-    return MultimodeSolution(
-        squeezing_fraction=0.0,
-        water_level=level,
-        capacity_bits=capacity,
-        threshold=threshold,
-        input_q=flat_input,
-        input_p=flat_input,
-        modulation_q=water,
-        modulation_p=water,
-        noise_q=spectrum,
-        noise_p=spectrum,
+    return _water_filling(
+        noise, n_bar, threshold, 0.0, flat_input, flat_input,
+        spectrum, spectrum, spectrum, config,
     )
 
 
@@ -495,7 +471,7 @@ def first_mode_variance(correlation: float, alt_form: bool = False) -> float:
         raise ValueError(f"correlation must lie in [0, 1), got {correlation}")
     c = correlation
     if alt_form:
-        return (1.0 + c * c) * ellipk(c**4) / math.pi
+        return _input_q_integral(c) / math.pi
     k = 2.0 * c / (1.0 + c)
     return ellipk(k * k) / math.pi
 
@@ -552,7 +528,6 @@ def brute_force_mono_oracle(
     mod_p = (1.0 - best_split) * mod_total
     level_q = best_in_q + var_q + mod_q
     level_p = in_p + var_p + mod_p
-    threshold = mono_threshold(noise)
     return MonoSolution(
         input_q=best_in_q,
         input_p=in_p,
@@ -562,5 +537,5 @@ def brute_force_mono_oracle(
         # on the taller one.
         water_level=max(level_q, level_p),
         capacity_bits=best_value,
-        above_threshold=n_bar >= threshold - 1e-12 * max(1.0, threshold),
+        above_threshold=_reaches(n_bar, mono_threshold(noise)),
     )

@@ -104,6 +104,17 @@ class TestCapacity:
             asymptotic_capacity(MarkovNoise(1.0, 0.0), 2.0)
         )
 
+    def test_white_noise_zero_energy(self, runner):
+        # The white-noise threshold is 0, so nbar = 0 is a valid point.
+        result = runner.invoke(main, ["capacity", "--phi", "0", "--N", "1", "--nbar", "0"])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.output)
+        sol = multimode_solve(MarkovNoise(1.0, 0.0), 0.0)
+        assert rows[0]["eta"] == _fmt(sol.squeezing_fraction) == "0"
+        assert rows[0]["mu_global"] == _fmt(sol.water_level) == "1.5"
+        assert rows[0]["capacity_bits"] == _fmt(sol.capacity_bits)
+        assert rows[0]["status"] == "ok"
+
     def test_below_threshold(self, runner):
         result = runner.invoke(main, ["capacity", "--phi", "0.7", "--N", "1", "--nbar", "6"])
         assert result.exit_code == 3
@@ -284,6 +295,25 @@ NON_FINITE_ARGS = {
     "oracle-nbar": ["oracle", "--gq", "2", "--gp", "0.5", "--nbar", "{}", "--resolution", "64"],
     "spectrum-N": ["spectrum", "--kind", "toeplitz", "--phi", "0.5", "--N", "{}", "--n", "3"],
 }
+
+
+REJECTED_VALUE_ARGS = {
+    "mono": ["mono", "--gq", "-1", "--gp", "0.5", "--nbar", "2"],
+    "capacity": ["capacity", "--phi", "1.5", "--N", "1", "--nbar", "2"],
+    "fig3": ["fig3", "--phi", "0"],
+    "fig4": ["fig4", "--n", "0"],
+    "spectrum": ["spectrum", "--kind", "circulant", "--phi", "0.5", "--n", "1"],
+    "oracle": ["oracle", "--gq", "2", "--gp", "0.5", "--nbar", "1", "--resolution", "10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REJECTED_VALUE_ARGS))
+def test_rejected_value_is_usage_error(runner, command):
+    result = runner.invoke(main, REJECTED_VALUE_ARGS[command])
+    assert result.exit_code == 2, result.output
+    assert "Error: " in result.stderr
+    # The domain error is mapped to a usage exit, not leaked as a ValueError.
+    assert isinstance(result.exception, SystemExit)
 
 
 class TestNonFiniteInput:

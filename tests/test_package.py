@@ -1,11 +1,14 @@
-"""Tests for the top-level package: its exports and the README quick start."""
+"""Tests for the top-level package: its exports and the README examples."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import gmcapacity
+from gmcapacity.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +32,21 @@ def test_readme_quick_start_runs(capsys):
     assert float(lines[0]) == pytest.approx(gmcapacity.asymptotic_capacity(
         gmcapacity.MarkovNoise(1.0, 0.7), 7.5), rel=1e-15)
     assert float(lines[-1]) == pytest.approx(27.0)
+
+
+def _readme_cli_examples():
+    match = re.search(r"## CLI\n.*?```sh\n(.*?)```", README.read_text(), re.S)
+    assert match, "README has no CLI block"
+    lines = [line for line in match.group(1).splitlines() if line.startswith("gmcap ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+@pytest.mark.parametrize("args", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_runs(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    if "--dump-matrix" in args:
+        # Raw matrix rows, no CSV header.
+        return
+    rows = [row for row in result.output.splitlines() if not row.startswith("#")]
+    assert re.fullmatch(r"\w+(,\w+)+", rows[0]), rows[0]

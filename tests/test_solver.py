@@ -229,6 +229,8 @@ class TestMultimodeThreshold:
 class TestSqueezingFraction:
     def test_white_noise_coherent(self):
         assert squeezing_fraction(MarkovNoise(1.0, 0.0), 3.0) == 0.0
+        # No squeezing is needed, so zero energy is no error.
+        assert squeezing_fraction(MarkovNoise(1.0, 0.0), 0.0) == 0.0
 
     def test_variance_independent(self):
         lo = squeezing_fraction(MarkovNoise(1.0, 0.5), 1.0)
@@ -329,6 +331,29 @@ class TestMultimodeSolve:
             multimode_solve(MarkovNoise(1.0, 0.7), 6.9)
         assert excinfo.value.threshold == pytest.approx(7.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "phi, variance, n_bar", [(0.0, 1.0, 2.0), (0.4, 0.5, 3.0), (0.7, 1.0, 7.5), (0.95, 3.0, 200.0)]
+    )
+    def test_same_numbers_as_public_functions(self, phi, variance, n_bar):
+        noise = MarkovNoise(variance, phi)
+        sol = multimode_solve(noise, n_bar)
+        assert sol.capacity_bits == asymptotic_capacity(noise, n_bar)
+        assert sol.squeezing_fraction == squeezing_fraction(noise, n_bar)
+        assert sol.threshold == multimode_threshold(noise)
+
+    @pytest.mark.parametrize("phi", [0.0, 1e-17])
+    def test_white_noise_zero_energy(self, phi):
+        # The threshold is 0 (at 1e-17 it rounds to 0), so zero energy is
+        # the binding point.
+        noise = MarkovNoise(1.0, phi)
+        sol = multimode_solve(noise, 0.0)
+        assert sol.threshold == 0.0
+        assert sol.squeezing_fraction == 0.0
+        assert sol.water_level == 1.5
+        assert sol.capacity_bits == asymptotic_capacity(noise, 0.0)
+        assert sol.capacity_bits == symmetric_noise_solution(noise, 0.0).capacity_bits
+        assert sol.capacity_bits == pytest.approx(0.0, abs=1e-15)
+
 
 class TestAsymptoticCapacity:
     def test_memoryless_reduction(self):
@@ -406,29 +431,21 @@ class TestFiniteNRate:
         dev_64 = abs(finite_n_rate(noise, 7.5, 64) - capacity)
         assert dev_64 < dev_16
 
-    def test_pairing_flag_matters(self):
-        noise = MarkovNoise(1.0, 0.7)
-        cross = finite_n_rate(noise, 7.5, 50)
-        same = finite_n_rate(noise, 7.5, 50, same_order_pairing=True)
-        assert abs(cross - same) > 1e-2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             finite_n_rate(MarkovNoise(1.0, 0.5), 7.5, 0)
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 0.9, 0.999])
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 300])
-    @pytest.mark.parametrize("same_order", [False, True])
-    def test_matches_two_block_reference(self, phi, n, same_order):
-        # Reference: both noise blocks built here and solved separately.
+    def test_matches_two_block_reference(self, phi, n):
+        # Reference: both noise blocks built here and solved separately,
+        # descending q eigenvalues paired with ascending p eigenvalues.
         variance, n_bar = 1.3, 7.5
         dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
         lam_q = np.linalg.eigh(variance * phi**dist)[0][::-1]
-        lam_p = np.linalg.eigh(variance * (-phi) ** dist)[0][::-1]
-        if not same_order:
-            lam_p = lam_p[::-1]
+        lam_p = np.linalg.eigh(variance * (-phi) ** dist)[0]
         expected = float(g_vec(n_bar + variance) - np.mean(g_vec(np.sqrt(lam_q * lam_p))))
-        value = finite_n_rate(MarkovNoise(variance, phi), n_bar, n, same_order_pairing=same_order)
+        value = finite_n_rate(MarkovNoise(variance, phi), n_bar, n)
         assert value == pytest.approx(expected, abs=1e-13)
 
 
@@ -597,3 +614,28 @@ class TestBruteForceOracle:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             brute_force_mono_oracle(MonoNoise(1.0, 1.0), 1.0, resolution=32)
+
+    @pytest.mark.parametrize("noise", [MonoNoise(2.0, 0.5), MonoNoise(0.01, 30.0)])
+    def test_above_threshold_agrees_with_mono_solve(self, noise):
+        # At the threshold, one ulp either side, and just past the
+        # round-off slack either side.
+        threshold = mono_threshold(noise)
+        step = 2e-12 * max(1.0, threshold)
+        energies = [
+            threshold,
+            math.nextafter(threshold, math.inf),
+            math.nextafter(threshold, 0.0),
+            threshold + step,
+            threshold - step,
+        ]
+        outcomes = []
+        for n_bar in energies:
+            try:
+                mono_solve(noise, n_bar)
+                solvable = True
+            except BelowThresholdError:
+                solvable = False
+            found = brute_force_mono_oracle(noise, n_bar, resolution=64, refinements=0)
+            assert found.above_threshold is solvable, n_bar
+            outcomes.append(solvable)
+        assert outcomes == [True, True, True, True, False]
