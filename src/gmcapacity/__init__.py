@@ -1,8 +1,8 @@
 """Capacity of bosonic Gaussian additive-noise channels with AR(1) correlated noise.
 
-Covariance-level toolkit: Gaussian entropy primitives, Toeplitz/circulant
-spectral machinery for the noise model, closed-form water-filling
-solvers with an independent brute-force oracle, and a CSV-emitting CLI.
+The thermal entropy function g, Toeplitz/circulant spectral machinery
+for the noise model, closed-form water-filling solvers with an
+independent brute-force oracle, and a CSV-emitting CLI.
 The package exports the names of the library quick start; everything
 else lives in the ``gaussian``, ``numerics``, ``spectra`` and ``solver``
 submodules.

@@ -406,7 +406,7 @@ def classical_limit_capacity(noise: MarkovNoise, snr: float) -> float:
     from below as energy and noise grow together.
     """
     _require_solver_noise(noise)
-    if not snr > 0:
+    if not (math.isfinite(snr) and snr > 0):
         raise ValueError(f"snr must be positive, got {snr}")
     c = noise.correlation
     return math.log2((1.0 + snr) / (1.0 - c * c))

@@ -71,6 +71,11 @@ def _check_sign(sign: int) -> None:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
+def _check_integer(n) -> None:
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+
+
 def markov_matrix(noise: MarkovNoise, sign: int, n: int) -> np.ndarray:
     """n x n AR(1) covariance: entries variance * (sign*correlation)**|i-j|.
 
@@ -79,6 +84,7 @@ def markov_matrix(noise: MarkovNoise, sign: int, n: int) -> np.ndarray:
     quadrature of the noise model.
     """
     _check_sign(sign)
+    _check_integer(n)
     if n < 1:
         raise ValueError("n must be positive")
     idx = np.arange(n)
@@ -94,6 +100,7 @@ def circulant_embedding(noise: MarkovNoise, sign: int, n: int) -> np.ndarray:
     matrix is diagonalized exactly by :func:`fourier_diagonalizer`.
     """
     _check_sign(sign)
+    _check_integer(n)
     if n < 2:
         raise ValueError("n must be at least 2")
     idx = np.arange(n)

@@ -14,8 +14,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_exports_resolve():
-    for name in gmcapacity.__all__:
-        assert getattr(gmcapacity, name) is not None, name
+    # bench/layers.py getattrs every name in each layer's __all__.
+    for module in (gmcapacity, gmcapacity.solver, gmcapacity.spectra,
+                   gmcapacity.numerics, gmcapacity.gaussian):
+        for name in module.__all__:
+            assert getattr(module, name) is not None, f"{module.__name__}.{name}"
 
 
 def test_layers_are_attributes():

@@ -13,12 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from gmcapacity.gaussian import (
-    CovarianceBlocks,
-    mean_photon_number,
-    thermal_entropy,
-    validate_pure_input,
-)
+from gmcapacity.gaussian import thermal_entropy
 from gmcapacity.solver import (
     BelowThresholdError,
     MonoNoise,
@@ -173,12 +168,12 @@ class TestMonoSolve:
 
     def test_energy_constraint_at_covariance_level(self):
         # The solved variances reproduce the photon budget through the
-        # covariance-level accounting, and the input stays pure.
+        # covariance-level accounting, (Tr gamma_in + Tr gamma_mod)/2 - 1/2
+        # for one mode, and the input stays pure, det gamma_in = 1/4.
         sol = mono_solve(MonoNoise(2.0, 0.5), 2.0)
-        gamma_in = CovarianceBlocks.diagonal([sol.input_q], [sol.input_p])
-        gamma_mod = CovarianceBlocks.diagonal([sol.modulation_q], [sol.modulation_p])
-        assert mean_photon_number(gamma_in, gamma_mod) == pytest.approx(2.0, abs=1e-12)
-        assert validate_pure_input(gamma_in)
+        total = sol.input_q + sol.input_p + sol.modulation_q + sol.modulation_p
+        assert total / 2.0 - 0.5 == pytest.approx(2.0, abs=1e-12)
+        assert abs(sol.input_q * sol.input_p - 0.25) <= 1e-9
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
@@ -434,6 +429,9 @@ class TestFiniteNRate:
     def test_validation(self):
         with pytest.raises(ValueError):
             finite_n_rate(MarkovNoise(1.0, 0.5), 7.5, 0)
+        for n in (2.5, 1e3):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                finite_n_rate(MarkovNoise(1.0, 0.5), 7.5, n)
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 0.9, 0.999])
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 300])
@@ -471,6 +469,11 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="n_bar must be finite") as excinfo:
             ENERGY_ENTRY_POINTS[entry](n_bar)
         assert excinfo.type is ValueError
+
+    @pytest.mark.parametrize("snr", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_snr_rejected(self, snr):
+        with pytest.raises(ValueError, match="snr must be positive"):
+            classical_limit_capacity(MarkovNoise(1.0, 0.5), snr)
 
     @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
     def test_mono_noise_rejected(self, bad):

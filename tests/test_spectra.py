@@ -63,6 +63,9 @@ class TestMarkovMatrix:
             markov_matrix(noise, 2, 3)
         with pytest.raises(ValueError):
             markov_matrix(noise, 1, 0)
+        for n in (7.5, 1e3):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                markov_matrix(noise, 1, n)
 
     def test_positive_definite(self):
         values = finite_spectrum(markov_matrix(MarkovNoise(1.0, 0.9), 1, 64))
@@ -118,6 +121,9 @@ class TestCirculantEmbedding:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             circulant_embedding(MarkovNoise(1.0, 0.5), 1, 1)
+        for n in (7.5, 1e3):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                circulant_embedding(MarkovNoise(1.0, 0.5), 1, n)
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 0.7, 0.999, -0.7])
     @pytest.mark.parametrize("sign", [1, -1])
