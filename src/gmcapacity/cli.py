@@ -58,11 +58,24 @@ def _fmt(value) -> str:
 
 
 def _render(command: str, params, columns, rows) -> str:
+    """CSV text: comment lines for the parameters, the header, then ``rows``, each one string."""
     lines = [f"# command = {command}"]
     lines.extend(f"# {key} = {value}" for key, value in params)
     lines.append(",".join(columns))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(rows)
     return "\n".join(lines) + "\n"
+
+
+# _array_rows converts this many rows from numpy to Python numbers at a
+# time, so that the converted slices stay small next to the table itself.
+_CHUNK_ROWS = 4096
+
+
+def _array_rows(template: str, *columns: np.ndarray):
+    """Yield ``template.format(...)`` for each row of equal-length array columns."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunks = [column[start:start + _CHUNK_ROWS].tolist() for column in columns]
+        yield from map(template.format, *chunks)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -181,14 +194,14 @@ def mono(ctx, gq, gp, nbar, out_path):
         sol = mono_solve(noise, nbar)
     except BelowThresholdError:
         row = echo + [""] * 6 + ["below_threshold"]
-        _emit(_render("mono", params, columns, [row]), out_path)
+        _emit(_render("mono", params, columns, [",".join(row)]), out_path)
         ctx.exit(EXIT_BELOW_THRESHOLD)
     row = echo + [
         _fmt(sol.input_q), _fmt(sol.input_p),
         _fmt(sol.modulation_q), _fmt(sol.modulation_p),
         _fmt(sol.water_level), _fmt(sol.capacity_bits), "ok",
     ]
-    _emit(_render("mono", params, columns, [row]), out_path)
+    _emit(_render("mono", params, columns, [",".join(row)]), out_path)
 
 
 @main.command()
@@ -230,13 +243,13 @@ def capacity(ctx, phi, variance, nbar, allow_below, first_mode, quad_tol, out_pa
         sol = multimode_solve(noise, nbar, cfg)
     except BelowThresholdError:
         row = echo + ["", "", ""] + fm_fields + ["below_threshold"]
-        _emit(_render("capacity", params, columns, [row]), out_path)
+        _emit(_render("capacity", params, columns, [",".join(row)]), out_path)
         ctx.exit(EXIT_OK if allow_below else EXIT_BELOW_THRESHOLD)
     row = echo + [
         _fmt(sol.squeezing_fraction), _fmt(sol.water_level),
         _fmt(sol.capacity_bits),
     ] + fm_fields + ["ok"]
-    _emit(_render("capacity", params, columns, [row]), out_path)
+    _emit(_render("capacity", params, columns, [",".join(row)]), out_path)
 
 
 def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
@@ -292,7 +305,7 @@ def fig3(phis, n_min, n_max, steps, quad_tol, out_path):
                 continue
             mu_global = nbar + variance + 0.5
             rows.append(echo + [_fmt(eta), _fmt(mu_global), _fmt(cap), ccl, "ok"])
-    _emit(_render("fig3", params, columns, rows), out_path)
+    _emit(_render("fig3", params, columns, map(",".join, rows)), out_path)
 
 
 def _geometric_ints(n_max: int, points: int = 25) -> list[int]:
@@ -343,7 +356,7 @@ def fig4(phis, variance, nbar, n_max, n_values, quad_tol, out_path):
         for n in uses:
             rate = finite_n_rate(noise, nbar, n)
             rows.append([_fmt(phi), str(n), _fmt(rate), cap, status])
-    _emit(_render("fig4", params, columns, rows), out_path)
+    _emit(_render("fig4", params, columns, map(",".join, rows)), out_path)
 
 
 @main.command()
@@ -378,7 +391,7 @@ def spectrum(ctx, kind, phi, variance, n, samples, sign, dump_matrix, out_path):
         params.append(("samples", _fmt(samples)))
         xs = math.pi * np.arange(samples) / (samples - 1)
         values = asymptotic_markov_spectrum(noise, xs, sign_value)
-        rows = ([_fmt(x), _fmt(v)] for x, v in zip(xs, values))
+        rows = _array_rows("{:.12g},{:.12g}", xs, values)
         _emit(_render("spectrum", params, ["x", "value"], rows), out_path)
         return
     if n is None:
@@ -391,7 +404,7 @@ def spectrum(ctx, kind, phi, variance, n, samples, sign, dump_matrix, out_path):
         _emit(text, out_path)
         return
     values = finite_spectrum(matrix)
-    rows = [[str(k), _fmt(v)] for k, v in enumerate(values)]
+    rows = _array_rows("{},{:.12g}", np.arange(n), values)
     _emit(_render("spectrum", params, ["index", "eigenvalue"], rows), out_path)
 
 
@@ -431,7 +444,7 @@ def oracle(ctx, gq, gp, nbar, resolution, refinements, out_path):
         _fmt(sol.modulation_q), _fmt(sol.modulation_p),
         _fmt(sol.water_level), _fmt(sol.capacity_bits), "ok",
     ]
-    _emit(_render("oracle", params, columns, [row]), out_path)
+    _emit(_render("oracle", params, columns, [",".join(row)]), out_path)
 
 
 if __name__ == "__main__":

@@ -164,18 +164,43 @@ def ellipk(m: float) -> float:
     return math.pi / (a + b)
 
 
+def _square(m) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _check_mirror(m: np.ndarray, part: np.ndarray, image: np.ndarray, kind: str) -> None:
+    """Raise ``ValueError`` unless ``part`` equals ``image`` and ``m`` is finite.
+
+    ``part`` and ``image`` are views of ``m`` that between them read every
+    entry, so a NaN or infinite entry anywhere makes their difference
+    non-finite.  The accepted difference is ``_SYMMETRY_TOL * max(1,
+    max|m|)``; an exact match needs no scale.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = part - image
+    np.abs(diff, out=diff)
+    err = float(np.max(diff, initial=0.0))
+    if err == 0.0:
+        return
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
+    if err > _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(m)))):
+        raise ValueError(f"matrix is not {kind} within tolerance")
+
+
 def symmetric_eigen(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, descending.
 
     Backed by the LAPACK symmetric solver via ``numpy.linalg.eigvalsh``,
-    which skips the eigenvectors and reads only the lower triangle.
+    which skips the eigenvectors and reads only the lower triangle.  A
+    0 x 0 matrix has no eigenvalues; a NaN or infinite entry raises
+    ``ValueError``.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    if float(np.max(np.abs(m - m.T))) > _SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+    m = _square(m)
+    _check_mirror(m, m, m.T, "symmetric")
     return np.linalg.eigvalsh(m)[::-1].copy()
 
 

@@ -384,7 +384,9 @@ def finite_n_rate(noise: MarkovNoise, n_bar: float, n: int) -> float:
     lq, lp the numerically obtained eigenvalues of the two finite noise
     blocks.  The p block variance (-c)^|i-j| is D T D with D =
     diag((-1)^i) and T the q block, so both blocks have the same
-    spectrum and one eigenvalue solve serves both.  The descending q
+    spectrum and one spectrum serves both.  T is symmetric Toeplitz,
+    hence centrosymmetric, so :func:`finite_spectrum` finds it from two
+    half-size eigenvalue solves.  The descending q
     eigenvalues pair with ascending p eigenvalues, mirroring the
     x <-> pi - x relation of the limiting spectra.  Converges to
     :func:`asymptotic_capacity` as n grows.

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gmcapacity.cli import _fmt, main
+from gmcapacity.cli import _CHUNK_ROWS, _fmt, main
 from gmcapacity.solver import (
     MonoNoise,
     asymptotic_capacity,
@@ -237,6 +237,22 @@ class TestSpectrum:
         noise = MarkovNoise(1.0, 0.5)
         assert rows[-1]["value"] == _fmt(asymptotic_markov_spectrum(noise, math.pi))
 
+    def test_asymptotic_rows_across_chunks(self, runner):
+        # Rows are formatted a chunk at a time; every row, including the
+        # ones at chunk boundaries, must equal the per-value rendering.
+        samples = 2 * _CHUNK_ROWS + 3
+        result = runner.invoke(
+            main,
+            ["spectrum", "--kind", "asymptotic", "--phi", "0.7", "--N", "1.3",
+             "--samples", str(samples), "--sign", "-1"],
+        )
+        assert result.exit_code == 0
+        xs = math.pi * np.arange(samples) / (samples - 1)
+        values = asymptotic_markov_spectrum(MarkovNoise(1.3, 0.7), xs, -1)
+        expected = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
+        assert result.output.splitlines()[-samples:] == expected
+        assert result.output.splitlines()[-samples - 1] == "x,value"
+
     def test_toeplitz_white_noise(self, runner):
         result = runner.invoke(
             main, ["spectrum", "--kind", "toeplitz", "--phi", "0", "--n", "4"]
@@ -250,6 +266,7 @@ class TestSpectrum:
         )
         _, rows = parse_csv(result.output)
         expected = finite_spectrum(circulant_embedding(MarkovNoise(1.0, 0.5), 1, 5))
+        assert [row["index"] for row in rows] == ["0", "1", "2", "3", "4"]
         assert [row["eigenvalue"] for row in rows] == [_fmt(v) for v in expected]
 
     def test_sign_branch(self, runner):

@@ -182,6 +182,15 @@ class TestSymmetricEigen:
         with pytest.raises(ValueError):
             symmetric_eigen(np.zeros((2, 3)))
 
+    def test_empty(self):
+        assert symmetric_eigen(np.zeros((0, 0))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        for m in (np.full((2, 2), bad), np.diag([1.0, bad]), np.array([[1.0, bad], [bad, 1.0]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                symmetric_eigen(m)
+
 
 class TestGridMaximize:
     def test_1d_quadratic(self):

@@ -446,6 +446,18 @@ class TestFiniteNRate:
         value = finite_n_rate(MarkovNoise(variance, phi), n_bar, n)
         assert value == pytest.approx(expected, abs=1e-13)
 
+    @pytest.mark.parametrize("phi", [0.4, 0.7, 0.999])
+    @pytest.mark.parametrize("n", [1, 2, 3, 600])
+    def test_matches_dense_eigvalsh_rate(self, phi, n):
+        # Reference: one full dense eigvalsh of the q block, against the
+        # two half-size solves behind finite_n_rate.
+        variance, n_bar = 1.0, 7.5
+        dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        lam = np.linalg.eigvalsh(variance * phi**dist)
+        expected = float(g_vec(n_bar + variance) - np.mean(g_vec(np.sqrt(lam * lam[::-1]))))
+        value = finite_n_rate(MarkovNoise(variance, phi), n_bar, n)
+        assert value == pytest.approx(expected, abs=1e-13)
+
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 

@@ -143,6 +143,13 @@ class TestFourierDiagonalizer:
     def test_trivial(self):
         assert np.array_equal(fourier_diagonalizer(1), [[1.0]])
 
+    def test_size_validation(self):
+        with pytest.raises(ValueError):
+            fourier_diagonalizer(0)
+        for n in (7.5, 1e3):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                fourier_diagonalizer(n)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
     def test_orthogonal(self, n):
         q = fourier_diagonalizer(n)
@@ -271,6 +278,9 @@ class TestTridiagonalInverse:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             tridiagonal_inverse(MarkovNoise(1.0, 0.5), 1)
+        for n in (7.5, 1e3):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                tridiagonal_inverse(MarkovNoise(1.0, 0.5), n)
 
 
 class TestCommutatorNorm:
@@ -307,3 +317,81 @@ class TestFiniteSpectrum:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             finite_spectrum(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [
+            (kind, n)
+            for kind in ("toeplitz", "circulant", "inverse")
+            for n in (1, 2, 3, 4, 5, 50, 301, 600)
+            if kind == "toeplitz" or n > 1
+        ],
+    )
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 0.7, 0.95, 0.999])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_split_matches_dense_eigvalsh(self, kind, n, phi, sign):
+        # The two half-size blocks must reproduce one full dense solve.
+        if kind == "toeplitz":
+            m = markov_matrix(MarkovNoise(1.3, phi), sign, n)
+        elif kind == "circulant":
+            m = circulant_embedding(MarkovNoise(1.3, phi), sign, n)
+        else:
+            m = tridiagonal_inverse(MarkovNoise(1.3, sign * phi), n)
+        expected = np.linalg.eigvalsh(m)[::-1]
+        values = finite_spectrum(m)
+        assert values.shape == (n,)
+        assert np.max(np.abs(values - expected)) <= 5e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("builder", [markov_matrix, circulant_embedding])
+    @pytest.mark.parametrize("phi,sign", [(0.7, -1), (0.999, 1)])
+    def test_split_matches_dense_eigvalsh_at_1200(self, builder, phi, sign):
+        m = builder(MarkovNoise(1.3, phi), sign, 1200)
+        expected = np.linalg.eigvalsh(m)[::-1]
+        assert np.max(np.abs(finite_spectrum(m) - expected)) <= 5e-14 * expected[0]
+
+    def test_empty(self):
+        assert finite_spectrum(np.zeros((0, 0))).shape == (0,)
+
+    def test_rejects_symmetric_not_centrosymmetric(self):
+        with pytest.raises(ValueError, match="centrosymmetric"):
+            finite_spectrum(np.array([[1.0, 0.5], [0.5, 2.0]]))
+
+    def test_rejects_centrosymmetric_not_symmetric(self):
+        m = np.array([[1.0, 0.2, 0.3], [0.4, 1.0, 0.4], [0.3, 0.2, 1.0]])
+        assert np.array_equal(m, m[::-1, ::-1])
+        with pytest.raises(ValueError, match="symmetric"):
+            finite_spectrum(m)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_rejects_single_entry_perturbations(self, n):
+        # Every entry but the centre of an odd-size matrix has a distinct
+        # mirror image, so moving it alone breaks centrosymmetry.
+        base = markov_matrix(MarkovNoise(1.0, 0.6), 1, n)
+        for i in range(n):
+            for j in range(n):
+                m = base.copy()
+                m[i, j] += 1e-6
+                if n % 2 and i == j == n // 2:
+                    expected = np.linalg.eigvalsh(m)[::-1]
+                    assert np.max(np.abs(finite_spectrum(m) - expected)) <= 5e-14 * expected[0]
+                    continue
+                with pytest.raises(ValueError):
+                    finite_spectrum(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            finite_spectrum(np.diag([1.0, bad]))
+        with pytest.raises(ValueError, match="non-finite"):
+            finite_spectrum(np.array([[1.0, bad], [bad, 1.0]]))
+        # m[3, 3] is read only by the centrosymmetry check, not by the blocks.
+        m = markov_matrix(MarkovNoise(1.0, 0.5), 1, 4)
+        m[3, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            finite_spectrum(m)
+
+    def test_rejects_overflowing_blocks(self):
+        # A + B J overflows; the overflowed block is rejected, with no warning.
+        m = markov_matrix(MarkovNoise(1.7e308, 0.9), 1, 5)
+        with pytest.raises(ValueError, match="non-finite"):
+            finite_spectrum(m)
