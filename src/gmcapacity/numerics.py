@@ -75,77 +75,115 @@ def integrate(
     a: float,
     b: float,
     config: QuadratureConfig | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Integrate ``f`` over ``[a, b]`` by the trapezoid rule after a sin^2 substitution.
 
     ``f`` takes a numpy array of nodes and returns the integrand values
-    there.  The substitution ``x = a + (b - a) (t - sin(2 pi t) / (2 pi))``
-    (Sidi's sin^2 transformation) makes the integrand in ``t`` vanish with
-    its first derivatives at both ends, so the trapezoid rule on ``[0, 1]``
+    there: an array of the nodes' shape, or one row per integrand, of
+    shape ``(k, len(x))``.  The substitution
+    ``x = a + (b - a) (t - sin(2 pi t) / (2 pi))`` (Sidi's sin^2
+    transformation) makes the integrand in ``t`` vanish with its first
+    derivatives at both ends, so the trapezoid rule on ``[0, 1]``
     converges fast for smooth ``f`` and geometrically for analytic,
     periodic ones (Trefethen & Weideman 2014).  The panels double from 16,
     reusing every earlier node, and each level's error bound is
     ``max(change from the previous level, 50 * eps * integral of |f|)``.
-    Raises :class:`IntegrationError`, carrying the estimate and its bound,
-    when the change is already at that round-off floor but the bound is
-    above ``abs_tol``, or when 2**20 panels are not enough; an ``abs_tol``
-    below the floor therefore always raises.  A non-finite integrand value
-    raises after the second level, with an infinite bound.
+
+    A 1-D integrand gives a float and ``k`` rows give an array of ``k``
+    integrals.  Each row keeps its own sums and stops at the first level
+    where its own bound is at most ``abs_tol``, so its value is bitwise
+    the one a call with that row alone returns; ``f`` is still evaluated
+    on every row until the last one stops.
+
+    A row raises :class:`IntegrationError`, carrying its estimate and
+    bound, when its change is already at the round-off floor but its
+    bound is above ``abs_tol``, or when 2**20 panels are not enough; an
+    ``abs_tol`` below the floor therefore always raises.  A non-finite
+    integrand value raises after the second level, with an infinite
+    bound.  Of several failing rows the lowest-index one raises, as a
+    loop over the rows would.  A non-finite bound of integration raises
+    ``ValueError`` before ``f`` is called.
     """
     cfg = config or QuadratureConfig()
     a = float(a)
     b = float(b)
-    if a == b:
-        return 0.0
-    if b < a:
-        return -integrate(f, b, a, cfg)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite, got [{a:g}, {b:g}]")
 
     width = b - a
 
     def transformed(t: np.ndarray) -> np.ndarray:
         angle = 2.0 * np.pi * t
         x = a + width * (t - np.sin(angle) / (2.0 * np.pi))
-        return width * (1.0 - np.cos(angle)) * f(x)
+        values = width * (1.0 - np.cos(angle)) * f(x)
+        if values.ndim > 2 or values.shape[-1] != t.size:
+            raise ValueError(f"integrand returned shape {values.shape} for {t.size} nodes")
+        return values
+
+    if a == b:
+        # A call on no nodes tells a 1-D integrand from k rows.
+        values = transformed(np.empty(0))
+        return 0.0 if values.ndim == 1 else np.zeros(len(values))
+    if b < a:
+        return -integrate(f, b, a, cfg)
 
     # The transformed integrand vanishes at t = 0 and t = 1, so only
     # interior nodes enter the sums.
     panels = _FIRST_PANELS
     values = transformed(np.arange(1, panels) / panels)
-    total = float(np.sum(values))
-    total_abs = float(np.sum(np.abs(values)))
+    single = values.ndim == 1
+    values = np.atleast_2d(values)
+    total = np.sum(values, axis=1)
+    total_abs = np.sum(np.abs(values), axis=1)
     estimate = total / panels
-    while True:
+    result = np.empty_like(estimate)
+    live = np.ones(len(result), dtype=bool)
+    failure = None
+    while live.any():
         panels *= 2
-        values = transformed(np.arange(1, panels, 2) / panels)
-        total += float(np.sum(values))
-        total_abs += float(np.sum(np.abs(values)))
-        if not math.isfinite(total_abs):
-            # A NaN or infinite value stays in every later sum, so more
-            # panels cannot help.
-            raise IntegrationError(
-                f"quadrature failed: the integrand is not finite on [{a:g}, {b:g}] "
-                f"(estimate {total / panels:.12g})",
-                estimate=total / panels,
-                error_bound=math.inf,
-            )
-        previous, estimate = estimate, total / panels
-        change = abs(estimate - previous)
-        floor = _ROUNDOFF_FACTOR * total_abs / panels
-        bound = max(change, floor)
-        if bound <= cfg.abs_tol:
-            return estimate
-        if change <= floor or panels >= _MAX_PANELS:
-            reason = (
-                "the round-off floor is above it"
-                if change <= floor
-                else f"{_MAX_PANELS} panels were not enough"
-            )
-            raise IntegrationError(
-                f"quadrature missed abs_tol={cfg.abs_tol:g}: {reason} "
-                f"(estimate {estimate:.12g}, bound {bound:.3g})",
-                estimate=estimate,
-                error_bound=bound,
-            )
+        values = np.atleast_2d(transformed(np.arange(1, panels, 2) / panels))
+        # Frozen and failed rows may overflow or turn NaN; the finiteness
+        # test below catches every live row that does.
+        with np.errstate(invalid="ignore", over="ignore"):
+            total += np.sum(values, axis=1)
+            total_abs += np.sum(np.abs(values), axis=1)
+            previous, estimate = estimate, total / panels
+            change = np.abs(estimate - previous)
+            floor = _ROUNDOFF_FACTOR * total_abs / panels
+            bound = np.maximum(change, floor)
+        # A NaN or infinite value stays in every later sum, so more
+        # panels cannot help such a row.
+        finite = np.isfinite(total_abs)
+        done = live & finite & (bound <= cfg.abs_tol)
+        result[done] = estimate[done]
+        live &= ~done
+        stuck = live & (~finite | (change <= floor) | (panels >= _MAX_PANELS))
+        if stuck.any():
+            # Rows after the first stuck one cannot change the outcome.
+            row = int(np.argmax(stuck))
+            live[row:] = False
+            value = float(estimate[row])
+            if not finite[row]:
+                error_bound = math.inf
+                message = (
+                    f"quadrature failed: the integrand is not finite on [{a:g}, {b:g}] "
+                    f"(estimate {value:.12g})"
+                )
+            else:
+                error_bound = float(bound[row])
+                reason = (
+                    "the round-off floor is above it"
+                    if change[row] <= floor[row]
+                    else f"{_MAX_PANELS} panels were not enough"
+                )
+                message = (
+                    f"quadrature missed abs_tol={cfg.abs_tol:g}: {reason} "
+                    f"(estimate {value:.12g}, bound {error_bound:.3g})"
+                )
+            failure = IntegrationError(message, estimate=value, error_bound=error_bound)
+    if failure is not None:
+        raise failure
+    return float(result[0]) if single else result
 
 
 def ellipk(m: float) -> float:
@@ -162,6 +200,11 @@ def ellipk(m: float) -> float:
     while a - b > 2.0 * _EPS * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (a + b)
+
+
+def _check_integer(value, name: str = "n") -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _square(m) -> np.ndarray:
@@ -221,6 +264,8 @@ def grid_maximize(
     ``indexing="ij"`` meshgrid arrays of the other axes, and must return
     an array of their shape holding finite values.
     """
+    _check_integer(resolution, "resolution")
+    _check_integer(refinements, "refinements")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if refinements < 0:

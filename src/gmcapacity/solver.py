@@ -16,9 +16,10 @@ the oracle explores that regime numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -212,6 +213,19 @@ def mono_capacity(noise: MonoNoise, n_bar: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _env_constants(noise: MarkovNoise) -> tuple[float, float, float]:
+    # The per-point constants of env_symplectic_spectrum: variance (1 - c^2),
+    # (1 - c^2)^2 and 4 c^2.
+    c = noise.correlation
+    return noise.variance * (1.0 - c * c), (1.0 - c * c) ** 2, 4.0 * c * c
+
+
+def _env_values(scale, square, four_c2, x):
+    # Floats give one spectrum; (k, 1) columns give k rows on the nodes x.
+    sin_x = np.sin(x)
+    return scale / np.sqrt(square + four_c2 * sin_x * sin_x)
+
+
 def env_symplectic_spectrum(noise: MarkovNoise) -> SpectralFunction:
     """Geometric mean of the two quadrature noise spectra.
 
@@ -221,15 +235,7 @@ def env_symplectic_spectrum(noise: MarkovNoise) -> SpectralFunction:
     plain variance at both endpoints, so the integrands built on it stay
     smooth for |correlation| < 1.
     """
-    c = noise.correlation
-    scale = noise.variance * (1.0 - c * c)
-    square = (1.0 - c * c) ** 2
-
-    def evaluate(x):
-        sin_x = np.sin(x)
-        return scale / np.sqrt(square + 4.0 * c * c * sin_x * sin_x)
-
-    return SpectralFunction(evaluate)
+    return SpectralFunction(functools.partial(_env_values, *_env_constants(noise)))
 
 
 def multimode_threshold(noise: MarkovNoise) -> float:
@@ -274,8 +280,11 @@ def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
     return _squeezing_fraction(noise.correlation, n_bar)
 
 
-def _entropy_mean(spectrum: SpectralFunction, config: QuadratureConfig | None) -> float:
-    # Spectral mean of g over a noise spectrum on [0, pi].
+def _entropy_mean(
+    spectrum: Callable[[np.ndarray], np.ndarray], config: QuadratureConfig | None
+) -> float | np.ndarray:
+    # Spectral mean of g over a noise spectrum on [0, pi]; one mean per row
+    # when the spectrum gives rows.
     return integrate(lambda x: thermal_entropy(spectrum(x)), 0.0, math.pi, config) / math.pi
 
 
@@ -292,18 +301,45 @@ def mean_environment_entropy(
     return _entropy_mean(env_symplectic_spectrum(noise), config)
 
 
+# asymptotic_capacity integrates at most this many points in one call, so
+# that the (points x nodes) arrays stay small.
+_BATCH_ROWS = 32
+
+
 def asymptotic_capacity(
-    noise: MarkovNoise, n_bar: float, config: QuadratureConfig | None = None
-) -> float:
+    noise: MarkovNoise | Sequence[MarkovNoise],
+    n_bar: float | Sequence[float],
+    config: QuadratureConfig | None = None,
+) -> float | np.ndarray:
     """Capacity in the infinite-use limit, in bits per channel use.
 
     g(n_bar + variance) minus the spectral mean of g over the symplectic
     noise spectrum.  Only valid above :func:`multimode_threshold`.
+
+    Also takes equal-length sequences of :class:`MarkovNoise` and
+    energies, and then returns an array of the capacities, bitwise equal
+    to one-point calls.  Every point is validated before any integral;
+    up to ``_BATCH_ROWS`` points share one :func:`integrate` call.
     """
-    _above(noise, n_bar, multimode_threshold)
-    return thermal_entropy(n_bar + noise.variance) - _entropy_mean(
-        env_symplectic_spectrum(noise), config
-    )
+    single = isinstance(noise, MarkovNoise)
+    noises = [noise] if single else list(noise)
+    energies = np.asarray([n_bar] if single else n_bar, dtype=float)
+    if energies.shape != (len(noises),):
+        raise ValueError(
+            f"expected {len(noises)} energies, one per noise, got shape {energies.shape}"
+        )
+    for point, energy in zip(noises, energies.tolist()):
+        _above(point, energy, multimode_threshold)
+    capacities = np.empty(len(noises))
+    for start in range(0, len(noises), _BATCH_ROWS):
+        batch = slice(start, start + _BATCH_ROWS)
+        points = noises[batch]
+        # One (k, 1) column per constant, so the spectra broadcast to rows.
+        columns = np.array([_env_constants(point) for point in points]).T[:, :, None]
+        means = _entropy_mean(functools.partial(_env_values, *columns), config)
+        totals = energies[batch] + [point.variance for point in points]
+        capacities[batch] = thermal_entropy(totals) - means
+    return float(capacities[0]) if single else capacities
 
 
 def _water_filling(

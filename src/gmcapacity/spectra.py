@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import _check_mirror, _square, symmetric_eigen
+from .numerics import _check_integer, _check_mirror, _square, symmetric_eigen
 
 __all__ = [
     "MarkovNoise",
@@ -70,11 +70,6 @@ class SpectralFunction:
 def _check_sign(sign: int) -> None:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-
-
-def _check_integer(n) -> None:
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
 
 
 def markov_matrix(noise: MarkovNoise, sign: int, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gmcapacity.cli import _CHUNK_ROWS, _fmt, main
+from gmcapacity.cli import _CHUNK_ROWS, _fmt, _geometric_floats, main
 from gmcapacity.solver import (
     MonoNoise,
     asymptotic_capacity,
@@ -187,6 +187,46 @@ class TestFig3:
         first = runner.invoke(main, args)
         second = runner.invoke(main, args)
         assert first.output == second.output
+
+    def test_earlier_integral_failure_wins(self, runner):
+        # The last points overflow nbar to inf, a usage error; an earlier
+        # point fails its integral at this tolerance, and a point-by-point
+        # sweep would report that failure first.
+        result = runner.invoke(
+            main,
+            ["fig3", "--phi", "0.5", "--n-max", "1e308", "--steps", "50", "--quad-tol", "1e-12"],
+        )
+        assert result.exit_code == 4
+        assert "round-off floor" in result.output
+
+    def test_mixed_regimes(self, runner):
+        # The fixed-SNR protocol puts every N < 1 below threshold.  The ok
+        # rows of each phi share batched integrals; each must still print
+        # the one-point library value.
+        phis = (0.5, 0.95)
+        result = runner.invoke(
+            main,
+            ["fig3", "--phi", "0.5", "--phi", "0.95", "--n-min", "0.3", "--n-max", "30",
+             "--steps", "40"],
+        )
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        points = [(phi, n) for phi in phis for n in _geometric_floats(0.3, 30.0, 40)]
+        assert len(rows) == len(points)
+        statuses = set()
+        for row, (phi, variance) in zip(rows, points):
+            nbar = variance * multimode_threshold(MarkovNoise(1.0, phi))
+            assert row["N"] == _fmt(variance)
+            if variance < 1.0:
+                assert row["status"] == "below_threshold"
+                assert row["eta"] == row["mu_global"] == row["capacity_bits"] == ""
+            else:
+                assert row["status"] == "ok"
+                assert row["capacity_bits"] == _fmt(
+                    asymptotic_capacity(MarkovNoise(variance, phi), nbar)
+                )
+            statuses.add((phi, row["status"]))
+        assert len(statuses) == 4
 
 
 class TestFig4:

@@ -15,6 +15,8 @@ from gmcapacity.numerics import (
     integrate,
     symmetric_eigen,
 )
+from gmcapacity.solver import env_symplectic_spectrum
+from gmcapacity.spectra import MarkovNoise
 
 
 class TestIntegrate:
@@ -131,6 +133,22 @@ class TestIntegrate:
         assert len(calls) <= 2
         assert excinfo.value.error_bound == math.inf
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)],
+        ids=["upper-inf", "lower-inf", "lower-nan", "upper-nan"],
+    )
+    def test_non_finite_bound_rejected(self, a, b):
+        calls = []
+
+        def counted_cos(x):
+            calls.append(x.size)
+            return np.cos(x)
+
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            integrate(counted_cos, a, b)
+        assert calls == []
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
@@ -139,6 +157,91 @@ class TestIntegrate:
     def test_config_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=bad)
+
+
+def _counted(f, calls):
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+
+    return counted
+
+
+def _entropy_integrand(phi, variance=1.0):
+    spectrum = env_symplectic_spectrum(MarkovNoise(variance, phi))
+    return lambda x: thermal_entropy(spectrum(x))
+
+
+def _error_of(f, a, b, cfg):
+    with pytest.raises(IntegrationError) as excinfo:
+        integrate(f, a, b, cfg)
+    err = excinfo.value
+    return str(err), err.estimate, err.error_bound
+
+
+class TestIntegrateRows:
+    def test_rows_bitwise_equal_one_row_calls(self):
+        # Weak and strong correlation stop at different levels; each row of
+        # the shared call must still be the one-row value, bit for bit.
+        rows = [_entropy_integrand(phi, n) for phi in (0.1, 0.999, 0.7) for n in (1.0, 50.0)]
+        levels = []
+        singles = []
+        for f in rows:
+            calls = []
+            singles.append(integrate(_counted(f, calls), 0.0, math.pi))
+            levels.append(len(calls))
+        assert len(set(levels)) > 1
+        batch = integrate(lambda x: np.stack([f(x) for f in rows]), 0.0, math.pi)
+        assert isinstance(batch, np.ndarray)
+        assert batch.tolist() == singles
+
+    def test_one_dimensional_integrand_returns_float(self):
+        assert type(integrate(np.cos, 0.0, 1.0)) is float
+        one_row = integrate(lambda x: np.cos(x)[None, :], 0.0, 1.0)
+        assert one_row.shape == (1,)
+        assert one_row[0] == integrate(np.cos, 0.0, 1.0)
+
+    def test_empty_and_reversed_intervals(self):
+        rows = lambda x: np.stack([np.sin(x), np.cos(x)])
+        assert integrate(rows, 1.0, 1.0).tolist() == [0.0, 0.0]
+        assert integrate(rows, math.pi, 0.0).tolist() == [
+            -integrate(np.sin, 0.0, math.pi), -integrate(np.cos, 0.0, math.pi)
+        ]
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            integrate(lambda x: np.ones((2, 2, x.size)), 0.0, 1.0)
+
+    def test_lowest_index_failing_row_raises(self):
+        # At abs_tol = 1e-13 the small row converges and the others fail:
+        # the NaN and cosine rows at the second level, the exponential row
+        # at its round-off floor five levels later.  A loop over the rows
+        # would raise the exponential row's error, so the batch must too.
+        cfg = QuadratureConfig(abs_tol=1e-13)
+        rows = [
+            lambda x: 1e-3 * np.sin(x),
+            lambda x: 1000.0 * np.exp(x),
+            lambda x: np.full_like(x, np.nan),
+            lambda x: 100.0 * np.cos(x),
+        ]
+        integrate(rows[0], 0.0, math.pi, cfg)
+        expected = _error_of(rows[1], 0.0, math.pi, cfg)
+        assert expected != _error_of(rows[3], 0.0, math.pi, cfg)
+        batch = lambda x: np.stack([f(x) for f in rows])
+        assert _error_of(batch, 0.0, math.pi, cfg) == expected
+        # Without the exponential row the NaN row is the first to fail.
+        rest = lambda x: np.stack([rows[0](x), rows[2](x), rows[3](x)])
+        message, _, bound = _error_of(rest, 0.0, math.pi, cfg)
+        assert "not finite" in message
+        assert bound == math.inf
+
+    def test_nan_row_fails_fast(self):
+        calls = []
+        rows = lambda x: np.stack([np.full_like(x, np.nan), np.sin(x), np.exp(x)])
+        with pytest.raises(IntegrationError, match="not finite") as excinfo:
+            integrate(_counted(rows, calls), 0.0, 1.0)
+        assert len(calls) == 2
+        assert excinfo.value.error_bound == math.inf
 
 
 class TestEllipk:
@@ -233,6 +336,9 @@ class TestGridMaximize:
             grid_maximize(lambda x: x, [(1.0, 0.0)], 65, 0)
         with pytest.raises(ValueError):
             grid_maximize(lambda x: x, [(0.0, math.inf)], 65, 0)
+        for resolution, refinements in [(65.5, 0), (65, 1.5), (math.nan, 0)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                grid_maximize(lambda x: x, [(0.0, 1.0)], resolution, refinements)
 
 
 def _scalar_grid_maximize(objective, box, resolution, refinements):

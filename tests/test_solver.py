@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from gmcapacity import solver
 from gmcapacity.gaussian import thermal_entropy
 from gmcapacity.solver import (
     BelowThresholdError,
@@ -405,6 +406,58 @@ class TestAsymptoticCapacity:
         )
 
 
+class TestAsymptoticCapacitySequences:
+    # Fixed-SNR sweep as in fig3, with every correlation in one sequence so
+    # that batches of the shared integral also mix correlations.
+    PHIS = (0.0, 0.1, 0.4, 0.7, 0.9, 0.99, 0.999)
+    VARIANCES = np.geomspace(1.0, 1e4, 200).tolist()
+
+    def sweep(self):
+        noises, energies = [], []
+        for phi in self.PHIS:
+            snr = multimode_threshold(MarkovNoise(1.0, phi))
+            for variance in self.VARIANCES:
+                noises.append(MarkovNoise(variance, phi))
+                energies.append(variance * snr)
+        return noises, energies
+
+    def test_bitwise_equal_to_one_point_calls(self):
+        noises, energies = self.sweep()
+        batch = asymptotic_capacity(noises, energies)
+        assert isinstance(batch, np.ndarray)
+        expected = [asymptotic_capacity(noise, n_bar) for noise, n_bar in zip(noises, energies)]
+        assert batch.tolist() == expected
+
+    def test_scalar_form_returns_float(self):
+        assert type(asymptotic_capacity(MarkovNoise(1.0, 0.7), 7.5)) is float
+        assert asymptotic_capacity([], []).shape == (0,)
+
+    def test_one_point_below_threshold_raises(self, monkeypatch):
+        # The point sits in the second batch; it must raise before the
+        # first batch is integrated.
+        def no_integral(*args):
+            raise AssertionError("integrated before validating every point")
+
+        monkeypatch.setattr(solver, "integrate", no_integral)
+        noises = [MarkovNoise(1.0, 0.5)] * 40
+        energies = [10.0] * 40
+        energies[33] = 1.0
+        with pytest.raises(BelowThresholdError) as excinfo:
+            asymptotic_capacity(noises, energies)
+        assert excinfo.value.threshold == multimode_threshold(noises[33])
+
+    def test_validation(self):
+        noise = MarkovNoise(1.0, 0.5)
+        with pytest.raises(ValueError, match="energies"):
+            asymptotic_capacity([noise, noise], [7.5])
+        with pytest.raises(ValueError, match="energies"):
+            asymptotic_capacity(noise, [7.5, 7.5])
+        with pytest.raises(ValueError, match="n_bar must be finite"):
+            asymptotic_capacity([noise, noise], [7.5, math.nan])
+        with pytest.raises(ValueError, match="closed-form solvers accept"):
+            asymptotic_capacity([noise, MarkovNoise(1.0, -0.5)], [7.5, 7.5])
+
+
 class TestFiniteNRate:
     def test_single_use(self):
         value = finite_n_rate(MarkovNoise(1.0, 0.7), 7.5, 1)
@@ -629,6 +682,12 @@ class TestBruteForceOracle:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             brute_force_mono_oracle(MonoNoise(1.0, 1.0), 1.0, resolution=32)
+
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            brute_force_mono_oracle(MonoNoise(2.0, 0.5), 1.0, resolution=100.5)
+        with pytest.raises(ValueError, match="must be an integer"):
+            brute_force_mono_oracle(MonoNoise(2.0, 0.5), 1.0, refinements=1.5)
 
     @pytest.mark.parametrize("noise", [MonoNoise(2.0, 0.5), MonoNoise(0.01, 30.0)])
     def test_above_threshold_agrees_with_mono_solve(self, noise):
