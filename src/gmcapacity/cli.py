@@ -3,7 +3,11 @@
 Every command emits deterministic CSV: ``#``-prefixed comment lines echo
 the full parameter set, then a header row and data rows with values
 printed at 12 significant digits, locale-independent.  Output goes to
-stdout or to the file named by ``--out``.
+stdout or to the file named by ``--out``, written in blocks of
+``_CHUNK_ROWS`` lines.  A command computes every number before it writes
+a line, so a failing command writes nothing to stdout and creates no
+``--out`` file.  A ``--config`` key that names no option of any command
+is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 below the water-filling
 threshold, 4 numerical failure.
@@ -11,7 +15,9 @@ threshold, 4 numerical failure.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 
 import click
@@ -42,7 +48,6 @@ from .solver import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_BELOW_THRESHOLD = 3
 EXIT_NUMERICAL = 4
 
@@ -58,17 +63,17 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _render(command: str, params, columns, rows) -> str:
-    """CSV text: comment lines for the parameters, the header, then ``rows``, each one string."""
-    lines = [f"# command = {command}"]
-    lines.extend(f"# {key} = {value}" for key, value in params)
-    lines.append(",".join(columns))
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+def _csv(command: str, params, columns, rows):
+    """CSV lines: comment lines for the parameters, the header, then ``rows``, each one string."""
+    yield f"# command = {command}"
+    for key, value in params:
+        yield f"# {key} = {value}"
+    yield ",".join(columns)
+    yield from rows
 
 
-# _array_rows converts this many rows from numpy to Python numbers at a
-# time, so that the converted slices stay small next to the table itself.
+# _write sends, and _array_rows converts from numpy to Python numbers,
+# this many lines at a time, so that neither holds the whole table.
 _CHUNK_ROWS = 4096
 
 
@@ -79,16 +84,19 @@ def _array_rows(template: str, *columns: np.ndarray):
         yield from map(template.format, *chunks)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
-    else:
-        click.echo(text, nl=False)
+def _write(lines, out_path: str | None) -> None:
+    """Write ``lines`` to ``out_path`` or stdout, ``_CHUNK_ROWS`` lines per write."""
+    lines = iter(lines)
+    target = open(out_path, "w", encoding="ascii", newline="") if out_path else contextlib.nullcontext()
+    with target as handle:
+        # The empty last item ends a block with a newline and an exhausted
+        # iterator with an empty text.
+        while text := "\n".join([*itertools.islice(lines, _CHUNK_ROWS), ""]):
+            click.echo(text, file=handle, nl=False)
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config(path: str) -> dict[str, tuple[int, str]]:
+    values: dict[str, tuple[int, str]] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -97,40 +105,9 @@ def _load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise click.UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (lineno, value.strip())
     return values
 
-
-def _exit_codes(command):
-    """Map a command's domain errors to exit codes.
-
-    :class:`BelowThresholdError` passes through (the commands report it as
-    a row), any other ``ValueError`` is a usage error (exit 2), and an
-    :class:`IntegrationError` is reported on stderr with ``EXIT_NUMERICAL``.
-    """
-
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except BelowThresholdError:
-            raise
-        except ValueError as err:
-            raise click.UsageError(str(err))
-        except IntegrationError as err:
-            click.echo(f"numerical failure: {err}", err=True)
-            click.get_current_context().exit(EXIT_NUMERICAL)
-
-    return wrapper
-
-
-_out_option = click.option(
-    "--out",
-    "out_path",
-    type=click.Path(dir_okay=False),
-    default=None,
-    help="Write the CSV to this file instead of stdout.",
-)
 
 _quad_tol_option = click.option(
     "--quad-tol",
@@ -158,29 +135,58 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     if config_path is None:
         return
     raw = _load_config(config_path)
+    known = set()
     default_map: dict[str, dict] = {}
     for name, command in main.commands.items():
-        entry = {}
+        entry = default_map[name] = {}
         for param in command.params:
+            keys = [opt.lstrip("-") for opt in param.opts]
+            known.update(keys)
             if getattr(param, "multiple", False):
                 continue
-            for opt in param.opts:
-                key = opt.lstrip("-")
+            for key in keys:
                 if key in raw:
-                    entry[param.name] = param.type(raw[key], param, ctx)
-        if entry:
-            default_map[name] = entry
+                    entry[param.name] = param.type(raw[key][1], param, ctx)
+    for key, (lineno, _) in raw.items():
+        if key not in known:
+            raise click.UsageError(f"{config_path}:{lineno}: no command has an option {key!r}")
     ctx.default_map = default_map
 
 
-@main.command()
+def _command(body):
+    """Register ``body``, which returns its output lines and exit code, as a command with ``--out``.
+
+    :class:`BelowThresholdError` passes through (the commands report it as
+    a row), any other ``ValueError`` is a usage error (exit 2), and an
+    :class:`IntegrationError` exits with ``EXIT_NUMERICAL`` and no output.
+    """
+
+    @functools.wraps(body)
+    def run(out_path, **kwargs):
+        try:
+            lines, code = body(**kwargs)
+        except BelowThresholdError:
+            raise
+        except ValueError as err:
+            raise click.UsageError(str(err))
+        except IntegrationError as err:
+            click.echo(f"numerical failure: {err}", err=True)
+            code = EXIT_NUMERICAL
+        else:
+            _write(lines, out_path)
+        click.get_current_context().exit(code)
+
+    command = main.command()(run)
+    command.params.append(click.Option(["--out", "out_path"], type=click.Path(dir_okay=False),
+                                       help="Write the CSV to this file instead of stdout."))
+    return command
+
+
+@_command
 @click.option("--gq", type=float, required=True, help="Noise variance in the q quadrature.")
 @click.option("--gp", type=float, required=True, help="Noise variance in the p quadrature.")
 @click.option("--nbar", type=float, required=True, help="Mean photon number per use.")
-@_out_option
-@click.pass_context
-@_exit_codes
-def mono(ctx, gq, gp, nbar, out_path):
+def mono(gq, gp, nbar):
     """Single-mode channel: optimal variances, water level and capacity."""
     noise = MonoNoise(gq, gp)
     threshold = mono_threshold(noise)
@@ -194,18 +200,17 @@ def mono(ctx, gq, gp, nbar, out_path):
     try:
         sol = mono_solve(noise, nbar)
     except BelowThresholdError:
-        row = echo + [""] * 6 + ["below_threshold"]
-        _emit(_render("mono", params, columns, [",".join(row)]), out_path)
-        ctx.exit(EXIT_BELOW_THRESHOLD)
-    row = echo + [
-        _fmt(sol.input_q), _fmt(sol.input_p),
-        _fmt(sol.modulation_q), _fmt(sol.modulation_p),
-        _fmt(sol.water_level), _fmt(sol.capacity_bits), "ok",
-    ]
-    _emit(_render("mono", params, columns, [",".join(row)]), out_path)
+        row, code = echo + [""] * 6 + ["below_threshold"], EXIT_BELOW_THRESHOLD
+    else:
+        row, code = echo + [
+            _fmt(sol.input_q), _fmt(sol.input_p),
+            _fmt(sol.modulation_q), _fmt(sol.modulation_p),
+            _fmt(sol.water_level), _fmt(sol.capacity_bits), "ok",
+        ], EXIT_OK
+    return _csv("mono", params, columns, [",".join(row)]), code
 
 
-@main.command()
+@_command
 @click.option("--phi", type=float, required=True, help="Nearest-neighbor correlation.")
 @click.option("--N", "variance", type=float, required=True, help="Noise variance per quadrature.")
 @click.option("--nbar", type=float, required=True, help="Mean photon number per use.")
@@ -216,10 +221,7 @@ def mono(ctx, gq, gp, nbar, out_path):
     help="Also print the back-rotated first-mode input variance, in both integrand variants.",
 )
 @_quad_tol_option
-@_out_option
-@click.pass_context
-@_exit_codes
-def capacity(ctx, phi, variance, nbar, allow_below, first_mode, quad_tol, out_path):
+def capacity(phi, variance, nbar, allow_below, first_mode, quad_tol):
     """Infinite-use capacity of the correlated-noise channel."""
     cfg = QuadratureConfig(abs_tol=quad_tol)
     noise = MarkovNoise(variance, phi)
@@ -230,46 +232,46 @@ def capacity(ctx, phi, variance, nbar, allow_below, first_mode, quad_tol, out_pa
         ("quad_tol", _fmt(quad_tol)),
     ]
     columns = ["phi", "N", "nbar", "threshold", "eta", "mu_global", "capacity_bits"]
-    if first_mode:
-        columns += ["first_mode_variance", "first_mode_variance_alt"]
-    columns.append("status")
-    echo = [_fmt(phi), _fmt(variance), _fmt(nbar), _fmt(threshold)]
     fm_fields = []
     if first_mode:
-        fm_fields = [
-            _fmt(first_mode_variance(phi, alt_form=False)),
-            _fmt(first_mode_variance(phi, alt_form=True)),
-        ]
+        columns += ["first_mode_variance", "first_mode_variance_alt"]
+        fm_fields = [_fmt(first_mode_variance(phi, alt_form=alt)) for alt in (False, True)]
+    columns.append("status")
+    echo = [_fmt(phi), _fmt(variance), _fmt(nbar), _fmt(threshold)]
     try:
         sol = multimode_solve(noise, nbar, cfg)
     except BelowThresholdError:
         row = echo + ["", "", ""] + fm_fields + ["below_threshold"]
-        _emit(_render("capacity", params, columns, [",".join(row)]), out_path)
-        ctx.exit(EXIT_OK if allow_below else EXIT_BELOW_THRESHOLD)
-    row = echo + [
-        _fmt(sol.squeezing_fraction), _fmt(sol.water_level),
-        _fmt(sol.capacity_bits),
-    ] + fm_fields + ["ok"]
-    _emit(_render("capacity", params, columns, [",".join(row)]), out_path)
+        code = EXIT_OK if allow_below else EXIT_BELOW_THRESHOLD
+    else:
+        row = echo + [
+            _fmt(sol.squeezing_fraction), _fmt(sol.water_level),
+            _fmt(sol.capacity_bits),
+        ] + fm_fields + ["ok"]
+        code = EXIT_OK
+    return _csv("capacity", params, columns, [",".join(row)]), code
 
 
 def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
     if steps == 1:
         return [lo]
     ratio = hi / lo
+    if math.isinf(ratio):
+        # Only the ratio overflows: step in log space, with exact end points.
+        log_lo, log_hi = math.log(lo), math.log(hi)
+        inner = (math.exp(log_lo + (log_hi - log_lo) * i / (steps - 1)) for i in range(1, steps - 1))
+        return [lo, *inner, hi]
     return [lo * ratio ** (i / (steps - 1)) for i in range(steps)]
 
 
-@main.command()
+@_command
 @click.option("--phi", "phis", type=float, multiple=True, default=(0.4, 0.7, 0.9),
               show_default=True, help="Correlations to sweep (repeatable).")
 @click.option("--n-min", type=float, default=1.0, show_default=True, help="Smallest noise variance N.")
 @click.option("--n-max", type=float, default=100.0, show_default=True, help="Largest noise variance N.")
 @click.option("--steps", type=int, default=15, show_default=True, help="Geometric steps over [n-min, n-max].")
 @_quad_tol_option
-@_out_option
-@_exit_codes
-def fig3(phis, n_min, n_max, steps, quad_tol, out_path):
+def fig3(phis, n_min, n_max, steps, quad_tol):
     """Capacity, squeezing fraction and classical limit along the fixed-SNR protocol.
 
     For each correlation the signal-to-noise ratio nbar/N is pinned to the
@@ -277,9 +279,9 @@ def fig3(phis, n_min, n_max, steps, quad_tol, out_path):
     """
     cfg = QuadratureConfig(abs_tol=quad_tol)
     if steps < 1:
-        raise click.UsageError("steps must be at least 1")
+        raise ValueError("steps must be at least 1")
     if not 0 < n_min <= n_max:
-        raise click.UsageError("need 0 < n-min <= n-max")
+        raise ValueError("need 0 < n-min <= n-max")
     params = [
         ("phi", " ".join(_fmt(p) for p in phis)),
         ("n_min", _fmt(n_min)), ("n_max", _fmt(n_max)), ("steps", _fmt(steps)),
@@ -298,6 +300,8 @@ def fig3(phis, n_min, n_max, steps, quad_tol, out_path):
             for variance in _geometric_floats(n_min, n_max, steps):
                 noise = MarkovNoise(variance, phi)
                 nbar = variance * snr
+                if math.isinf(nbar):
+                    raise ValueError(f"nbar = N * snr overflows at N = {_fmt(variance)}, snr = {_fmt(snr)}")
                 threshold = multimode_threshold(noise)
                 ccl = _fmt(classical_limit_capacity(noise, snr))
                 echo = [_fmt(phi), _fmt(variance), _fmt(nbar), _fmt(threshold)]
@@ -318,7 +322,7 @@ def fig3(phis, n_min, n_max, steps, quad_tol, out_path):
             raise
         for row, cap in zip(pending, asymptotic_capacity(noises, energies, cfg).tolist()):
             row[6] = _fmt(cap)
-    _emit(_render("fig3", params, columns, map(",".join, rows)), out_path)
+    return _csv("fig3", params, columns, map(",".join, rows)), EXIT_OK
 
 
 def _geometric_ints(n_max: int, points: int = 25) -> list[int]:
@@ -330,7 +334,7 @@ def _geometric_ints(n_max: int, points: int = 25) -> list[int]:
     return sorted(values)
 
 
-@main.command()
+@_command
 @click.option("--phi", "phis", type=float, multiple=True, default=(0.0, 0.4, 0.55, 0.7),
               show_default=True, help="Correlations to sweep (repeatable).")
 @click.option("--N", "variance", type=float, default=1.0, show_default=True,
@@ -340,16 +344,14 @@ def _geometric_ints(n_max: int, points: int = 25) -> list[int]:
 @click.option("--n", "n_values", type=int, multiple=True,
               help="Explicit channel-use counts (overrides the --n-max grid).")
 @_quad_tol_option
-@_out_option
-@_exit_codes
-def fig4(phis, variance, nbar, n_max, n_values, quad_tol, out_path):
+def fig4(phis, variance, nbar, n_max, n_values, quad_tol):
     """Finite-use transmission rate versus channel uses, with the asymptotic value."""
     cfg = QuadratureConfig(abs_tol=quad_tol)
     if n_max < 1:
-        raise click.UsageError("n-max must be at least 1")
+        raise ValueError("n-max must be at least 1")
     uses = sorted(set(n_values)) if n_values else _geometric_ints(n_max)
     if uses and uses[0] < 1:
-        raise click.UsageError("channel-use counts must be positive")
+        raise ValueError("channel-use counts must be positive")
     params = [
         ("phi", " ".join(_fmt(p) for p in phis)),
         ("N", _fmt(variance)), ("nbar", _fmt(nbar)),
@@ -369,10 +371,10 @@ def fig4(phis, variance, nbar, n_max, n_values, quad_tol, out_path):
         for n in uses:
             rate = finite_n_rate(noise, nbar, n)
             rows.append([_fmt(phi), str(n), _fmt(rate), cap, status])
-    _emit(_render("fig4", params, columns, map(",".join, rows)), out_path)
+    return _csv("fig4", params, columns, map(",".join, rows)), EXIT_OK
 
 
-@main.command()
+@_command
 @click.option("--kind", type=click.Choice(["toeplitz", "circulant", "asymptotic"]),
               required=True, help="Finite matrix spectra or the limiting symbol.")
 @click.option("--phi", type=float, required=True, help="Nearest-neighbor correlation.")
@@ -385,10 +387,7 @@ def fig4(phis, variance, nbar, n_max, n_values, quad_tol, out_path):
               help="Correlation sign branch (+1: q quadrature, -1: p quadrature).")
 @click.option("--dump-matrix", is_flag=True,
               help="Emit the matrix itself: plain rows of space-separated decimals.")
-@_out_option
-@click.pass_context
-@_exit_codes
-def spectrum(ctx, kind, phi, variance, n, samples, sign, dump_matrix, out_path):
+def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
     """Noise eigenvalue spectra: finite Toeplitz/circulant matrices or the symbol."""
     noise = MarkovNoise(variance, phi)
     sign_value = 1 if sign == "+1" else -1
@@ -398,30 +397,27 @@ def spectrum(ctx, kind, phi, variance, n, samples, sign, dump_matrix, out_path):
     ]
     if kind == "asymptotic":
         if dump_matrix:
-            raise click.UsageError("--dump-matrix applies to matrix kinds only")
+            raise ValueError("--dump-matrix applies to matrix kinds only")
         if samples < 2:
-            raise click.UsageError("samples must be at least 2")
+            raise ValueError("samples must be at least 2")
         params.append(("samples", _fmt(samples)))
         xs = math.pi * np.arange(samples) / (samples - 1)
         values = asymptotic_markov_spectrum(noise, xs, sign_value)
         rows = _array_rows("{:.12g},{:.12g}", xs, values)
-        _emit(_render("spectrum", params, ["x", "value"], rows), out_path)
-        return
+        return _csv("spectrum", params, ["x", "value"], rows), EXIT_OK
     if n is None:
-        raise click.UsageError(f"--n is required for kind={kind}")
+        raise ValueError(f"--n is required for kind={kind}")
     params.append(("n", str(n)))
     builder = markov_matrix if kind == "toeplitz" else circulant_embedding
     matrix = builder(noise, sign_value, n)
     if dump_matrix:
-        text = "\n".join(" ".join(_fmt(v) for v in row) for row in matrix) + "\n"
-        _emit(text, out_path)
-        return
+        return (" ".join(_fmt(v) for v in row) for row in matrix), EXIT_OK
     values = finite_spectrum(matrix)
     rows = _array_rows("{},{:.12g}", np.arange(n), values)
-    _emit(_render("spectrum", params, ["index", "eigenvalue"], rows), out_path)
+    return _csv("spectrum", params, ["index", "eigenvalue"], rows), EXIT_OK
 
 
-@main.command()
+@_command
 @click.option("--gq", type=float, required=True, help="Noise variance in the q quadrature.")
 @click.option("--gp", type=float, required=True, help="Noise variance in the p quadrature.")
 @click.option("--nbar", type=float, required=True, help="Mean photon number per use.")
@@ -429,10 +425,7 @@ def spectrum(ctx, kind, phi, variance, n, samples, sign, dump_matrix, out_path):
               help="Grid points per search variable (minimum 64).")
 @click.option("--refinements", type=int, default=2, show_default=True,
               help="Coarse-to-fine refinement passes.")
-@_out_option
-@click.pass_context
-@_exit_codes
-def oracle(ctx, gq, gp, nbar, resolution, refinements, out_path):
+def oracle(gq, gp, nbar, resolution, refinements):
     """Brute-force grid search for the single-mode optimum.
 
     Unlike the closed-form solver this also explores the below-threshold
@@ -457,7 +450,7 @@ def oracle(ctx, gq, gp, nbar, resolution, refinements, out_path):
         _fmt(sol.modulation_q), _fmt(sol.modulation_p),
         _fmt(sol.water_level), _fmt(sol.capacity_bits), "ok",
     ]
-    _emit(_render("oracle", params, columns, [",".join(row)]), out_path)
+    return _csv("oracle", params, columns, [",".join(row)]), EXIT_OK
 
 
 if __name__ == "__main__":

@@ -199,6 +199,31 @@ class TestFig3:
         assert result.exit_code == 4
         assert "round-off floor" in result.output
 
+    def test_bounds_whose_ratio_overflows(self, runner):
+        # n_max / n_min overflows; the grid steps in log space instead and
+        # keeps both end points exact.
+        result = runner.invoke(
+            main,
+            ["fig3", "--phi", "0.5", "--n-min", "1e-300", "--n-max", "1e300", "--steps", "3"],
+        )
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.output)
+        assert [row["N"] for row in rows] == ["1e-300", "1", "1e+300"]
+        assert [row["status"] for row in rows] == ["below_threshold", "ok", "ok"]
+        assert _geometric_floats(1e-300, 1e300, 5)[::4] == [1e-300, 1e300]
+
+    def test_finite_ratio_grid_unchanged(self):
+        for lo, hi, steps in [(1.0, 100.0, 15), (0.3, 30.0, 40), (1e-300, 1e7, 9)]:
+            ratio = hi / lo
+            assert _geometric_floats(lo, hi, steps) == [
+                lo * ratio ** (i / (steps - 1)) for i in range(steps)
+            ]
+
+    def test_energy_overflow_names_n_and_snr(self, runner):
+        result = runner.invoke(main, ["fig3", "--phi", "0.5", "--n-max", "1e308", "--steps", "50"])
+        assert result.exit_code == 2
+        assert "nbar = N * snr overflows at N = 1e+308, snr = 3" in result.stderr
+
     def test_mixed_regimes(self, runner):
         # The fixed-SNR protocol puts every N < 1 below threshold.  The ok
         # rows of each phi share batched integrals; each must still print
@@ -407,14 +432,41 @@ class TestOracle:
         assert rows[0]["capacity_bits"] != ""
 
 
+OUT_CASES = {
+    "capacity": (["capacity", "--phi", "0.5", "--N", "1", "--nbar", "4"], 0),
+    "mono-below": (["mono", "--gq", "2", "--gp", "0.5", "--nbar", "1"], 3),
+    "fig3": (["fig3", "--phi", "0.4", "--phi", "0.9", "--n-min", "0.5", "--n-max", "8",
+              "--steps", "5"], 0),
+    "fig4": (["fig4", "--phi", "0", "--phi", "0.9", "--n", "1", "--n", "6"], 0),
+    "spectrum-chunks": (["spectrum", "--kind", "asymptotic", "--phi", "0.6",
+                         "--samples", str(2 * _CHUNK_ROWS + 3)], 0),
+    "dump-matrix": (["spectrum", "--kind", "circulant", "--phi", "0.5", "--n", "6",
+                     "--dump-matrix"], 0),
+    "oracle": (["oracle", "--gq", "2", "--gp", "0.5", "--nbar", "1", "--resolution", "64"], 0),
+}
+
+
 class TestOutputPlumbing:
-    def test_out_file_equals_stdout(self, runner, tmp_path):
-        args = ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "4"]
+    @pytest.mark.parametrize("case", list(OUT_CASES))
+    def test_out_file_equals_stdout(self, runner, tmp_path, case):
+        args, code = OUT_CASES[case]
         piped = runner.invoke(main, args)
-        target = tmp_path / "row.csv"
+        target = tmp_path / "out.csv"
         written = runner.invoke(main, args + ["--out", str(target)])
-        assert written.exit_code == 0
-        assert target.read_text() == piped.output
+        assert piped.exit_code == written.exit_code == code
+        assert written.stdout == ""
+        assert target.read_text() == piped.stdout
+
+    def test_numerical_failure_writes_no_file(self, runner, tmp_path):
+        target = tmp_path / "out.csv"
+        result = runner.invoke(
+            main,
+            ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "4", "--quad-tol", "1e-30",
+             "--out", str(target)],
+        )
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert not target.exists()
 
     def test_header_comments_echo_parameters(self, runner):
         result = runner.invoke(main, ["mono", "--gq", "1", "--gp", "1", "--nbar", "2"])
@@ -449,6 +501,15 @@ class TestOutputPlumbing:
         cfg.write_text("this is not a pair\n")
         result = runner.invoke(main, ["--config", str(cfg), "mono", "--gq", "1", "--gp", "1", "--nbar", "1"])
         assert result.exit_code == 2
+
+    def test_unknown_config_key_rejected(self, runner, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("nbar = 7.5\nqaud_tol = 1e-6\n")
+        result = runner.invoke(main, ["--config", str(cfg), "capacity", "--phi", "0.7", "--N", "1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"{cfg}:2:" in result.stderr
+        assert "'qaud_tol'" in result.stderr
 
     def test_quad_tol_env_var(self, runner):
         result = runner.invoke(

@@ -15,6 +15,7 @@ import pytest
 
 from gmcapacity import solver
 from gmcapacity.gaussian import thermal_entropy
+from gmcapacity.numerics import QuadratureConfig, integrate
 from gmcapacity.solver import (
     BelowThresholdError,
     MonoNoise,
@@ -510,6 +511,37 @@ class TestFiniteNRate:
         expected = float(g_vec(n_bar + variance) - np.mean(g_vec(np.sqrt(lam * lam[::-1]))))
         value = finite_n_rate(MarkovNoise(variance, phi), n_bar, n)
         assert value == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "phi, variance, expected_a",
+        [(0.4, 1.0, -0.1571969), (0.7, 1.0, -0.4713449), (0.95, 1.0, -0.8727808),
+         (0.7, 2.5, -0.6609292)],
+    )
+    def test_first_order_term(self, phi, variance, expected_a):
+        # R(n) = C + a/n + O(1/n^2): with a from its integral form, the
+        # residual R(n) - C - a/n falls four times per doubling of n.
+        #   a = g(N) - M - (1/pi) int_0^pi nu g'(nu) c sin x
+        #         [d_-(x) / (1 + 2c cos x + c^2) - d_+(x) / (1 - 2c cos x + c^2)] dx
+        # with nu the environment spectrum, M its spectral mean of g,
+        # g'(nu) = log2(1 + 1/nu) and d_+-(x) = 2 (x - atan2(sin x, cos x -+ c)).
+        noise, n_bar, c = MarkovNoise(variance, phi), 200.0, phi
+        cfg = QuadratureConfig(abs_tol=1e-13)
+
+        def integrand(x):
+            nu = nu_env_vec(variance, c, x)
+            d_plus = 2.0 * (x - np.arctan2(np.sin(x), np.cos(x) - c))
+            d_minus = 2.0 * (x - np.arctan2(np.sin(x), np.cos(x) + c))
+            bracket = (d_minus / (1 + 2 * c * np.cos(x) + c * c)
+                       - d_plus / (1 - 2 * c * np.cos(x) + c * c))
+            return nu * np.log2(1.0 + 1.0 / nu) * c * np.sin(x) * bracket
+
+        a = (thermal_entropy(variance) - mean_environment_entropy(noise, cfg)
+             - integrate(integrand, 0.0, math.pi, cfg) / math.pi)
+        assert a == pytest.approx(expected_a, abs=1e-7)
+        capacity = asymptotic_capacity(noise, n_bar, cfg)
+        residual = [finite_n_rate(noise, n_bar, n) - capacity - a / n for n in (250, 500, 1000, 2000)]
+        for coarse, fine in zip(residual, residual[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.03)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
