@@ -3,11 +3,11 @@
 Every command emits deterministic CSV: ``#``-prefixed comment lines echo
 the full parameter set, then a header row and data rows with values
 printed at 12 significant digits, locale-independent.  Output goes to
-stdout or to the file named by ``--out``, written in blocks of
-``_CHUNK_ROWS`` lines.  A command computes every number before it writes
-a line, so a failing command writes nothing to stdout and creates no
-``--out`` file.  A ``--config`` key that names no option of any command
-is a usage error.
+stdout or to the file named by ``--out``, written in blocks of at most
+``_CHUNK_ROWS`` lines and about ``_CHUNK_CHARS`` characters.  A command
+computes every number before it writes a line, so a failing command
+writes nothing to stdout and creates no ``--out`` file.  A ``--config``
+key that names no option of any command is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 below the water-filling
 threshold, 4 numerical failure.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 
 import click
@@ -73,8 +72,11 @@ def _csv(command: str, params, columns, rows):
 
 
 # _write sends, and _array_rows converts from numpy to Python numbers,
-# this many lines at a time, so that neither holds the whole table.
+# this many lines at a time, so that neither holds the whole table; a
+# write also ends once its lines pass _CHUNK_CHARS characters, so that
+# long lines (a --dump-matrix row) do not add up to one large block.
 _CHUNK_ROWS = 4096
+_CHUNK_CHARS = 1 << 20
 
 
 def _array_rows(template: str, *columns: np.ndarray):
@@ -84,14 +86,26 @@ def _array_rows(template: str, *columns: np.ndarray):
         yield from map(template.format, *chunks)
 
 
+def _blocks(lines):
+    """Join ``lines`` into newline-ended texts of ``_CHUNK_ROWS`` lines, cut short past ``_CHUNK_CHARS`` characters."""
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if len(block) == _CHUNK_ROWS or size >= _CHUNK_CHARS:
+            # The empty last item ends the text with a newline; the lines
+            # are dropped before the text is written.
+            text, block, size = "\n".join([*block, ""]), [], 0
+            yield text
+    if block:
+        yield "\n".join([*block, ""])
+
+
 def _write(lines, out_path: str | None) -> None:
-    """Write ``lines`` to ``out_path`` or stdout, ``_CHUNK_ROWS`` lines per write."""
-    lines = iter(lines)
+    """Write ``lines`` to ``out_path`` or stdout, one text of :func:`_blocks` per write."""
     target = open(out_path, "w", encoding="ascii", newline="") if out_path else contextlib.nullcontext()
     with target as handle:
-        # The empty last item ends a block with a newline and an exhausted
-        # iterator with an empty text.
-        while text := "\n".join([*itertools.islice(lines, _CHUNK_ROWS), ""]):
+        for text in _blocks(lines):
             click.echo(text, file=handle, nl=False)
 
 
@@ -126,8 +140,8 @@ _quad_tol_option = click.option(
     "config_path",
     type=click.Path(exists=True, dir_okay=False),
     default=None,
-    help="Optional key=value file supplying defaults for scalar flags "
-    "(explicit flags always win).",
+    help="Optional key=value file of option defaults, keyed by flag names without the dashes; "
+    "a repeatable option takes space-separated values (explicit flags and GMCAP_QUAD_TOL win).",
 )
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None) -> None:
@@ -135,22 +149,26 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     if config_path is None:
         return
     raw = _load_config(config_path)
-    known = set()
-    default_map: dict[str, dict] = {}
-    for name, command in main.commands.items():
-        entry = default_map[name] = {}
-        for param in command.params:
-            keys = [opt.lstrip("-") for opt in param.opts]
-            known.update(keys)
-            if getattr(param, "multiple", False):
-                continue
-            for key in keys:
-                if key in raw:
-                    entry[param.name] = param.type(raw[key][1], param, ctx)
+    known = {
+        opt.lstrip("-")
+        for command in main.commands.values()
+        for param in command.params
+        for opt in param.opts
+    }
     for key, (lineno, _) in raw.items():
         if key not in known:
             raise click.UsageError(f"{config_path}:{lineno}: no command has an option {key!r}")
-    ctx.default_map = default_map
+    # Only the command being run converts its values: a list for a
+    # repeatable option elsewhere may be a bad value for a scalar one here.
+    defaults = {}
+    for param in main.commands[ctx.invoked_subcommand].params:
+        for key in (opt.lstrip("-") for opt in param.opts):
+            if key in raw:
+                value = raw[key][1]
+                defaults[param.name] = param.type_cast_value(
+                    ctx, value.split() if param.multiple else value
+                )
+    ctx.default_map = {ctx.invoked_subcommand: defaults}
 
 
 def _command(body):

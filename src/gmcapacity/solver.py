@@ -16,7 +16,6 @@ the oracle explores that regime numerically.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -113,10 +112,16 @@ class MultimodeSolution:
     threshold: float
     input_q: SpectralFunction
     input_p: SpectralFunction
-    modulation_q: SpectralFunction
-    modulation_p: SpectralFunction
     noise_q: SpectralFunction
     noise_p: SpectralFunction
+
+    def modulation_q(self, x):
+        """Classical modulation spectrum in q: it fills input + noise up to the water level."""
+        return self.water_level - self.input_q(x) - self.noise_q(x)
+
+    def modulation_p(self, x):
+        """Classical modulation spectrum in p: it fills input + noise up to the water level."""
+        return self.water_level - self.input_p(x) - self.noise_p(x)
 
 
 def _require_solver_noise(noise: MarkovNoise) -> None:
@@ -213,17 +218,18 @@ def mono_capacity(noise: MonoNoise, n_bar: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _env_constants(noise: MarkovNoise) -> tuple[float, float, float]:
-    # The per-point constants of env_symplectic_spectrum: variance (1 - c^2),
-    # (1 - c^2)^2 and 4 c^2.
-    c = noise.correlation
-    return noise.variance * (1.0 - c * c), (1.0 - c * c) ** 2, 4.0 * c * c
-
-
-def _env_values(scale, square, four_c2, x):
+def _env_spectrum(variance, correlation) -> SpectralFunction:
     # Floats give one spectrum; (k, 1) columns give k rows on the nodes x.
-    sin_x = np.sin(x)
-    return scale / np.sqrt(square + four_c2 * sin_x * sin_x)
+    one_minus = 1.0 - correlation * correlation
+    scale = variance * one_minus
+    square = one_minus * one_minus
+    four_c2 = 4.0 * correlation * correlation
+
+    def evaluate(x):
+        sin_x = np.sin(x)
+        return scale / np.sqrt(square + four_c2 * sin_x * sin_x)
+
+    return SpectralFunction(evaluate)
 
 
 def env_symplectic_spectrum(noise: MarkovNoise) -> SpectralFunction:
@@ -235,7 +241,7 @@ def env_symplectic_spectrum(noise: MarkovNoise) -> SpectralFunction:
     plain variance at both endpoints, so the integrands built on it stay
     smooth for |correlation| < 1.
     """
-    return SpectralFunction(functools.partial(_env_values, *_env_constants(noise)))
+    return _env_spectrum(noise.variance, noise.correlation)
 
 
 def multimode_threshold(noise: MarkovNoise) -> float:
@@ -333,52 +339,12 @@ def asymptotic_capacity(
     capacities = np.empty(len(noises))
     for start in range(0, len(noises), _BATCH_ROWS):
         batch = slice(start, start + _BATCH_ROWS)
-        points = noises[batch]
-        # One (k, 1) column per constant, so the spectra broadcast to rows.
-        columns = np.array([_env_constants(point) for point in points]).T[:, :, None]
-        means = _entropy_mean(functools.partial(_env_values, *columns), config)
-        totals = energies[batch] + [point.variance for point in points]
-        capacities[batch] = thermal_entropy(totals) - means
+        # (k, 1) columns, so that the spectrum gives one row per point.
+        variances = np.array([[point.variance] for point in noises[batch]])
+        correlations = np.array([[point.correlation] for point in noises[batch]])
+        means = _entropy_mean(_env_spectrum(variances, correlations), config)
+        capacities[batch] = thermal_entropy(energies[batch] + variances[:, 0]) - means
     return float(capacities[0]) if single else capacities
-
-
-def _water_filling(
-    noise: MarkovNoise,
-    n_bar: float,
-    threshold: float,
-    squeezing: float,
-    input_q: SpectralFunction,
-    input_p: SpectralFunction,
-    noise_q: SpectralFunction,
-    noise_p: SpectralFunction,
-    nu_env: SpectralFunction,
-    config: QuadratureConfig | None,
-) -> MultimodeSolution:
-    """Fill every spectral channel up to the level n_bar + variance + 1/2.
-
-    The capacity is g(n_bar + variance) minus the spectral mean of g over
-    the environment spectrum ``nu_env``.
-    """
-    level = n_bar + noise.variance + VACUUM_VARIANCE
-
-    def mod_q(x):
-        return level - input_q(x) - noise_q(x)
-
-    def mod_p(x):
-        return level - input_p(x) - noise_p(x)
-
-    return MultimodeSolution(
-        squeezing_fraction=squeezing,
-        water_level=level,
-        capacity_bits=thermal_entropy(n_bar + noise.variance) - _entropy_mean(nu_env, config),
-        threshold=threshold,
-        input_q=input_q,
-        input_p=input_p,
-        modulation_q=SpectralFunction(mod_q),
-        modulation_p=SpectralFunction(mod_p),
-        noise_q=noise_q,
-        noise_p=noise_p,
-    )
 
 
 def multimode_solve(
@@ -391,10 +357,11 @@ def multimode_solve(
     so it depends on the correlation only) and input_p = 1/(4 input_q).
     The water level is n_bar + variance + 1/2, and the modulation fills
     every spectral channel up to that level, making the overall output
-    flat.  Raises :class:`BelowThresholdError` (carrying the threshold)
-    when the modulation would turn negative somewhere on the spectrum.
+    flat.  The capacity is :func:`asymptotic_capacity`, which also raises
+    :class:`BelowThresholdError` (carrying the threshold) when the
+    modulation would turn negative somewhere on the spectrum.
     """
-    threshold = _above(noise, n_bar, multimode_threshold)
+    capacity = asymptotic_capacity(noise, n_bar, config)
     c = noise.correlation
     one_plus = 1.0 + c * c
 
@@ -405,11 +372,15 @@ def multimode_solve(
     def input_p(x):
         return 0.25 / input_q(x)
 
-    return _water_filling(
-        noise, n_bar, threshold, _squeezing_fraction(c, n_bar),
-        SpectralFunction(input_q), SpectralFunction(input_p),
-        markov_symbol(noise, sign=1), markov_symbol(noise, sign=-1),
-        env_symplectic_spectrum(noise), config,
+    return MultimodeSolution(
+        squeezing_fraction=_squeezing_fraction(c, n_bar),
+        water_level=n_bar + noise.variance + VACUUM_VARIANCE,
+        capacity_bits=capacity,
+        threshold=multimode_threshold(noise),
+        input_q=SpectralFunction(input_q),
+        input_p=SpectralFunction(input_p),
+        noise_q=markov_symbol(noise, sign=1),
+        noise_p=markov_symbol(noise, sign=-1),
     )
 
 
@@ -486,9 +457,15 @@ def symmetric_noise_solution(
         return np.full_like(x, VACUUM_VARIANCE, dtype=float)
 
     flat_input = SpectralFunction(coherent)
-    return _water_filling(
-        noise, n_bar, threshold, 0.0, flat_input, flat_input,
-        spectrum, spectrum, spectrum, config,
+    return MultimodeSolution(
+        squeezing_fraction=0.0,
+        water_level=n_bar + noise.variance + VACUUM_VARIANCE,
+        capacity_bits=thermal_entropy(n_bar + noise.variance) - _entropy_mean(spectrum, config),
+        threshold=threshold,
+        input_q=flat_input,
+        input_p=flat_input,
+        noise_q=spectrum,
+        noise_p=spectrum,
     )
 
 

@@ -7,11 +7,12 @@ of its own.
 
 import math
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gmcapacity.cli import _CHUNK_ROWS, _fmt, _geometric_floats, main
+from gmcapacity.cli import _CHUNK_CHARS, _CHUNK_ROWS, _fmt, _geometric_floats, main
 from gmcapacity.solver import (
     MonoNoise,
     asymptotic_capacity,
@@ -468,6 +469,26 @@ class TestOutputPlumbing:
         assert result.stdout == ""
         assert not target.exists()
 
+    def test_long_lines_written_in_blocks(self, runner, monkeypatch):
+        # 1200 rows of ~20k characters: under _CHUNK_ROWS lines, but far
+        # over _CHUNK_CHARS characters.
+        sizes = []
+        echo = click.echo
+
+        def counting_echo(message, **kwargs):
+            sizes.append(len(message))
+            echo(message, **kwargs)
+
+        monkeypatch.setattr(click, "echo", counting_echo)
+        result = runner.invoke(
+            main, ["spectrum", "--kind", "toeplitz", "--phi", "0.7", "--n", "1200", "--dump-matrix"]
+        )
+        assert result.exit_code == 0
+        longest = max(map(len, result.output.splitlines()))
+        assert len(sizes) > 1
+        assert sum(sizes) == len(result.output)
+        assert max(sizes) < _CHUNK_CHARS + 2 * longest
+
     def test_header_comments_echo_parameters(self, runner):
         result = runner.invoke(main, ["mono", "--gq", "1", "--gp", "1", "--nbar", "2"])
         comments = [line for line in result.output.splitlines() if line.startswith("#")]
@@ -511,14 +532,40 @@ class TestOutputPlumbing:
         assert f"{cfg}:2:" in result.stderr
         assert "'qaud_tol'" in result.stderr
 
-    def test_quad_tol_env_var(self, runner):
-        result = runner.invoke(
-            main,
-            ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "4"],
-            env={"GMCAP_QUAD_TOL": "1e-08"},
-        )
+    def test_quad_tol_env_var(self, runner, tmp_path):
+        args = ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "4"]
+        result = runner.invoke(main, args, env={"GMCAP_QUAD_TOL": "1e-08"})
         assert result.exit_code == 0
         assert "# quad_tol = 1e-08" in result.output
+        # The environment also beats a config file.
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("quad-tol = 1e-9\n")
+        assert "# quad_tol = 1e-09" in runner.invoke(main, ["--config", str(cfg), *args]).output
+        result = runner.invoke(main, ["--config", str(cfg), *args], env={"GMCAP_QUAD_TOL": "1e-08"})
+        assert result.exit_code == 0
+        assert "# quad_tol = 1e-08" in result.output
+
+    @pytest.mark.parametrize("command", [["fig3", "--steps", "1"], ["fig4", "--n", "2"]])
+    def test_config_list_for_repeatable_option(self, runner, tmp_path, command):
+        cfg = tmp_path / "phis.cfg"
+        cfg.write_text("phi = 0.3 0.5\n")
+        result = runner.invoke(main, ["--config", str(cfg), *command])
+        assert result.exit_code == 0
+        assert "# phi = 0.3 0.5" in result.output
+        _, rows = parse_csv(result.output)
+        assert [row["phi"] for row in rows] == ["0.3", "0.5"]
+        flagged = runner.invoke(main, ["--config", str(cfg), *command, "--phi", "0.7"])
+        assert flagged.exit_code == 0
+        _, rows = parse_csv(flagged.output)
+        assert [row["phi"] for row in rows] == ["0.7"]
+
+    def test_config_list_for_scalar_option_rejected(self, runner, tmp_path):
+        cfg = tmp_path / "phis.cfg"
+        cfg.write_text("phi = 0.3 0.5\n")
+        result = runner.invoke(main, ["--config", str(cfg), "capacity", "--N", "1", "--nbar", "5"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "'--phi'" in result.stderr
 
     def test_deterministic_across_invocations(self, runner):
         args = ["capacity", "--phi", "0.7", "--N", "1", "--nbar", "7.5", "--first-mode"]

@@ -329,12 +329,30 @@ class TestMultimodeSolve:
         assert excinfo.value.threshold == pytest.approx(7.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "phi, variance, n_bar", [(0.0, 1.0, 2.0), (0.4, 0.5, 3.0), (0.7, 1.0, 7.5), (0.95, 3.0, 200.0)]
+        "phi, variance, n_bar, abs_tol",
+        [
+            # Explicit ids keep the names of the default-tolerance cases.
+            pytest.param(0.0, 1.0, 2.0, None, id="0.0-1.0-2.0"),
+            pytest.param(0.4, 0.5, 3.0, None, id="0.4-0.5-3.0"),
+            pytest.param(0.7, 1.0, 7.5, None, id="0.7-1.0-7.5"),
+            pytest.param(0.95, 3.0, 200.0, None, id="0.95-3.0-200.0"),
+            *[
+                (phi, 1.0, n_bar, abs_tol)
+                for phi, n_bar in [(0.3, 4.0), (0.9, 40.0), (0.999, 3000.0)]
+                for abs_tol in (1e-6, 1e-12)
+            ],
+        ],
     )
-    def test_same_numbers_as_public_functions(self, phi, variance, n_bar):
+    def test_same_numbers_as_public_functions(self, phi, variance, n_bar, abs_tol):
         noise = MarkovNoise(variance, phi)
-        sol = multimode_solve(noise, n_bar)
-        assert sol.capacity_bits == asymptotic_capacity(noise, n_bar)
+        cfg = None if abs_tol is None else QuadratureConfig(abs_tol=abs_tol)
+        sol = multimode_solve(noise, n_bar, cfg)
+        assert sol.capacity_bits == asymptotic_capacity(noise, n_bar, cfg)
+        # The same point among others in one batched call.
+        batch = asymptotic_capacity(
+            [MarkovNoise(2.0, 0.5), noise, MarkovNoise(0.5, 0.95)], [10.0, n_bar, 100.0], cfg
+        )
+        assert sol.capacity_bits == batch[1]
         assert sol.squeezing_fraction == squeezing_fraction(noise, n_bar)
         assert sol.threshold == multimode_threshold(noise)
 
