@@ -300,6 +300,8 @@ def fig3(phis, n_min, n_max, steps, quad_tol):
         raise ValueError("steps must be at least 1")
     if not 0 < n_min <= n_max:
         raise ValueError("need 0 < n-min <= n-max")
+    if math.isinf(n_max):
+        raise ValueError(f"n-max must be finite, got {n_max}")
     params = [
         ("phi", " ".join(_fmt(p) for p in phis)),
         ("n_min", _fmt(n_min)), ("n_max", _fmt(n_max)), ("steps", _fmt(steps)),
@@ -408,7 +410,8 @@ def fig4(phis, variance, nbar, n_max, n_values, quad_tol):
 def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
     """Noise eigenvalue spectra: finite Toeplitz/circulant matrices or the symbol."""
     noise = MarkovNoise(variance, phi)
-    sign_value = 1 if sign == "+1" else -1
+    if sign == "-1":
+        noise = MarkovNoise(variance, -phi)
     params = [
         ("kind", kind), ("phi", _fmt(phi)), ("N", _fmt(variance)),
         ("sign", sign),
@@ -420,14 +423,14 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
             raise ValueError("samples must be at least 2")
         params.append(("samples", _fmt(samples)))
         xs = math.pi * np.arange(samples) / (samples - 1)
-        values = asymptotic_markov_spectrum(noise, xs, sign_value)
+        values = asymptotic_markov_spectrum(noise, xs)
         rows = _array_rows("{:.12g},{:.12g}", xs, values)
         return _csv("spectrum", params, ["x", "value"], rows), EXIT_OK
     if n is None:
         raise ValueError(f"--n is required for kind={kind}")
     params.append(("n", str(n)))
     builder = markov_matrix if kind == "toeplitz" else circulant_embedding
-    matrix = builder(noise, sign_value, n)
+    matrix = builder(noise, n)
     if dump_matrix:
         return (" ".join(_fmt(v) for v in row) for row in matrix), EXIT_OK
     values = finite_spectrum(matrix)

@@ -379,8 +379,8 @@ def multimode_solve(
         threshold=multimode_threshold(noise),
         input_q=SpectralFunction(input_q),
         input_p=SpectralFunction(input_p),
-        noise_q=markov_symbol(noise, sign=1),
-        noise_p=markov_symbol(noise, sign=-1),
+        noise_q=markov_symbol(noise),
+        noise_p=markov_symbol(MarkovNoise(noise.variance, -noise.correlation)),
     )
 
 
@@ -402,7 +402,7 @@ def finite_n_rate(noise: MarkovNoise, n_bar: float, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_energy(n_bar)
-    lam_q = finite_spectrum(markov_matrix(noise, 1, n))
+    lam_q = finite_spectrum(markov_matrix(noise, n))
     mean_term = float(np.mean(thermal_entropy(np.sqrt(lam_q * lam_q[::-1]))))
     return thermal_entropy(n_bar + noise.variance) - mean_term
 
@@ -451,7 +451,7 @@ def symmetric_noise_solution(
     common level n_bar + variance + 1/2.
     """
     threshold = _above(noise, n_bar, symmetric_threshold)
-    spectrum = markov_symbol(noise, sign=1)
+    spectrum = markov_symbol(noise)
 
     def coherent(x):
         return np.full_like(x, VACUUM_VARIANCE, dtype=float)

@@ -1,11 +1,14 @@
 """AR(1) (Gauss-Markov) noise matrices and their spectral machinery.
 
-Builds the symmetric Toeplitz covariance of a stationary AR(1) process,
-its circulant surrogate, the real Fourier basis that diagonalizes every
-symmetric circulant, the limiting eigenvalue symbol on the spectral
-interval [0, pi], the tridiagonal matrix that inverts the AR(1)
-covariance in the large-size limit, and the eigenvalues of these
-centrosymmetric matrices from two half-size solves.
+The q quadratures carry AR(1) noise ``MarkovNoise(N, phi)`` and the p
+quadratures ``MarkovNoise(N, -phi)``; every function here takes the
+correlation as given.  Builds the symmetric Toeplitz covariance of a
+stationary AR(1) process, its circulant surrogate, the real Fourier
+basis that diagonalizes every symmetric circulant, the limiting
+eigenvalue symbol on the spectral interval [0, pi], the tridiagonal
+matrix that inverts the AR(1) covariance in the large-size limit, and
+the eigenvalues of these centrosymmetric matrices from two half-size
+solves.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import _check_integer, _check_mirror, _square, symmetric_eigen
 
@@ -38,7 +42,8 @@ class MarkovNoise:
     """Stationary AR(1) noise: variance of each sample and nearest-neighbor correlation.
 
     Covariances decay as variance * correlation**distance; |correlation|
-    must stay below 1 for the process to be stationary.
+    must stay below 1 for the process to be stationary.  The p quadrature
+    of noise ``MarkovNoise(N, phi)`` is ``MarkovNoise(N, -phi)``.
     """
 
     variance: float
@@ -67,42 +72,38 @@ class SpectralFunction:
         return self.evaluate(x)
 
 
-def _check_sign(sign: int) -> None:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+def _symmetric_toeplitz(scale: float, first_row: np.ndarray) -> np.ndarray:
+    """Fresh C-contiguous ``scale * first_row[|i - j|]``, the only n x n array built."""
+    n = len(first_row)
+    mirrored = np.concatenate([first_row[:0:-1], first_row])
+    return scale * sliding_window_view(mirrored, n)[::-1]
 
 
-def markov_matrix(noise: MarkovNoise, sign: int, n: int) -> np.ndarray:
-    """n x n AR(1) covariance: entries variance * (sign*correlation)**|i-j|.
+def markov_matrix(noise: MarkovNoise, n: int) -> np.ndarray:
+    """n x n AR(1) covariance: entries variance * correlation**|i-j|.
 
-    Symmetric Toeplitz and positive definite for |correlation| < 1.
-    ``sign=-1`` flips the correlation sign, as carried by the second
-    quadrature of the noise model.
+    Symmetric Toeplitz and positive definite for |correlation| < 1.  The
+    p quadrature's block is ``markov_matrix(MarkovNoise(N, -phi), n)``.
     """
-    _check_sign(sign)
     _check_integer(n)
     if n < 1:
         raise ValueError("n must be positive")
-    idx = np.arange(n)
-    powers = (sign * noise.correlation) ** idx
-    return noise.variance * powers[np.abs(idx[:, None] - idx[None, :])]
+    return _symmetric_toeplitz(noise.variance, noise.correlation ** np.arange(n))
 
 
-def circulant_embedding(noise: MarkovNoise, sign: int, n: int) -> np.ndarray:
+def circulant_embedding(noise: MarkovNoise, n: int) -> np.ndarray:
     """Circulant surrogate of :func:`markov_matrix` with the same leading diagonals.
 
     Entries depend only on the cyclic distance min(|i-j|, n - |i-j|), at
     most n // 2, so every row is a cyclic shift of the first and the
     matrix is diagonalized exactly by :func:`fourier_diagonalizer`.
     """
-    _check_sign(sign)
     _check_integer(n)
     if n < 2:
         raise ValueError("n must be at least 2")
-    idx = np.arange(n)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    powers = (sign * noise.correlation) ** np.arange(n // 2 + 1)
-    return noise.variance * powers[np.minimum(dist, n - dist)]
+    lags = np.arange(n)
+    powers = noise.correlation ** np.arange(n // 2 + 1)
+    return _symmetric_toeplitz(noise.variance, powers[np.minimum(lags, n - lags)])
 
 
 def fourier_diagonalizer(n: int) -> np.ndarray:
@@ -129,7 +130,7 @@ def fourier_diagonalizer(n: int) -> np.ndarray:
     return qt.T
 
 
-def asymptotic_markov_spectrum(noise: MarkovNoise, x, sign: int = 1):
+def asymptotic_markov_spectrum(noise: MarkovNoise, x):
     """Limiting eigenvalue of the AR(1) covariance at spectral parameter x in [0, pi].
 
     :func:`markov_symbol` evaluated at ``x``, a float or an array, after
@@ -139,20 +140,18 @@ def asymptotic_markov_spectrum(noise: MarkovNoise, x, sign: int = 1):
     outside = ~((xs >= 0.0) & (xs <= math.pi))
     if outside.any():
         raise ValueError(f"spectral parameter must lie in [0, pi], got {xs[outside][0]}")
-    return markov_symbol(noise, sign)(x)
+    return markov_symbol(noise)(x)
 
 
-def markov_symbol(noise: MarkovNoise, sign: int = 1) -> SpectralFunction:
+def markov_symbol(noise: MarkovNoise) -> SpectralFunction:
     """Limiting AR(1) spectrum on [0, pi] as a callable.
 
-    variance * (1 - c^2) / (1 + c^2 - 2 c cos x) with c = sign *
-    correlation.  The sign=-1 branch equals the sign=+1 branch at pi - x.
+    variance * (1 - c^2) / (1 + c^2 - 2 c cos x) with c = correlation, so
+    the symbol of ``MarkovNoise(N, -phi)`` is this one at pi - x.
     """
-    _check_sign(sign)
-    variance = noise.variance
-    c = sign * noise.correlation
+    c = noise.correlation
     one_plus = 1.0 + c * c
-    scale = variance * (1.0 - c * c)
+    scale = noise.variance * (1.0 - c * c)
 
     def evaluate(x):
         return scale / (one_plus - 2.0 * c * np.cos(x))
@@ -172,13 +171,9 @@ def tridiagonal_inverse(noise: MarkovNoise, n: int) -> np.ndarray:
         raise ValueError("n must be at least 2")
     c = noise.correlation
     prefactor = 1.0 / (noise.variance * (1.0 - c * c))
-    v = np.zeros((n, n))
-    np.fill_diagonal(v, prefactor * (1.0 + c * c))
-    off = -prefactor * c
-    rng = np.arange(n - 1)
-    v[rng, rng + 1] = off
-    v[rng + 1, rng] = off
-    return v
+    first_row = np.zeros(n)
+    first_row[:2] = prefactor * (1.0 + c * c), -prefactor * c
+    return _symmetric_toeplitz(1.0, first_row)
 
 
 def inverse_symbol(noise: MarkovNoise) -> SpectralFunction:
@@ -199,6 +194,8 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need two square matrices of equal shape, got {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("matrix has a non-finite entry")
     return float(np.linalg.norm(a @ b - b @ a))
 
 

@@ -51,7 +51,7 @@ def midpoint_grid(n):
 
 
 def szego_deviation(noise, n):
-    values = finite_spectrum(markov_matrix(noise, 1, n))
+    values = finite_spectrum(markov_matrix(noise, n))
     samples = np.sort(
         [asymptotic_markov_spectrum(noise, float(x)) for x in midpoint_grid(n)]
     )[::-1]
@@ -179,16 +179,16 @@ def test_c08_spectral_machinery():
     noise = MarkovNoise(1.0, 0.5)
     for n in (8, 9, 64, 65, 255, 256):
         q = fourier_diagonalizer(n)
-        c = circulant_embedding(noise, 1, n)
+        c = circulant_embedding(noise, n)
         d = q.T @ c @ q
         off = float(np.linalg.norm(d - np.diag(np.diag(d))))
         assert off <= 1e-10, f"off-diagonal {off:.2e} at n={n}"
     for n in (8, 64, 256):
         pair = commutator_norm(
-            circulant_embedding(noise, 1, n), circulant_embedding(noise, -1, n)
+            circulant_embedding(noise, n), circulant_embedding(MarkovNoise(1.0, -0.5), n)
         )
         assert pair <= 1e-12
-    assert commutator_norm(markov_matrix(noise, 1, 4), markov_matrix(noise, -1, 4)) > 1e-3
+    assert commutator_norm(markov_matrix(noise, 4), markov_matrix(MarkovNoise(1.0, -0.5), 4)) > 1e-3
     for phi in (0.5, 0.8):
         corr = MarkovNoise(1.0, phi)
         assert szego_deviation(corr, 256) <= szego_deviation(corr, 64) / 2
@@ -199,7 +199,7 @@ def test_c09_asymptotic_inverse():
     """Tridiagonal inverse: exact interior rows and converging spectrum."""
     noise = MarkovNoise(1.0, 0.6)
     n = 10
-    product = tridiagonal_inverse(noise, n) @ markov_matrix(noise, 1, n)
+    product = tridiagonal_inverse(noise, n) @ markov_matrix(noise, n)
     interior = product[1:-1] - np.eye(n)[1:-1]
     assert float(np.max(np.abs(interior))) <= 1e-12
     symbol = inverse_symbol(noise)

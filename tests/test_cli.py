@@ -314,7 +314,7 @@ class TestSpectrum:
         )
         assert result.exit_code == 0
         xs = math.pi * np.arange(samples) / (samples - 1)
-        values = asymptotic_markov_spectrum(MarkovNoise(1.3, 0.7), xs, -1)
+        values = asymptotic_markov_spectrum(MarkovNoise(1.3, -0.7), xs)
         expected = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
         assert result.output.splitlines()[-samples:] == expected
         assert result.output.splitlines()[-samples - 1] == "x,value"
@@ -331,7 +331,7 @@ class TestSpectrum:
             main, ["spectrum", "--kind", "circulant", "--phi", "0.5", "--n", "5"]
         )
         _, rows = parse_csv(result.output)
-        expected = finite_spectrum(circulant_embedding(MarkovNoise(1.0, 0.5), 1, 5))
+        expected = finite_spectrum(circulant_embedding(MarkovNoise(1.0, 0.5), 5))
         assert [row["index"] for row in rows] == ["0", "1", "2", "3", "4"]
         assert [row["eigenvalue"] for row in rows] == [_fmt(v) for v in expected]
 
@@ -341,8 +341,8 @@ class TestSpectrum:
             ["spectrum", "--kind", "asymptotic", "--phi", "0.5", "--samples", "3", "--sign", "-1"],
         )
         _, rows = parse_csv(result.output)
-        noise = MarkovNoise(1.0, 0.5)
-        assert rows[0]["value"] == _fmt(asymptotic_markov_spectrum(noise, 0.0, sign=-1))
+        noise = MarkovNoise(1.0, -0.5)
+        assert rows[0]["value"] == _fmt(asymptotic_markov_spectrum(noise, 0.0))
 
     def test_dump_matrix(self, runner):
         result = runner.invoke(
@@ -353,7 +353,7 @@ class TestSpectrum:
         parsed = np.array(
             [[float(v) for v in line.split()] for line in result.output.splitlines()]
         )
-        assert np.allclose(parsed, markov_matrix(MarkovNoise(1.0, 0.5), 1, 3), atol=1e-10)
+        assert np.allclose(parsed, markov_matrix(MarkovNoise(1.0, 0.5), 3), atol=1e-10)
 
     def test_dump_matrix_rejected_for_symbol(self, runner):
         result = runner.invoke(
@@ -375,6 +375,7 @@ NON_FINITE_ARGS = {
     "fig4-nbar": ["fig4", "--phi", "0.4", "--N", "1", "--nbar", "{}", "--n", "3"],
     "fig4-N": ["fig4", "--phi", "0.4", "--N", "{}", "--nbar", "7.5", "--n", "3"],
     "fig3-n-max": ["fig3", "--phi", "0.4", "--n-max", "{}", "--steps", "2"],
+    "fig3-n-max-one-step": ["fig3", "--phi", "0.4", "--n-max", "{}", "--steps", "1"],
     "oracle-nbar": ["oracle", "--gq", "2", "--gp", "0.5", "--nbar", "{}", "--resolution", "64"],
     "spectrum-N": ["spectrum", "--kind", "toeplitz", "--phi", "0.5", "--N", "{}", "--n", "3"],
 }

@@ -1,6 +1,7 @@
 """Tests for the AR(1) noise matrices and their spectral analysis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,29 +47,27 @@ class TestMarkovNoise:
 
 class TestMarkovMatrix:
     def test_white_noise_identity(self):
-        assert np.array_equal(markov_matrix(MarkovNoise(1.0, 0.0), 1, 3), np.eye(3))
+        assert np.array_equal(markov_matrix(MarkovNoise(1.0, 0.0), 3), np.eye(3))
 
     def test_two_by_two(self):
-        m = markov_matrix(MarkovNoise(1.0, 0.5), 1, 2)
+        m = markov_matrix(MarkovNoise(1.0, 0.5), 2)
         assert np.allclose(m, [[1.0, 0.5], [0.5, 1.0]])
 
     def test_sign_flipped_elementwise(self):
-        m = markov_matrix(MarkovNoise(2.0, 0.4), -1, 3)
+        m = markov_matrix(MarkovNoise(2.0, -0.4), 3)
         expected = [[2.0, -0.8, 0.32], [-0.8, 2.0, -0.8], [0.32, -0.8, 2.0]]
         assert np.allclose(m, expected, atol=1e-15)
 
     def test_validation(self):
         noise = MarkovNoise(1.0, 0.5)
         with pytest.raises(ValueError):
-            markov_matrix(noise, 2, 3)
-        with pytest.raises(ValueError):
-            markov_matrix(noise, 1, 0)
+            markov_matrix(noise, 0)
         for n in (7.5, 1e3):
             with pytest.raises(ValueError, match="n must be an integer"):
-                markov_matrix(noise, 1, n)
+                markov_matrix(noise, n)
 
     def test_positive_definite(self):
-        values = finite_spectrum(markov_matrix(MarkovNoise(1.0, 0.9), 1, 64))
+        values = finite_spectrum(markov_matrix(MarkovNoise(1.0, 0.9), 64))
         assert values[-1] > 0
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 0.7, 0.94, 0.999, -0.7])
@@ -76,19 +75,19 @@ class TestMarkovMatrix:
     @pytest.mark.parametrize("n", [1, 2, 7, 600])
     def test_equals_elementwise_powers(self, phi, sign, n):
         # The gathered powers must reproduce n^2 scalar powers bit for bit.
-        noise = MarkovNoise(1.3, phi)
         idx = np.arange(n)
         expected = 1.3 * (sign * phi) ** np.abs(idx[:, None] - idx[None, :])
-        assert np.array_equal(markov_matrix(noise, sign, n), expected)
+        m = markov_matrix(MarkovNoise(1.3, sign * phi), n)
+        assert np.array_equal(m, expected)
+        assert m.flags.c_contiguous and m.flags.writeable
 
     @pytest.mark.parametrize("phi", [0.3, 0.7, 0.95, 0.999, -0.7])
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 300])
     def test_sign_branches_share_spectrum(self, phi, n):
-        # The sign=-1 matrix is D T D with D = diag((-1)^i), an orthogonal
-        # similarity of the sign=+1 matrix T.
-        noise = MarkovNoise(1.0, phi)
-        q = np.linalg.eigvalsh(markov_matrix(noise, 1, n))
-        p = np.linalg.eigvalsh(markov_matrix(noise, -1, n))
+        # The correlation -phi matrix is D T D with D = diag((-1)^i), an
+        # orthogonal similarity of the correlation phi matrix T.
+        q = np.linalg.eigvalsh(markov_matrix(MarkovNoise(1.0, phi), n))
+        p = np.linalg.eigvalsh(markov_matrix(MarkovNoise(1.0, -phi), n))
         assert np.max(np.abs(p - q)) <= 1e-13 * q[-1]
 
 
@@ -96,15 +95,15 @@ class TestCirculantEmbedding:
     def test_white_noise(self):
         for n in (2, 5, 6):
             assert np.array_equal(
-                circulant_embedding(MarkovNoise(2.0, 0.0), 1, n), 2.0 * np.eye(n)
+                circulant_embedding(MarkovNoise(2.0, 0.0), n), 2.0 * np.eye(n)
             )
 
     def test_odd_three_wraps_far_corner(self):
-        c = circulant_embedding(MarkovNoise(1.0, 0.5), 1, 3)
+        c = circulant_embedding(MarkovNoise(1.0, 0.5), 3)
         assert np.allclose(c, [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
 
     def test_rows_are_cyclic_shifts(self):
-        c = circulant_embedding(MarkovNoise(1.0, 0.4), 1, 5)
+        c = circulant_embedding(MarkovNoise(1.0, 0.4), 5)
         for r in range(1, 5):
             assert np.allclose(c[r], np.roll(c[0], r))
 
@@ -112,18 +111,18 @@ class TestCirculantEmbedding:
         noise = MarkovNoise(1.0, 0.6)
         for n in (7, 8):
             kappa = (n - 1) // 2 if n % 2 else n // 2
-            t = markov_matrix(noise, 1, n)
-            c = circulant_embedding(noise, 1, n)
+            t = markov_matrix(noise, n)
+            c = circulant_embedding(noise, n)
             idx = np.arange(n)
             near = np.abs(idx[:, None] - idx[None, :]) <= kappa
             assert np.allclose(c[near], t[near])
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            circulant_embedding(MarkovNoise(1.0, 0.5), 1, 1)
+            circulant_embedding(MarkovNoise(1.0, 0.5), 1)
         for n in (7.5, 1e3):
             with pytest.raises(ValueError, match="n must be an integer"):
-                circulant_embedding(MarkovNoise(1.0, 0.5), 1, n)
+                circulant_embedding(MarkovNoise(1.0, 0.5), n)
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 0.7, 0.999, -0.7])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -131,12 +130,13 @@ class TestCirculantEmbedding:
     def test_equals_elementwise_powers(self, phi, sign, n):
         # The gathered powers must reproduce n^2 scalar powers of the
         # wrapped distance bit for bit, for odd and even n.
-        noise = MarkovNoise(1.3, phi)
         kappa = (n - 1) // 2 if n % 2 else n // 2
         idx = np.arange(n)
         dist = np.abs(idx[:, None] - idx[None, :])
         expected = 1.3 * (sign * phi) ** np.where(dist <= kappa, dist, n - dist)
-        assert np.array_equal(circulant_embedding(noise, sign, n), expected)
+        m = circulant_embedding(MarkovNoise(1.3, sign * phi), n)
+        assert np.array_equal(m, expected)
+        assert m.flags.c_contiguous and m.flags.writeable
 
 
 class TestFourierDiagonalizer:
@@ -168,7 +168,7 @@ class TestFourierDiagonalizer:
     def test_diagonalizes_circulant(self):
         n = 8
         q = fourier_diagonalizer(n)
-        c = circulant_embedding(MarkovNoise(1.0, 0.5), 1, n)
+        c = circulant_embedding(MarkovNoise(1.0, 0.5), n)
         d = q.T @ c @ q
         off = d - np.diag(np.diag(d))
         assert np.linalg.norm(off) <= 1e-10
@@ -186,10 +186,9 @@ class TestAsymptoticSpectrum:
         assert asymptotic_markov_spectrum(noise, math.pi) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_p_branch_is_mirrored(self):
-        noise = MarkovNoise(1.0, 0.6)
         for x in (0.1, 0.9, 2.0):
-            assert asymptotic_markov_spectrum(noise, x, sign=-1) == pytest.approx(
-                asymptotic_markov_spectrum(noise, math.pi - x, sign=1), abs=1e-12
+            assert asymptotic_markov_spectrum(MarkovNoise(1.0, -0.6), x) == pytest.approx(
+                asymptotic_markov_spectrum(MarkovNoise(1.0, 0.6), math.pi - x), abs=1e-12
             )
 
     def test_domain_validation(self):
@@ -202,9 +201,8 @@ class TestAsymptoticSpectrum:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_array_matches_scalar_formula(self, phi, sign):
         # One array call against the closed form evaluated point by point.
-        noise = MarkovNoise(1.3, phi)
         xs = np.linspace(0.0, math.pi, 1001)
-        values = asymptotic_markov_spectrum(noise, xs, sign)
+        values = asymptotic_markov_spectrum(MarkovNoise(1.3, sign * phi), xs)
         c = sign * phi
         for x, value in zip(xs.tolist(), values.tolist()):
             expected = 1.3 * (1.0 - c * c) / (1.0 + c * c - 2.0 * c * math.cos(x))
@@ -238,7 +236,7 @@ class TestSzegoConvergence:
         noise = MarkovNoise(1.0, phi)
         deviations = []
         for n in (32, 64, 128, 256):
-            values = finite_spectrum(markov_matrix(noise, 1, n))
+            values = finite_spectrum(markov_matrix(noise, n))
             samples = np.sort(
                 [asymptotic_markov_spectrum(noise, float(x)) for x in midpoint_grid(n)]
             )[::-1]
@@ -254,7 +252,7 @@ class TestTridiagonalInverse:
     def test_interior_rows_invert_exactly(self):
         noise = MarkovNoise(1.0, 0.6)
         n = 10
-        product = tridiagonal_inverse(noise, n) @ markov_matrix(noise, 1, n)
+        product = tridiagonal_inverse(noise, n) @ markov_matrix(noise, n)
         interior = product[1:-1] - np.eye(n)[1:-1]
         assert np.max(np.abs(interior)) <= 1e-12
 
@@ -275,6 +273,17 @@ class TestTridiagonalInverse:
         for x in (0.0, 0.7, 2.2, math.pi):
             assert forward(x) * backward(x) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.0, -0.0, 0.6, -0.7])
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_equals_diag_construction(self, phi, n):
+        v = tridiagonal_inverse(MarkovNoise(1.3, phi), n)
+        prefactor = 1.0 / (1.3 * (1.0 - phi * phi))
+        # Assigned, not added, so that the -0.0 off-diagonal of phi = 0 stays.
+        expected = np.diag(np.full(n, prefactor * (1.0 + phi * phi)))
+        i = np.arange(n - 1)
+        expected[i, i + 1] = expected[i + 1, i] = -prefactor * phi
+        assert v.tobytes() == expected.tobytes()
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
             tridiagonal_inverse(MarkovNoise(1.0, 0.5), 1)
@@ -283,27 +292,50 @@ class TestTridiagonalInverse:
                 tridiagonal_inverse(MarkovNoise(1.0, 0.5), n)
 
 
+@pytest.mark.parametrize("builder", [markov_matrix, circulant_embedding, tridiagonal_inverse])
+def test_builder_allocates_one_matrix(builder):
+    # The returned n x n matrix is the only large array a builder makes.
+    n = 1200
+    noise = MarkovNoise(1.3, 0.7)
+    builder(noise, 8)  # warm-up, so that first-call caches are not counted
+    tracemalloc.start()
+    try:
+        m = builder(noise, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.nbytes == 8 * n * n
+    assert peak <= 1.1 * m.nbytes
+
+
 class TestCommutatorNorm:
     def test_self_commutes(self):
-        m = markov_matrix(MarkovNoise(1.0, 0.7), 1, 6)
+        m = markov_matrix(MarkovNoise(1.0, 0.7), 6)
         assert commutator_norm(m, m) == 0.0
 
     def test_circulants_commute(self):
         noise = MarkovNoise(1.0, 0.5)
         for n in (8, 64):
-            cp = circulant_embedding(noise, 1, n)
-            cm = circulant_embedding(noise, -1, n)
+            cp = circulant_embedding(noise, n)
+            cm = circulant_embedding(MarkovNoise(1.0, -0.5), n)
             assert commutator_norm(cp, cm) <= 1e-12
 
     def test_finite_toeplitz_blocks_do_not_commute(self):
         noise = MarkovNoise(1.0, 0.5)
-        mp = markov_matrix(noise, 1, 4)
-        mm = markov_matrix(noise, -1, 4)
+        mp = markov_matrix(noise, 4)
+        mm = markov_matrix(MarkovNoise(1.0, -0.5), 4)
         assert commutator_norm(mp, mm) > 1e-3
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             commutator_norm(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            commutator_norm(np.full((2, 2), bad), np.eye(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            commutator_norm(np.eye(2), np.diag([1.0, bad]))
 
 
 class TestFiniteSpectrum:
@@ -311,7 +343,7 @@ class TestFiniteSpectrum:
         assert np.allclose(finite_spectrum(np.eye(4)), np.ones(4))
 
     def test_two_by_two_closed_form(self):
-        values = finite_spectrum(markov_matrix(MarkovNoise(1.0, 0.5), 1, 2))
+        values = finite_spectrum(markov_matrix(MarkovNoise(1.0, 0.5), 2))
         assert values == pytest.approx([1.5, 0.5], abs=1e-12)
 
     def test_rejects_asymmetric(self):
@@ -332,9 +364,9 @@ class TestFiniteSpectrum:
     def test_split_matches_dense_eigvalsh(self, kind, n, phi, sign):
         # The two half-size blocks must reproduce one full dense solve.
         if kind == "toeplitz":
-            m = markov_matrix(MarkovNoise(1.3, phi), sign, n)
+            m = markov_matrix(MarkovNoise(1.3, sign * phi), n)
         elif kind == "circulant":
-            m = circulant_embedding(MarkovNoise(1.3, phi), sign, n)
+            m = circulant_embedding(MarkovNoise(1.3, sign * phi), n)
         else:
             m = tridiagonal_inverse(MarkovNoise(1.3, sign * phi), n)
         expected = np.linalg.eigvalsh(m)[::-1]
@@ -345,7 +377,7 @@ class TestFiniteSpectrum:
     @pytest.mark.parametrize("builder", [markov_matrix, circulant_embedding])
     @pytest.mark.parametrize("phi,sign", [(0.7, -1), (0.999, 1)])
     def test_split_matches_dense_eigvalsh_at_1200(self, builder, phi, sign):
-        m = builder(MarkovNoise(1.3, phi), sign, 1200)
+        m = builder(MarkovNoise(1.3, sign * phi), 1200)
         expected = np.linalg.eigvalsh(m)[::-1]
         assert np.max(np.abs(finite_spectrum(m) - expected)) <= 5e-14 * expected[0]
 
@@ -366,7 +398,7 @@ class TestFiniteSpectrum:
     def test_rejects_single_entry_perturbations(self, n):
         # Every entry but the centre of an odd-size matrix has a distinct
         # mirror image, so moving it alone breaks centrosymmetry.
-        base = markov_matrix(MarkovNoise(1.0, 0.6), 1, n)
+        base = markov_matrix(MarkovNoise(1.0, 0.6), n)
         for i in range(n):
             for j in range(n):
                 m = base.copy()
@@ -385,13 +417,13 @@ class TestFiniteSpectrum:
         with pytest.raises(ValueError, match="non-finite"):
             finite_spectrum(np.array([[1.0, bad], [bad, 1.0]]))
         # m[3, 3] is read only by the centrosymmetry check, not by the blocks.
-        m = markov_matrix(MarkovNoise(1.0, 0.5), 1, 4)
+        m = markov_matrix(MarkovNoise(1.0, 0.5), 4)
         m[3, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             finite_spectrum(m)
 
     def test_rejects_overflowing_blocks(self):
         # A + B J overflows; the overflowed block is rejected, with no warning.
-        m = markov_matrix(MarkovNoise(1.7e308, 0.9), 1, 5)
+        m = markov_matrix(MarkovNoise(1.7e308, 0.9), 5)
         with pytest.raises(ValueError, match="non-finite"):
             finite_spectrum(m)
