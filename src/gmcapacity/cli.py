@@ -325,10 +325,10 @@ def fig3(phis, n_min, n_max, steps, quad_tol):
                 threshold = multimode_threshold(noise)
                 ccl = _fmt(classical_limit_capacity(noise, snr))
                 echo = [_fmt(phi), _fmt(variance), _fmt(nbar), _fmt(threshold)]
-                eta = squeezing_fraction(noise, nbar)
                 if not _reaches(nbar, threshold):
                     rows.append(echo + ["", "", "", ccl, "below_threshold"])
                     continue
+                eta = squeezing_fraction(noise, nbar)
                 mu_global = nbar + variance + 0.5
                 row = echo + [_fmt(eta), _fmt(mu_global), "", ccl, "ok"]
                 rows.append(row)

@@ -101,8 +101,9 @@ class MonoSolution:
 class MultimodeSolution:
     """Water-filling solution over the whole noise spectrum.
 
-    The spectra are callables on the spectral parameter x in [0, pi].
-    Above threshold the water level equals n_bar + variance + 1/2 and the
+    Holds the two noise spectra, callables on the spectral parameter x in
+    [0, pi]; the input and modulation spectra follow from them.  Above
+    threshold the water level equals n_bar + variance + 1/2 and the
     modulation spectra stay non-negative on the whole interval.
     """
 
@@ -110,10 +111,16 @@ class MultimodeSolution:
     water_level: float
     capacity_bits: float
     threshold: float
-    input_q: SpectralFunction
-    input_p: SpectralFunction
     noise_q: SpectralFunction
     noise_p: SpectralFunction
+
+    def input_q(self, x):
+        """Pure input spectrum in q, matched to the noise anisotropy: sqrt(noise_q / noise_p) / 2."""
+        return 0.5 * np.sqrt(self.noise_q(x) / self.noise_p(x))
+
+    def input_p(self, x):
+        """Pure input spectrum in p: 1 / (4 input_q), so every mode is a minimum-uncertainty state."""
+        return 0.25 / self.input_q(x)
 
     def modulation_q(self, x):
         """Classical modulation spectrum in q: it fills input + noise up to the water level."""
@@ -362,23 +369,11 @@ def multimode_solve(
     modulation would turn negative somewhere on the spectrum.
     """
     capacity = asymptotic_capacity(noise, n_bar, config)
-    c = noise.correlation
-    one_plus = 1.0 + c * c
-
-    def input_q(x):
-        cos_x = np.cos(x)
-        return 0.5 * np.sqrt((one_plus + 2.0 * c * cos_x) / (one_plus - 2.0 * c * cos_x))
-
-    def input_p(x):
-        return 0.25 / input_q(x)
-
     return MultimodeSolution(
-        squeezing_fraction=_squeezing_fraction(c, n_bar),
+        squeezing_fraction=_squeezing_fraction(noise.correlation, n_bar),
         water_level=n_bar + noise.variance + VACUUM_VARIANCE,
         capacity_bits=capacity,
         threshold=multimode_threshold(noise),
-        input_q=SpectralFunction(input_q),
-        input_p=SpectralFunction(input_p),
         noise_q=markov_symbol(noise),
         noise_p=markov_symbol(MarkovNoise(noise.variance, -noise.correlation)),
     )
@@ -403,7 +398,7 @@ def finite_n_rate(noise: MarkovNoise, n_bar: float, n: int) -> float:
         raise ValueError(f"n must be positive, got {n}")
     _check_energy(n_bar)
     lam_q = finite_spectrum(markov_matrix(noise, n))
-    mean_term = float(np.mean(thermal_entropy(np.sqrt(lam_q * lam_q[::-1]))))
+    mean_term = float(np.mean(thermal_entropy(np.sqrt(lam_q) * np.sqrt(lam_q[::-1]))))
     return thermal_entropy(n_bar + noise.variance) - mean_term
 
 
@@ -452,18 +447,11 @@ def symmetric_noise_solution(
     """
     threshold = _above(noise, n_bar, symmetric_threshold)
     spectrum = markov_symbol(noise)
-
-    def coherent(x):
-        return np.full_like(x, VACUUM_VARIANCE, dtype=float)
-
-    flat_input = SpectralFunction(coherent)
     return MultimodeSolution(
         squeezing_fraction=0.0,
         water_level=n_bar + noise.variance + VACUUM_VARIANCE,
         capacity_bits=thermal_entropy(n_bar + noise.variance) - _entropy_mean(spectrum, config),
         threshold=threshold,
-        input_q=flat_input,
-        input_p=flat_input,
         noise_q=spectrum,
         noise_p=spectrum,
     )
@@ -504,12 +492,16 @@ def brute_force_mono_oracle(
 ) -> MonoSolution:
     """Maximize the single-mode information quantity by deterministic grid search.
 
-    Searches over the input squeezing (with purity input_q * input_p =
-    1/4 imposed) and the split of the remaining energy between the two
-    modulation variances, holding the total energy constraint with
-    equality.  Independent of the closed form in :func:`mono_solve`; it
-    also explores the below-threshold regime, where it returns a
-    boundary solution with one modulation variance pinned at zero.
+    Searches over the input squeezing s = ln(2 input_q) and the split of
+    the remaining energy between the two modulation variances, holding
+    the total energy constraint with equality.  The input is pure,
+    (e^s / 2, e^-s / 2), and spends cosh(s) of the variance budget
+    2 n_bar + 1, so s ranges over |s| <= acosh(2 n_bar + 1), a box free
+    of cancellation at every energy.  Independent of the closed form in
+    :func:`mono_solve`; it also explores the below-threshold regime,
+    where it returns a boundary solution with one modulation variance
+    pinned at zero.  Raises ``ValueError`` for an n_bar so large that
+    the input variances would overflow.
     """
     _check_energy(n_bar)
     if resolution < 64:
@@ -518,39 +510,38 @@ def brute_force_mono_oracle(
     var_p = noise.var_p
     # Total variance budget: input_q + input_p + mod_q + mod_p = 2 n_bar + 1.
     budget = 2.0 * n_bar + 1.0
-    spread = math.sqrt(budget * budget - 1.0)
-    in_q_lo = 0.5 * (budget - spread)
-    in_q_hi = 0.5 * (budget + spread)
+    # At the box edge e^s is about 2 budget; the factor 4 leaves room for
+    # it, and for the column sums, to stay finite.
+    if not math.isfinite(4.0 * budget):
+        raise ValueError(f"n_bar = {n_bar:g} is too large for the oracle's variance budget")
+    half_width = math.acosh(budget)
 
-    def objective(in_q, split):
-        in_p = 0.25 / in_q
-        mod_total = np.maximum(budget - in_q - in_p, 0.0)
-        mod_q = split * mod_total
-        mod_p = (1.0 - split) * mod_total
-        nu_out = np.sqrt((in_q + var_q) * (in_p + var_p))
-        nu_bar = np.sqrt((in_q + var_q + mod_q) * (in_p + var_p + mod_p))
+    def state(s, split):
+        # (input_q, input_p, mod_q, mod_p) for squeezing s and energy split.
+        mod_total = max(budget - math.cosh(s), 0.0)
+        return 0.5 * math.exp(s), 0.5 * math.exp(-s), split * mod_total, (1.0 - split) * mod_total
+
+    def objective(s, split):
+        in_q, in_p, mod_q, mod_p = state(s, split)
+        nu_out = math.sqrt(in_q + var_q) * math.sqrt(in_p + var_p)
+        nu_bar = np.sqrt(in_q + var_q + mod_q) * np.sqrt(in_p + var_p + mod_p)
         return thermal_entropy(nu_bar - 0.5) - thermal_entropy(nu_out - 0.5)
 
-    (best_in_q, best_split), best_value = grid_maximize(
+    (best_s, best_split), best_value = grid_maximize(
         objective,
-        [(in_q_lo, in_q_hi), (0.0, 1.0)],
+        [(-half_width, half_width), (0.0, 1.0)],
         resolution=resolution,
         refinements=refinements,
     )
-    in_p = 0.25 / best_in_q
-    mod_total = max(budget - best_in_q - in_p, 0.0)
-    mod_q = best_split * mod_total
-    mod_p = (1.0 - best_split) * mod_total
-    level_q = best_in_q + var_q + mod_q
-    level_p = in_p + var_p + mod_p
+    in_q, in_p, mod_q, mod_p = state(best_s, best_split)
     return MonoSolution(
-        input_q=best_in_q,
+        input_q=in_q,
         input_p=in_p,
         modulation_q=mod_q,
         modulation_p=mod_p,
         # Below threshold the two columns differ; the water surface sits
         # on the taller one.
-        water_level=max(level_q, level_p),
+        water_level=max(in_q + var_q + mod_q, in_p + var_p + mod_p),
         capacity_bits=best_value,
         above_threshold=_reaches(n_bar, mono_threshold(noise)),
     )

@@ -225,6 +225,18 @@ class TestFig3:
         assert result.exit_code == 2
         assert "nbar = N * snr overflows at N = 1e+308, snr = 3" in result.stderr
 
+    def test_energy_underflow_below_threshold(self, runner):
+        # N * snr underflows to 0 on the first row, which is below
+        # threshold and so needs no squeezing fraction.
+        result = runner.invoke(
+            main, ["fig3", "--phi", "0.1", "--n-min", "5e-324", "--n-max", "1", "--steps", "2"]
+        )
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.output)
+        assert [row["nbar"] for row in rows] == ["0", _fmt(multimode_threshold(MarkovNoise(1.0, 0.1)))]
+        assert [row["status"] for row in rows] == ["below_threshold", "ok"]
+        assert rows[0]["eta"] == ""
+
     def test_mixed_regimes(self, runner):
         # The fixed-SNR protocol puts every N < 1 below threshold.  The ok
         # rows of each phi share batched integrals; each must still print
@@ -423,6 +435,12 @@ class TestOracle:
         assert row["input_q"] == _fmt(sol.input_q)
         assert row["above_threshold"] == "true"
         assert row["status"] == "ok"
+
+    def test_large_energy(self, runner):
+        result = runner.invoke(main, ["oracle", "--gq", "1", "--gp", "1", "--nbar", "5e7"])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.output)
+        assert rows[0]["capacity_bits"] == _fmt(mono_solve(MonoNoise(1.0, 1.0), 5e7).capacity_bits)
 
     def test_below_threshold_still_reports(self, runner):
         result = runner.invoke(

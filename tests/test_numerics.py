@@ -361,21 +361,20 @@ def _scalar_grid_maximize(objective, box, resolution, refinements):
 
 
 def _oracle_objective(var_q, var_p, n_bar):
-    """The single-mode oracle objective over (input_q, split), written for arrays."""
+    """The single-mode oracle objective over (s, split), s = ln(2 input_q), for arrays."""
     budget = 2.0 * n_bar + 1.0
-    spread = math.sqrt(budget * budget - 1.0)
 
-    def objective(in_q, split):
-        in_p = 0.25 / in_q
-        mod_total = np.maximum(budget - in_q - in_p, 0.0)
-        nu_out = np.sqrt((in_q + var_q) * (in_p + var_p))
-        nu_bar = np.sqrt(
-            (in_q + var_q + split * mod_total) * (in_p + var_p + (1.0 - split) * mod_total)
+    def objective(s, split):
+        in_q, in_p = 0.5 * np.exp(s), 0.5 * np.exp(-s)
+        mod_total = np.maximum(budget - np.cosh(s), 0.0)
+        nu_out = np.sqrt(in_q + var_q) * np.sqrt(in_p + var_p)
+        nu_bar = np.sqrt(in_q + var_q + split * mod_total) * np.sqrt(
+            in_p + var_p + (1.0 - split) * mod_total
         )
         return thermal_entropy(nu_bar - 0.5) - thermal_entropy(nu_out - 0.5)
 
-    box = [(0.5 * (budget - spread), 0.5 * (budget + spread)), (0.0, 1.0)]
-    return objective, box
+    half_width = math.acosh(budget)
+    return objective, [(-half_width, half_width), (0.0, 1.0)]
 
 
 class TestGridMaximizeMatchesScalarSearch:

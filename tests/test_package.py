@@ -45,11 +45,15 @@ def _readme_cli_examples():
 
 
 @pytest.mark.parametrize("args", _readme_cli_examples(), ids=" ".join)
-def test_readme_cli_example_runs(args):
-    result = CliRunner().invoke(main, args)
+def test_readme_cli_example_runs(args, tmp_path):
+    out = tmp_path / "example.csv"
+    result = CliRunner().invoke(main, [*args, "--out", str(out)])
     assert result.exit_code == 0, result.output
+    assert result.stdout == ""
+    lines = out.read_text().splitlines()
+    assert lines
     if "--dump-matrix" in args:
         # Raw matrix rows, no CSV header.
         return
-    rows = [row for row in result.output.splitlines() if not row.startswith("#")]
+    rows = [row for row in lines if not row.startswith("#")]
     assert re.fullmatch(r"\w+(,\w+)+", rows[0]), rows[0]

@@ -293,6 +293,18 @@ class TestMultimodeSolve:
         assert np.argmin(mods) == 0
         assert mods[0] == pytest.approx(7.5 - 7.0, abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.1, 0.4, 0.7, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("variance", [0.01, 1.0, 100.0])
+    def test_input_matches_anisotropy_closed_form(self, phi, variance):
+        # The input spectrum follows from the two noise spectra; the
+        # variance cancels in their ratio.
+        noise = MarkovNoise(variance, phi)
+        sol = multimode_solve(noise, multimode_threshold(noise) + 1.0)
+        xs = np.linspace(0.0, math.pi, 100001)
+        cos_x = np.cos(xs)
+        expected = 0.5 * np.sqrt((1 + phi**2 + 2 * phi * cos_x) / (1 + phi**2 - 2 * phi * cos_x))
+        assert np.max(np.abs(sol.input_q(xs) / expected - 1.0)) <= 4.5e-16
+
     def test_purity_everywhere(self):
         sol = multimode_solve(MarkovNoise(1.0, 0.6), 6.0)
         for x in GRID[::50]:
@@ -530,6 +542,26 @@ class TestFiniteNRate:
         value = finite_n_rate(MarkovNoise(variance, phi), n_bar, n)
         assert value == pytest.approx(expected, abs=1e-13)
 
+    def test_huge_variance(self):
+        # The paired eigenvalues near N = 1e200 overflow as a product.
+        # Reference: the unit-variance spectrum from eigvalsh, scaled by N
+        # and paired in mpmath, with g(x) = log2 x + (x + 1) log2(1 + 1/x).
+        mpmath = pytest.importorskip("mpmath")
+        variance, phi, n_bar, n = 1e200, 0.5, 1.0, 3
+        dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        unit = np.linalg.eigvalsh(phi**dist)
+        with mpmath.workdps(40):
+            def g(x):
+                return mpmath.log(x, 2) + (x + 1) * mpmath.log1p(1 / x) / mpmath.log(2)
+
+            big = mpmath.mpf(variance)
+            pairs = [big * mpmath.sqrt(mpmath.mpf(a) * mpmath.mpf(b))
+                     for a, b in zip(unit.tolist(), unit[::-1].tolist())]
+            expected = float(g(big + n_bar) - sum(g(p) for p in pairs) / n)
+        assert expected == pytest.approx(0.276691666186, rel=1e-11)
+        value = finite_n_rate(MarkovNoise(variance, phi), n_bar, n)
+        assert value == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize(
         "phi, variance, expected_a",
         [(0.4, 1.0, -0.1571969), (0.7, 1.0, -0.4713449), (0.95, 1.0, -0.8727808),
@@ -724,6 +756,27 @@ class TestBruteForceOracle:
         found = brute_force_mono_oracle(MonoNoise(1.0, 1.0), 0.0)
         assert found.input_q == pytest.approx(0.5, abs=1e-12)
         assert found.capacity_bits == 0.0
+
+    @pytest.mark.parametrize("noise", [MonoNoise(1.0, 1.0), MonoNoise(2.0, 0.5), MonoNoise(10.0, 0.1)])
+    @pytest.mark.parametrize(
+        "n_bar, tol", [(1e3, 1e-5), (1e5, 1e-5), (1e7, 1e-5), (5e7, 1e-5), (1e12, 2e-5)]
+    )
+    def test_matches_closed_form_at_large_energy(self, noise, n_bar, tol):
+        # The squeezing axis spans |s| <= acosh(2 n_bar + 1), so the final
+        # grid step in s grows like ln(n_bar): 0.023 at 1e12, where the
+        # shortfall reaches 1.6e-5 bits.
+        found = brute_force_mono_oracle(noise, n_bar)
+        closed = mono_solve(noise, n_bar)
+        assert abs(closed.capacity_bits - found.capacity_bits) <= tol
+
+    @pytest.mark.parametrize("n_bar", [1e150, 1e300])
+    def test_huge_energy_stays_finite(self, n_bar):
+        found = brute_force_mono_oracle(MonoNoise(2.0, 0.5), n_bar)
+        assert abs(mono_capacity(MonoNoise(2.0, 0.5), n_bar) - found.capacity_bits) <= 1e-2
+
+    def test_overflowing_budget_rejected(self):
+        with pytest.raises(ValueError, match="n_bar = 1e\\+308"):
+            brute_force_mono_oracle(MonoNoise(2.0, 0.5), 1e308)
 
     def test_deterministic(self):
         noise = MonoNoise(1.5, 0.8)
