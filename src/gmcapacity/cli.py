@@ -22,6 +22,7 @@ import math
 import click
 import numpy as np
 
+from .gaussian import VACUUM_VARIANCE
 from .numerics import IntegrationError, QuadratureConfig
 from .spectra import (
     MarkovNoise,
@@ -33,6 +34,7 @@ from .spectra import (
 from .solver import (
     BelowThresholdError,
     MonoNoise,
+    _check_energy,
     _reaches,
     asymptotic_capacity,
     brute_force_mono_oracle,
@@ -41,7 +43,6 @@ from .solver import (
     first_mode_variance,
     mono_solve,
     mono_threshold,
-    multimode_solve,
     multimode_threshold,
     squeezing_fraction,
 )
@@ -174,8 +175,7 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 def _command(body):
     """Register ``body``, which returns its output lines and exit code, as a command with ``--out``.
 
-    :class:`BelowThresholdError` passes through (the commands report it as
-    a row), any other ``ValueError`` is a usage error (exit 2), and an
+    A ``ValueError`` is a usage error (exit 2), and an
     :class:`IntegrationError` exits with ``EXIT_NUMERICAL`` and no output.
     """
 
@@ -183,8 +183,6 @@ def _command(body):
     def run(out_path, **kwargs):
         try:
             lines, code = body(**kwargs)
-        except BelowThresholdError:
-            raise
         except ValueError as err:
             raise click.UsageError(str(err))
         except IntegrationError as err:
@@ -200,6 +198,49 @@ def _command(body):
     return command
 
 
+# The MonoSolution fields of a single-mode row, which are also its column names.
+_MONO_FIELDS = ["input_q", "input_p", "modulation_q", "modulation_p", "water_level", "capacity_bits"]
+
+
+def _mono_csv(command, params, noise, nbar, extra, sol):
+    """Single-mode CSV: gq, gp, nbar, then ``params``; one row of ``sol`` (None: below threshold)."""
+    params = [("gq", _fmt(noise.var_q)), ("gp", _fmt(noise.var_p)), ("nbar", _fmt(nbar)), *params]
+    columns = ["gamma_q", "gamma_p", "nbar", "threshold", *extra, *_MONO_FIELDS, "status"]
+    row = [_fmt(noise.var_q), _fmt(noise.var_p), _fmt(nbar), _fmt(mono_threshold(noise))]
+    if sol is None:
+        row += [""] * len(_MONO_FIELDS) + ["below_threshold"]
+    else:
+        row += [_fmt(getattr(sol, name)) for name in [*extra, *_MONO_FIELDS]] + ["ok"]
+    return _csv(command, params, columns, [",".join(row)])
+
+
+_MULTIMODE_FIELDS = ["phi", "N", "nbar", "threshold", "eta", "mu_global", "capacity_bits", "status"]
+
+
+def _multimode_rows(noises, energies, cfg):
+    """One ``_MULTIMODE_FIELDS`` row per noise and energy, checked point by point in order.
+
+    The capacities of all points above threshold come from one batched
+    :func:`asymptotic_capacity` call.
+    """
+    rows, above = [], []
+    for noise, nbar in zip(noises, energies):
+        threshold = multimode_threshold(noise)
+        _check_energy(nbar)
+        row = [_fmt(noise.correlation), _fmt(noise.variance), _fmt(nbar), _fmt(threshold)]
+        if _reaches(nbar, threshold):
+            mu_global = _fmt(nbar + noise.variance + VACUUM_VARIANCE)
+            row += [_fmt(squeezing_fraction(noise, nbar)), mu_global, "", "ok"]
+            above.append(len(rows))
+        else:
+            row += ["", "", "", "below_threshold"]
+        rows.append(row)
+    capacities = asymptotic_capacity([noises[i] for i in above], [energies[i] for i in above], cfg)
+    for i, cap in zip(above, capacities.tolist()):
+        rows[i][6] = _fmt(cap)
+    return rows
+
+
 @_command
 @click.option("--gq", type=float, required=True, help="Noise variance in the q quadrature.")
 @click.option("--gp", type=float, required=True, help="Noise variance in the p quadrature.")
@@ -207,25 +248,11 @@ def _command(body):
 def mono(gq, gp, nbar):
     """Single-mode channel: optimal variances, water level and capacity."""
     noise = MonoNoise(gq, gp)
-    threshold = mono_threshold(noise)
-    params = [("gq", _fmt(gq)), ("gp", _fmt(gp)), ("nbar", _fmt(nbar))]
-    columns = [
-        "gamma_q", "gamma_p", "nbar", "threshold",
-        "input_q", "input_p", "modulation_q", "modulation_p",
-        "water_level", "capacity_bits", "status",
-    ]
-    echo = [_fmt(gq), _fmt(gp), _fmt(nbar), _fmt(threshold)]
     try:
-        sol = mono_solve(noise, nbar)
+        sol, code = mono_solve(noise, nbar), EXIT_OK
     except BelowThresholdError:
-        row, code = echo + [""] * 6 + ["below_threshold"], EXIT_BELOW_THRESHOLD
-    else:
-        row, code = echo + [
-            _fmt(sol.input_q), _fmt(sol.input_p),
-            _fmt(sol.modulation_q), _fmt(sol.modulation_p),
-            _fmt(sol.water_level), _fmt(sol.capacity_bits), "ok",
-        ], EXIT_OK
-    return _csv("mono", params, columns, [",".join(row)]), code
+        sol, code = None, EXIT_BELOW_THRESHOLD
+    return _mono_csv("mono", [], noise, nbar, [], sol), code
 
 
 @_command
@@ -242,31 +269,17 @@ def mono(gq, gp, nbar):
 def capacity(phi, variance, nbar, allow_below, first_mode, quad_tol):
     """Infinite-use capacity of the correlated-noise channel."""
     cfg = QuadratureConfig(abs_tol=quad_tol)
-    noise = MarkovNoise(variance, phi)
-    threshold = multimode_threshold(noise)
     params = [
         ("phi", _fmt(phi)), ("N", _fmt(variance)), ("nbar", _fmt(nbar)),
         ("allow_below", _fmt(allow_below)), ("first_mode", _fmt(first_mode)),
         ("quad_tol", _fmt(quad_tol)),
     ]
-    columns = ["phi", "N", "nbar", "threshold", "eta", "mu_global", "capacity_bits"]
-    fm_fields = []
+    [row] = _multimode_rows([MarkovNoise(variance, phi)], [nbar], cfg)
+    columns = list(_MULTIMODE_FIELDS)
     if first_mode:
-        columns += ["first_mode_variance", "first_mode_variance_alt"]
-        fm_fields = [_fmt(first_mode_variance(phi, alt_form=alt)) for alt in (False, True)]
-    columns.append("status")
-    echo = [_fmt(phi), _fmt(variance), _fmt(nbar), _fmt(threshold)]
-    try:
-        sol = multimode_solve(noise, nbar, cfg)
-    except BelowThresholdError:
-        row = echo + ["", "", ""] + fm_fields + ["below_threshold"]
-        code = EXIT_OK if allow_below else EXIT_BELOW_THRESHOLD
-    else:
-        row = echo + [
-            _fmt(sol.squeezing_fraction), _fmt(sol.water_level),
-            _fmt(sol.capacity_bits),
-        ] + fm_fields + ["ok"]
-        code = EXIT_OK
+        columns[-1:-1] = ["first_mode_variance", "first_mode_variance_alt"]
+        row[-1:-1] = [_fmt(first_mode_variance(phi, alt_form=alt)) for alt in (False, True)]
+    code = EXIT_OK if row[-1] == "ok" or allow_below else EXIT_BELOW_THRESHOLD
     return _csv("capacity", params, columns, [",".join(row)]), code
 
 
@@ -307,50 +320,41 @@ def fig3(phis, n_min, n_max, steps, quad_tol):
         ("n_min", _fmt(n_min)), ("n_max", _fmt(n_max)), ("steps", _fmt(steps)),
         ("quad_tol", _fmt(quad_tol)),
     ]
-    columns = [
-        "phi", "N", "nbar", "threshold", "eta", "mu_global",
-        "capacity_bits", "classical_limit_bits", "status",
-    ]
+    columns = [*_MULTIMODE_FIELDS[:-1], "classical_limit_bits", "status"]
     rows = []
     for phi in phis:
         snr = multimode_threshold(MarkovNoise(1.0, phi))
-        # Rows above threshold wait for one batched capacity call per phi.
-        pending, noises, energies = [], [], []
+        noises, energies, limits = [], [], []
         try:
             for variance in _geometric_floats(n_min, n_max, steps):
-                noise = MarkovNoise(variance, phi)
                 nbar = variance * snr
                 if math.isinf(nbar):
                     raise ValueError(f"nbar = N * snr overflows at N = {_fmt(variance)}, snr = {_fmt(snr)}")
-                threshold = multimode_threshold(noise)
-                ccl = _fmt(classical_limit_capacity(noise, snr))
-                echo = [_fmt(phi), _fmt(variance), _fmt(nbar), _fmt(threshold)]
-                if not _reaches(nbar, threshold):
-                    rows.append(echo + ["", "", "", ccl, "below_threshold"])
-                    continue
-                eta = squeezing_fraction(noise, nbar)
-                mu_global = nbar + variance + 0.5
-                row = echo + [_fmt(eta), _fmt(mu_global), "", ccl, "ok"]
-                rows.append(row)
-                pending.append(row)
+                noise = MarkovNoise(variance, phi)
+                limits.append(_fmt(classical_limit_capacity(noise, snr)))
                 noises.append(noise)
                 energies.append(nbar)
         except ValueError:
             # A point-by-point sweep would have integrated the earlier
             # points first, so their failure takes precedence.
-            asymptotic_capacity(noises, energies, cfg)
+            _multimode_rows(noises, energies, cfg)
             raise
-        for row, cap in zip(pending, asymptotic_capacity(noises, energies, cfg).tolist()):
-            row[6] = _fmt(cap)
+        for row, limit in zip(_multimode_rows(noises, energies, cfg), limits):
+            row[-1:-1] = [limit]
+            rows.append(row)
     return _csv("fig3", params, columns, map(",".join, rows)), EXIT_OK
 
 
-def _geometric_ints(n_max: int, points: int = 25) -> list[int]:
+# Geometric grid points of fig4's channel-use counts when no --n is given.
+_USE_POINTS = 25
+
+
+def _geometric_ints(n_max: int) -> list[int]:
     if n_max == 1:
         return [1]
     values = {1, n_max}
-    for i in range(points):
-        values.add(int(round(n_max ** (i / (points - 1)))))
+    for i in range(_USE_POINTS):
+        values.add(int(round(n_max ** (i / (_USE_POINTS - 1)))))
     return sorted(values)
 
 
@@ -382,15 +386,10 @@ def fig4(phis, variance, nbar, n_max, n_values, quad_tol):
     rows = []
     for phi in phis:
         noise = MarkovNoise(variance, phi)
-        try:
-            cap = _fmt(asymptotic_capacity(noise, nbar, cfg))
-            status = "ok"
-        except BelowThresholdError:
-            cap = ""
-            status = "below_threshold"
+        # One correlation at a time keeps a point-by-point error order.
+        [[*_, cap, status]] = _multimode_rows([noise], [nbar], cfg)
         for n in uses:
-            rate = finite_n_rate(noise, nbar, n)
-            rows.append([_fmt(phi), str(n), _fmt(rate), cap, status])
+            rows.append([_fmt(phi), str(n), _fmt(finite_n_rate(noise, nbar, n)), cap, status])
     return _csv("fig4", params, columns, map(",".join, rows)), EXIT_OK
 
 
@@ -455,23 +454,8 @@ def oracle(gq, gp, nbar, resolution, refinements):
     """
     noise = MonoNoise(gq, gp)
     sol = brute_force_mono_oracle(noise, nbar, resolution, refinements)
-    threshold = mono_threshold(noise)
-    params = [
-        ("gq", _fmt(gq)), ("gp", _fmt(gp)), ("nbar", _fmt(nbar)),
-        ("resolution", _fmt(resolution)), ("refinements", _fmt(refinements)),
-    ]
-    columns = [
-        "gamma_q", "gamma_p", "nbar", "threshold", "above_threshold",
-        "input_q", "input_p", "modulation_q", "modulation_p",
-        "water_level", "capacity_bits", "status",
-    ]
-    row = [
-        _fmt(gq), _fmt(gp), _fmt(nbar), _fmt(threshold), _fmt(sol.above_threshold),
-        _fmt(sol.input_q), _fmt(sol.input_p),
-        _fmt(sol.modulation_q), _fmt(sol.modulation_p),
-        _fmt(sol.water_level), _fmt(sol.capacity_bits), "ok",
-    ]
-    return _csv("oracle", params, columns, [",".join(row)]), EXIT_OK
+    params = [("resolution", _fmt(resolution)), ("refinements", _fmt(refinements))]
+    return _mono_csv("oracle", params, noise, nbar, ["above_threshold"], sol), EXIT_OK
 
 
 if __name__ == "__main__":

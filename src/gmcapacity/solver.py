@@ -174,11 +174,12 @@ def mono_threshold(noise: MonoNoise) -> float:
     """Minimum mean photon number for the full single-mode water-filling solution.
 
     (sqrt(max/min) + |var_q - var_p| - 1) / 2; zero for symmetric noise,
-    where a coherent input needs no squeezing energy.
+    where a coherent input needs no squeezing energy.  The ratio is taken
+    of the square roots, so that it overflows only where the threshold does.
     """
     hi = max(noise.var_q, noise.var_p)
     lo = min(noise.var_q, noise.var_p)
-    return 0.5 * (math.sqrt(hi / lo) + abs(noise.var_q - noise.var_p) - 1.0)
+    return 0.5 * (math.sqrt(hi) / math.sqrt(lo) + abs(noise.var_q - noise.var_p) - 1.0)
 
 
 def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
@@ -187,13 +188,15 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
     The pure input matches the noise anisotropy,
     input_q = sqrt(var_q / var_p) / 2, the water level
     mu = n_bar + (var_q + var_p)/2 + 1/2 reflects the total energy, and
-    the modulation fills each quadrature up to mu.  Raises
-    :class:`BelowThresholdError` when a modulation variance would turn
-    negative.
+    the modulation fills each quadrature up to mu.  Products and ratios
+    are taken of square roots, so none overflows before its result does.
+    Raises :class:`BelowThresholdError` when a modulation variance would
+    turn negative.
     """
     _above(noise, n_bar, mono_threshold)
-    input_q = 0.5 * math.sqrt(noise.var_q / noise.var_p)
-    input_p = 0.5 * math.sqrt(noise.var_p / noise.var_q)
+    root_q, root_p = math.sqrt(noise.var_q), math.sqrt(noise.var_p)
+    input_q = 0.5 * root_q / root_p
+    input_p = 0.5 * root_p / root_q
     photons = n_bar + 0.5 * (noise.var_q + noise.var_p)
     level = photons + VACUUM_VARIANCE
     modulation_q = max(level - input_q - noise.var_q, 0.0)
@@ -204,8 +207,7 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
         modulation_q=modulation_q,
         modulation_p=modulation_p,
         water_level=level,
-        capacity_bits=thermal_entropy(photons)
-        - thermal_entropy(math.sqrt(noise.var_q * noise.var_p)),
+        capacity_bits=max(thermal_entropy(photons) - thermal_entropy(root_q * root_p), 0.0),
         above_threshold=True,
     )
 
@@ -350,7 +352,8 @@ def asymptotic_capacity(
         variances = np.array([[point.variance] for point in noises[batch]])
         correlations = np.array([[point.correlation] for point in noises[batch]])
         means = _entropy_mean(_env_spectrum(variances, correlations), config)
-        capacities[batch] = thermal_entropy(energies[batch] + variances[:, 0]) - means
+        # Clamped at 0: the trapezoid weights do not sum to exactly pi.
+        capacities[batch] = np.maximum(thermal_entropy(energies[batch] + variances[:, 0]) - means, 0.0)
     return float(capacities[0]) if single else capacities
 
 
@@ -399,7 +402,8 @@ def finite_n_rate(noise: MarkovNoise, n_bar: float, n: int) -> float:
     _check_energy(n_bar)
     lam_q = finite_spectrum(markov_matrix(noise, n))
     mean_term = float(np.mean(thermal_entropy(np.sqrt(lam_q) * np.sqrt(lam_q[::-1]))))
-    return thermal_entropy(n_bar + noise.variance) - mean_term
+    # Clamped at 0: sqrt(l) * sqrt(l') is not exactly N at n = 1.
+    return max(thermal_entropy(n_bar + noise.variance) - mean_term, 0.0)
 
 
 def classical_limit_capacity(noise: MarkovNoise, snr: float) -> float:
@@ -450,7 +454,7 @@ def symmetric_noise_solution(
     return MultimodeSolution(
         squeezing_fraction=0.0,
         water_level=n_bar + noise.variance + VACUUM_VARIANCE,
-        capacity_bits=thermal_entropy(n_bar + noise.variance) - _entropy_mean(spectrum, config),
+        capacity_bits=max(thermal_entropy(n_bar + noise.variance) - _entropy_mean(spectrum, config), 0.0),
         threshold=threshold,
         noise_q=spectrum,
         noise_p=spectrum,

@@ -134,13 +134,18 @@ def asymptotic_markov_spectrum(noise: MarkovNoise, x):
     """Limiting eigenvalue of the AR(1) covariance at spectral parameter x in [0, pi].
 
     :func:`markov_symbol` evaluated at ``x``, a float or an array, after
-    checking that every entry lies in the spectral interval.
+    checking that every entry lies in the spectral interval.  Raises
+    ``ValueError`` if a value overflows the largest double.
     """
     xs = np.asarray(x, dtype=float)
     outside = ~((xs >= 0.0) & (xs <= math.pi))
     if outside.any():
         raise ValueError(f"spectral parameter must lie in [0, pi], got {xs[outside][0]}")
-    return markov_symbol(noise)(x)
+    with np.errstate(over="ignore", divide="ignore"):
+        values = markov_symbol(noise)(x)
+    if not np.isfinite(values).all():
+        raise ValueError("spectrum value overflows the largest double")
+    return values
 
 
 def markov_symbol(noise: MarkovNoise) -> SpectralFunction:
@@ -213,7 +218,8 @@ def finite_spectrum(m: np.ndarray) -> np.ndarray:
     ``ValueError`` unless ``m`` is square, finite and centrosymmetric
     within ``1e-12 * max(1, max|m|)`` and both blocks are symmetric
     within ``1e-12 * max(1, max|block|)``, which makes ``m`` symmetric.
-    Entries above half the largest double overflow the blocks and raise
+    Entries above half the largest double overflow the blocks, and
+    eigenvalues can overflow even when the entries do not; both raise
     ``ValueError`` as well.
     """
     m = _square(m)
@@ -228,4 +234,6 @@ def finite_spectrum(m: np.ndarray) -> np.ndarray:
         plus[:h, h:] *= math.sqrt(2.0)
         minus = m[:h, :h] - flipped
     values = np.concatenate([symmetric_eigen(plus), symmetric_eigen(minus)])
+    if not np.isfinite(values).all():
+        raise ValueError("eigenvalue overflows the largest double")
     return np.sort(values)[::-1].copy()

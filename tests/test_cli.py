@@ -593,3 +593,40 @@ class TestOutputPlumbing:
     def test_help(self, runner):
         assert runner.invoke(main, ["--help"]).exit_code == 0
         assert runner.invoke(main, ["capacity", "--help"]).exit_code == 0
+
+
+class TestExtremeInputs:
+    def test_zero_capacity_prints_zero(self, runner):
+        result = runner.invoke(main, ["capacity", "--phi", "0", "--N", "1000", "--nbar", "0"])
+        assert result.exit_code == 0, result.output
+        assert parse_csv(result.output)[1][0]["capacity_bits"] == "0"
+        result = runner.invoke(main, ["fig4", "--phi", "0", "--N", "1000", "--nbar", "0", "--n", "10"])
+        assert result.exit_code == 0, result.output
+        row = parse_csv(result.output)[1][0]
+        assert (row["rate_bits"], row["capacity_bits"]) == ("0", "0")
+
+    def test_mono_extreme_anisotropy_is_above_threshold(self, runner):
+        result = runner.invoke(main, ["mono", "--gq", "1e300", "--gp", "1e-300", "--nbar", "1e301"])
+        assert result.exit_code == 0, result.output
+        row = parse_csv(result.output)[1][0]
+        assert (row["threshold"], row["status"]) == ("1e+300", "ok")
+        result = runner.invoke(main, ["oracle", "--gq", "1e300", "--gp", "1e-300", "--nbar", "1e301"])
+        assert result.exit_code == 0, result.output
+        assert parse_csv(result.output)[1][0]["above_threshold"] == "true"
+
+    def test_mono_large_variances(self, runner):
+        result = runner.invoke(main, ["mono", "--gq", "1e200", "--gp", "1e200", "--nbar", "1"])
+        assert result.exit_code == 0, result.output
+        assert parse_csv(result.output)[1][0]["water_level"] == "1e+200"
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--kind", "toeplitz", "--phi", "0.5", "--N", "1e308", "--n", "3"],
+        ["spectrum", "--kind", "circulant", "--phi", "0.5", "--N", "1e308", "--n", "4"],
+        ["spectrum", "--kind", "asymptotic", "--phi", "0.999", "--N", "1e308", "--samples", "3"],
+        ["fig4", "--phi", "0.5", "--N", "1e308", "--n", "3"],
+    ], ids=lambda args: args[2] if args[0] == "spectrum" else args[0])
+    def test_overflowing_spectrum_is_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "overflows the largest double" in result.stderr
+        assert result.stdout == ""

@@ -1,5 +1,12 @@
-"""Tests for the top-level package: its exports and the README examples."""
+"""Tests for the top-level package: its exports and the README examples.
 
+Every ``gmcap`` line of the README's CLI block must reproduce, byte for
+byte, the stdout and exit code recorded under ``tests/readme_cli/``.
+After an intended change to those outputs, rewrite the records with
+``PYTHONPATH=src python tests/test_package.py`` and say which digits moved.
+"""
+
+import json
 import re
 import shlex
 from pathlib import Path
@@ -11,6 +18,7 @@ import gmcapacity
 from gmcapacity.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "readme_cli"
 
 
 def test_exports_resolve():
@@ -44,6 +52,13 @@ def _readme_cli_examples():
     return [shlex.split(line, comments=True)[1:] for line in lines]
 
 
+def _golden(args):
+    """The recorded ``(exit code, stdout path)`` of one README example."""
+    index = json.loads((GOLDEN / "index.json").read_text())
+    entry = index[" ".join(args)]
+    return entry["exit_code"], GOLDEN / entry["stdout"]
+
+
 @pytest.mark.parametrize("args", _readme_cli_examples(), ids=" ".join)
 def test_readme_cli_example_runs(args, tmp_path):
     out = tmp_path / "example.csv"
@@ -52,8 +67,27 @@ def test_readme_cli_example_runs(args, tmp_path):
     assert result.stdout == ""
     lines = out.read_text().splitlines()
     assert lines
+    code, stdout = _golden(args)
+    assert result.exit_code == code
+    assert out.read_bytes() == stdout.read_bytes()
     if "--dump-matrix" in args:
         # Raw matrix rows, no CSV header.
         return
     rows = [row for row in lines if not row.startswith("#")]
     assert re.fullmatch(r"\w+(,\w+)+", rows[0]), rows[0]
+
+
+def _record_golden():
+    """Rewrite the recorded stdout and exit code of every README example."""
+    index = {}
+    for number, args in enumerate(_readme_cli_examples(), start=1):
+        result = CliRunner().invoke(main, args)
+        name = f"{number:02d}_{args[0]}.csv"
+        (GOLDEN / name).write_bytes(result.stdout_bytes)
+        index[" ".join(args)] = {"exit_code": result.exit_code, "stdout": name}
+    (GOLDEN / "index.json").write_text(json.dumps(index, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    # Run as a script to rewrite the golden files after an intended change.
+    _record_golden()

@@ -816,3 +816,51 @@ class TestBruteForceOracle:
             assert found.above_threshold is solvable, n_bar
             outcomes.append(solvable)
         assert outcomes == [True, True, True, True, False]
+
+
+# At phi = 0 and n_bar = 0 the output is the noise itself, so every route
+# gives capacity 0; round-off in the subtracted entropy (trapezoid weights
+# that do not sum to exactly pi, sqrt(l) * sqrt(l') != N) used to land up
+# to 7e-15 bits below it.
+ZERO_CAPACITY_ROUTES = {
+    "asymptotic": lambda v: asymptotic_capacity(MarkovNoise(v, 0.0), 0.0),
+    "symmetric": lambda v: symmetric_noise_solution(MarkovNoise(v, 0.0), 0.0).capacity_bits,
+    "finite_n1": lambda v: finite_n_rate(MarkovNoise(v, 0.0), 0.0, 1),
+    "finite_n7": lambda v: finite_n_rate(MarkovNoise(v, 0.0), 0.0, 7),
+    "mono": lambda v: mono_solve(MonoNoise(v, v), 0.0).capacity_bits,
+}
+
+
+@pytest.mark.parametrize("route", sorted(ZERO_CAPACITY_ROUTES))
+def test_zero_energy_white_noise_capacity_is_not_negative(route):
+    values = [ZERO_CAPACITY_ROUTES[route](v) for v in np.logspace(-6, 6, 49).tolist()]
+    assert min(values) >= 0.0
+    assert max(values) <= 1e-13
+
+
+class TestMonoExtremeVariances:
+    # Ratios and products of the variances overflowed although the
+    # threshold, the variances and the capacity are all representable.
+    # For large x, g(x) = log2(e x) + O(1/x).
+
+    def test_threshold_of_extreme_anisotropy(self):
+        assert mono_threshold(MonoNoise(1e300, 1e-300)) == pytest.approx(
+            0.5 * (1e300 + 1e300 - 1), rel=1e-15
+        )
+
+    def test_solve_above_extreme_threshold(self):
+        sol = mono_solve(MonoNoise(1e300, 1e-300), 1e301)
+        assert sol.input_q == pytest.approx(5e299, rel=1e-15)
+        assert sol.input_p == pytest.approx(5e-301, rel=1e-15)
+        assert sol.water_level == pytest.approx(1.05e301, rel=1e-15)
+        # The geometric mean of the noise is 1, and g(1) = 2.
+        assert sol.capacity_bits == pytest.approx(math.log2(math.e * 1.05e301) - 2.0, rel=1e-14)
+
+    def test_product_of_large_variances(self):
+        sol = mono_solve(MonoNoise(1e200, 4e200), 1e201)
+        assert sol.input_q == pytest.approx(0.25, rel=1e-15)
+        # g(1e201 + 2.5e200) - g(2e200).
+        assert sol.capacity_bits == pytest.approx(math.log2(6.25), rel=1e-12)
+
+    def test_oracle_reports_above_threshold(self):
+        assert brute_force_mono_oracle(MonoNoise(1e300, 1e-300), 1e301).above_threshold

@@ -427,3 +427,25 @@ class TestFiniteSpectrum:
         m = markov_matrix(MarkovNoise(1.7e308, 0.9), 5)
         with pytest.raises(ValueError, match="non-finite"):
             finite_spectrum(m)
+
+
+class TestOverflowingSpectrum:
+    # Entries that fit in a double can still give eigenvalues or symbol
+    # values that do not; those raise instead of returning inf.
+
+    def test_toeplitz_eigenvalue(self):
+        with pytest.raises(ValueError, match="eigenvalue overflows"):
+            finite_spectrum(markov_matrix(MarkovNoise(1e308, 0.5), 3))
+
+    def test_circulant_eigenvalue(self):
+        with pytest.raises(ValueError, match="eigenvalue overflows"):
+            finite_spectrum(circulant_embedding(MarkovNoise(1e308, 0.5), 4))
+
+    @pytest.mark.parametrize("x", [0.0, np.array([0.0, math.pi / 2, math.pi])])
+    def test_asymptotic_value(self, x):
+        with pytest.raises(ValueError, match="spectrum value overflows"):
+            asymptotic_markov_spectrum(MarkovNoise(1e308, 0.999), x)
+
+    def test_finite_values_still_returned(self):
+        assert np.isfinite(finite_spectrum(markov_matrix(MarkovNoise(1e307, 0.5), 3))).all()
+        assert np.isfinite(asymptotic_markov_spectrum(MarkovNoise(1e300, 0.999), 0.0))
