@@ -1,9 +1,9 @@
 """Deterministic numerical kernels used by the capacity solvers.
 
-Four self-contained pieces: a trapezoid rule on numpy arrays for smooth
-integrands on a finite interval, the complete elliptic integral K(m) by
-the arithmetic-geometric mean, a dense symmetric eigenvalue front end,
-and a coarse-to-fine grid maximizer.  All of them are pure
+Four self-contained pieces: a fixed-node trapezoid rule on numpy arrays
+for even, periodic spectral integrands, the complete elliptic integral
+K(m) by the arithmetic-geometric mean, a dense symmetric eigenvalue
+front end, and a coarse-to-fine grid maximizer.  All of them are pure
 functions with fixed evaluation order, so repeated calls with identical
 inputs give bit-identical results.
 """
@@ -30,10 +30,10 @@ __all__ = [
 class QuadratureConfig:
     """Tolerance for :func:`integrate`.
 
-    ``abs_tol`` is the absolute error target for the whole interval.  The
-    error bound is floored at the round-off level ``50 * eps * integral
-    of |f|``, so an ``abs_tol`` below that floor is unattainable and
-    :func:`integrate` raises :class:`IntegrationError` for it.
+    ``abs_tol`` is the absolute error target for the integral over
+    ``[0, pi]``.  The error bound is floored at the round-off level
+    ``50 * eps * integral of |f|``, so an ``abs_tol`` below that floor is
+    unattainable and :func:`integrate` raises :class:`IntegrationError`.
     """
 
     abs_tol: float = 1e-10
@@ -56,14 +56,13 @@ class IntegrationError(RuntimeError):
         self.error_bound = error_bound
 
 
-# Panels of the first trapezoid level and the cap on panel doubling.
-_FIRST_PANELS = 16
-_MAX_PANELS = 2**20
-
 # The error bound is at least this times the integral of |f|: the QUADPACK
 # round-off floor of 50 * eps (Piessens et al. 1983).
 _EPS = float(np.finfo(float).eps)
 _ROUNDOFF_FACTOR = 50.0 * _EPS
+
+# Node cap of :func:`integrate`, reached near r = 1 - 7.5e-9; it bounds the memory.
+_MAX_NODES = 2**20
 
 # Accepted asymmetry in :func:`symmetric_eigen`, relative to the largest
 # entry (floored at 1).
@@ -72,118 +71,69 @@ _SYMMETRY_TOL = 1e-12
 
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    r: float,
     config: QuadratureConfig | None = None,
 ) -> float | np.ndarray:
-    """Integrate ``f`` over ``[a, b]`` by the trapezoid rule after a sin^2 substitution.
+    """Integrate an even, 2 pi-periodic ``f`` over ``[0, pi]`` on nodes fixed by ``r``.
 
-    ``f`` takes a numpy array of nodes and returns the integrand values
-    there: an array of the nodes' shape, or one row per integrand, of
-    shape ``(k, len(x))``.  The substitution
-    ``x = a + (b - a) (t - sin(2 pi t) / (2 pi))`` (Sidi's sin^2
-    transformation) makes the integrand in ``t`` vanish with its first
-    derivatives at both ends, so the trapezoid rule on ``[0, 1]``
-    converges fast for smooth ``f`` and geometrically for analytic,
-    periodic ones (Trefethen & Weideman 2014).  The panels double from 16,
-    reusing every earlier node, and each level's error bound is
-    ``max(change from the previous level, 50 * eps * integral of |f|)``.
-
-    A 1-D integrand gives a float and ``k`` rows give an array of ``k``
-    integrals.  Each row keeps its own sums and stops at the first level
-    where its own bound is at most ``abs_tol``, so its value is bitwise
-    the one a call with that row alone returns; ``f`` is still evaluated
-    on every row until the last one stops.
-
-    A row raises :class:`IntegrationError`, carrying its estimate and
-    bound, when its change is already at the round-off floor but its
-    bound is above ``abs_tol``, or when 2**20 panels are not enough; an
-    ``abs_tol`` below the floor therefore always raises.  A non-finite
-    integrand value raises after the second level, with an infinite
-    bound.  Of several failing rows the lowest-index one raises, as a
-    loop over the rows would.  A non-finite bound of integration raises
-    ``ValueError`` before ``f`` is called.
+    Made for ``g(K / |1 - r e^{iu}|^p)``, singular at ``e^{iu} = r`` and
+    ``1/r``, ``0 <= r < 1``.  The Möbius map ``tan(u/2) = k tan(v/2)``,
+    ``k = (1 - s) / (1 + s)`` with ``s = r / (1 + sqrt(1 - r^2))``, moves
+    both to ``|Im v| = ln(1/s)``, where the periodic trapezoid rule on
+    ``M`` nodes converges like ``exp(-M ln(1/s))`` (Trefethen & Weideman
+    2014; Hale & Trefethen 2008); it narrows the strip near ``u = pi``, so
+    a singularity there needs the doubled angle.  ``M`` is the least
+    multiple of 4, at least 8, with ``M ln(1/s) >= 128``; an ``r`` outside
+    ``[0, 1)`` or needing more than 2**20 nodes raises ``ValueError``.
+    ``f`` is called once, on the ``M/2 + 1`` nodes in ``[0, pi]``, and
+    returns an array of their shape (a float result) or ``k`` rows (``k``
+    integrals, each bitwise as if alone).  The error bound
+    ``max(|T_M - T_{M/2}|, 50 eps * integral of |f|)``, with the half rule
+    on the even-indexed nodes, is an estimate, not a proven bound.  The
+    lowest-index row whose bound exceeds ``abs_tol``, or whose values are
+    not finite, raises :class:`IntegrationError` with its estimate and bound.
     """
     cfg = config or QuadratureConfig()
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integration bounds must be finite, got [{a:g}, {b:g}]")
-
-    width = b - a
-
-    def transformed(t: np.ndarray) -> np.ndarray:
-        angle = 2.0 * np.pi * t
-        x = a + width * (t - np.sin(angle) / (2.0 * np.pi))
-        values = width * (1.0 - np.cos(angle)) * f(x)
-        if values.ndim > 2 or values.shape[-1] != t.size:
-            raise ValueError(f"integrand returned shape {values.shape} for {t.size} nodes")
-        return values
-
-    if a == b:
-        # A call on no nodes tells a 1-D integrand from k rows.
-        values = transformed(np.empty(0))
-        return 0.0 if values.ndim == 1 else np.zeros(len(values))
-    if b < a:
-        return -integrate(f, b, a, cfg)
-
-    # The transformed integrand vanishes at t = 0 and t = 1, so only
-    # interior nodes enter the sums.
-    panels = _FIRST_PANELS
-    values = transformed(np.arange(1, panels) / panels)
-    single = values.ndim == 1
-    values = np.atleast_2d(values)
-    total = np.sum(values, axis=1)
-    total_abs = np.sum(np.abs(values), axis=1)
-    estimate = total / panels
-    result = np.empty_like(estimate)
-    live = np.ones(len(result), dtype=bool)
-    failure = None
-    while live.any():
-        panels *= 2
-        values = np.atleast_2d(transformed(np.arange(1, panels, 2) / panels))
-        # Frozen and failed rows may overflow or turn NaN; the finiteness
-        # test below catches every live row that does.
-        with np.errstate(invalid="ignore", over="ignore"):
-            total += np.sum(values, axis=1)
-            total_abs += np.sum(np.abs(values), axis=1)
-            previous, estimate = estimate, total / panels
-            change = np.abs(estimate - previous)
-            floor = _ROUNDOFF_FACTOR * total_abs / panels
-            bound = np.maximum(change, floor)
-        # A NaN or infinite value stays in every later sum, so more
-        # panels cannot help such a row.
-        finite = np.isfinite(total_abs)
-        done = live & finite & (bound <= cfg.abs_tol)
-        result[done] = estimate[done]
-        live &= ~done
-        stuck = live & (~finite | (change <= floor) | (panels >= _MAX_PANELS))
-        if stuck.any():
-            # Rows after the first stuck one cannot change the outcome.
-            row = int(np.argmax(stuck))
-            live[row:] = False
-            value = float(estimate[row])
-            if not finite[row]:
-                error_bound = math.inf
-                message = (
-                    f"quadrature failed: the integrand is not finite on [{a:g}, {b:g}] "
-                    f"(estimate {value:.12g})"
-                )
-            else:
-                error_bound = float(bound[row])
-                reason = (
-                    "the round-off floor is above it"
-                    if change[row] <= floor[row]
-                    else f"{_MAX_PANELS} panels were not enough"
-                )
-                message = (
-                    f"quadrature missed abs_tol={cfg.abs_tol:g}: {reason} "
-                    f"(estimate {value:.12g}, bound {error_bound:.3g})"
-                )
-            failure = IntegrationError(message, estimate=value, error_bound=error_bound)
-    if failure is not None:
-        raise failure
-    return float(result[0]) if single else result
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"pole radius must lie in [0, 1), got {r}")
+    # The hyperbolic midpoint of 0 and r, in a form that is exact at r = 0.
+    s = r / (1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
+    nodes = 8 if s == 0.0 else max(8, 4 * math.ceil(32.0 / -math.log(s)))
+    if nodes > _MAX_NODES:
+        raise ValueError(f"pole radius {r} needs {nodes} nodes, more than {_MAX_NODES}")
+    k = (1.0 - s) / (1.0 + s)
+    # Half angles v/2 in [0, pi/2]; cos(v/2) is the sine of the complement,
+    # accurate near v = pi, where the weights du/dv peak with width ~k.
+    half_angles = np.arange(nodes // 2 + 1) * (0.5 * math.pi / (nodes // 2))
+    sin_half, cos_half = np.sin(half_angles), np.sin(half_angles[::-1])
+    u = 2.0 * np.arctan2(k * sin_half, cos_half)
+    weights = (2.0 * math.pi / nodes) * k / (cos_half * cos_half + (k * sin_half) ** 2)
+    # The whole period takes each interior node twice, as v and -v.
+    weights[[0, -1]] *= 0.5
+    values = f(u)
+    if values.ndim not in (1, 2) or values.shape[-1] != u.size:
+        raise ValueError(f"integrand returned shape {values.shape} for {u.size} nodes")
+    # A non-finite or overflowing row is caught by its magnitude.
+    with np.errstate(invalid="ignore", over="ignore"):
+        weighted = np.atleast_2d(values) * weights
+        estimate = np.sum(weighted, axis=1)
+        magnitude = np.sum(np.abs(weighted), axis=1)
+        change = np.abs(estimate - 2.0 * np.sum(weighted[:, ::2], axis=1))
+    floor = _ROUNDOFF_FACTOR * magnitude
+    bound = np.where(np.isfinite(magnitude), np.maximum(change, floor), np.inf)
+    failed = bound > cfg.abs_tol
+    if failed.any():
+        row = int(np.argmax(failed))
+        if math.isinf(bound[row]):
+            reason = "the integrand is not finite"
+        elif floor[row] > cfg.abs_tol:
+            reason = "the round-off floor is above it"
+        else:
+            reason = f"{nodes} nodes were not enough"
+        value, error_bound = float(estimate[row]), float(bound[row])
+        message = f"{reason} (estimate {value:.12g}, bound {error_bound:.3g})"
+        raise IntegrationError(f"quadrature missed abs_tol={cfg.abs_tol:g}: {message}", value, error_bound)
+    return float(estimate[0]) if values.ndim == 1 else estimate
 
 
 def ellipk(m: float) -> float:

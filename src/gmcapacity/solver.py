@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -174,12 +175,12 @@ def mono_threshold(noise: MonoNoise) -> float:
     """Minimum mean photon number for the full single-mode water-filling solution.
 
     (sqrt(max/min) + |var_q - var_p| - 1) / 2; zero for symmetric noise,
-    where a coherent input needs no squeezing energy.  The ratio is taken
-    of the square roots, so that it overflows only where the threshold does.
+    where a coherent input needs no squeezing energy.  Halved terms and a
+    ratio of square roots overflow only where the threshold does.
     """
     hi = max(noise.var_q, noise.var_p)
     lo = min(noise.var_q, noise.var_p)
-    return 0.5 * (math.sqrt(hi) / math.sqrt(lo) + abs(noise.var_q - noise.var_p) - 1.0)
+    return 0.5 * (math.sqrt(hi) / math.sqrt(lo)) + 0.5 * abs(noise.var_q - noise.var_p) - 0.5
 
 
 def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
@@ -189,7 +190,7 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
     input_q = sqrt(var_q / var_p) / 2, the water level
     mu = n_bar + (var_q + var_p)/2 + 1/2 reflects the total energy, and
     the modulation fills each quadrature up to mu.  Products and ratios
-    are taken of square roots, so none overflows before its result does.
+    are of square roots and sums of halves, so none overflows early.
     Raises :class:`BelowThresholdError` when a modulation variance would
     turn negative.
     """
@@ -197,7 +198,7 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
     root_q, root_p = math.sqrt(noise.var_q), math.sqrt(noise.var_p)
     input_q = 0.5 * root_q / root_p
     input_p = 0.5 * root_p / root_q
-    photons = n_bar + 0.5 * (noise.var_q + noise.var_p)
+    photons = n_bar + (0.5 * noise.var_q + 0.5 * noise.var_p)
     level = photons + VACUUM_VARIANCE
     modulation_q = max(level - input_q - noise.var_q, 0.0)
     modulation_p = max(level - input_p - noise.var_p, 0.0)
@@ -295,12 +296,14 @@ def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
     return _squeezing_fraction(noise.correlation, n_bar)
 
 
-def _entropy_mean(
-    spectrum: Callable[[np.ndarray], np.ndarray], config: QuadratureConfig | None
-) -> float | np.ndarray:
-    # Spectral mean of g over a noise spectrum on [0, pi]; one mean per row
-    # when the spectrum gives rows.
-    return integrate(lambda x: thermal_entropy(spectrum(x)), 0.0, math.pi, config) / math.pi
+def _entropy_mean(spectrum: Callable[[np.ndarray], np.ndarray], r: float,
+                  config: QuadratureConfig | None, x_per_u: float = 1.0) -> float | np.ndarray:
+    """Mean of g(spectrum(x_per_u * u)) over u in [0, pi]; one mean per row if the spectrum gives rows.
+
+    The spectrum must be K / |1 - r e^{iu}|^p in u, as :func:`integrate` needs: r = c at
+    x = u for the AR(1) symbol, and r = c^2 at x = u / 2 for the symplectic spectrum.
+    """
+    return integrate(lambda u: thermal_entropy(spectrum(x_per_u * u)), r, config) / math.pi
 
 
 def mean_environment_entropy(
@@ -313,7 +316,7 @@ def mean_environment_entropy(
     approaches 1.
     """
     _require_solver_noise(noise)
-    return _entropy_mean(env_symplectic_spectrum(noise), config)
+    return _entropy_mean(env_symplectic_spectrum(noise), noise.correlation**2, config, 0.5)
 
 
 # asymptotic_capacity integrates at most this many points in one call, so
@@ -334,7 +337,8 @@ def asymptotic_capacity(
     Also takes equal-length sequences of :class:`MarkovNoise` and
     energies, and then returns an array of the capacities, bitwise equal
     to one-point calls.  Every point is validated before any integral;
-    up to ``_BATCH_ROWS`` points share one :func:`integrate` call.
+    consecutive points of one correlation share one :func:`integrate`
+    call, within blocks of ``_BATCH_ROWS`` points, taken in order.
     """
     single = isinstance(noise, MarkovNoise)
     noises = [noise] if single else list(noise)
@@ -346,12 +350,13 @@ def asymptotic_capacity(
     for point, energy in zip(noises, energies.tolist()):
         _above(point, energy, multimode_threshold)
     capacities = np.empty(len(noises))
-    for start in range(0, len(noises), _BATCH_ROWS):
-        batch = slice(start, start + _BATCH_ROWS)
-        # (k, 1) columns, so that the spectrum gives one row per point.
+    stop = 0
+    for (correlation, _), run in groupby((p.correlation, i // _BATCH_ROWS) for i, p in enumerate(noises)):
+        start, stop = stop, stop + len(list(run))
+        batch = slice(start, stop)
+        # A (k, 1) column, so that the spectrum gives one row per point.
         variances = np.array([[point.variance] for point in noises[batch]])
-        correlations = np.array([[point.correlation] for point in noises[batch]])
-        means = _entropy_mean(_env_spectrum(variances, correlations), config)
+        means = _entropy_mean(_env_spectrum(variances, correlation), correlation**2, config, 0.5)
         # Clamped at 0: the trapezoid weights do not sum to exactly pi.
         capacities[batch] = np.maximum(thermal_entropy(energies[batch] + variances[:, 0]) - means, 0.0)
     return float(capacities[0]) if single else capacities
@@ -394,7 +399,10 @@ def finite_n_rate(noise: MarkovNoise, n_bar: float, n: int) -> float:
     half-size eigenvalue solves.  The descending q
     eigenvalues pair with ascending p eigenvalues, mirroring the
     x <-> pi - x relation of the limiting spectra.  Converges to
-    :func:`asymptotic_capacity` as n grows.
+    :func:`asymptotic_capacity` as n grows.  This is the paper's paired
+    formula, exact only for n <= 2, where the blocks commute; for n >= 3
+    it exceeds the rate of Williamson's symplectic eigenvalues
+    |eig(T D)| by O(1/n).
     """
     _require_solver_noise(noise)
     if n < 1:
@@ -451,10 +459,11 @@ def symmetric_noise_solution(
     """
     threshold = _above(noise, n_bar, symmetric_threshold)
     spectrum = markov_symbol(noise)
+    mean = _entropy_mean(spectrum, noise.correlation, config)
     return MultimodeSolution(
         squeezing_fraction=0.0,
         water_level=n_bar + noise.variance + VACUUM_VARIANCE,
-        capacity_bits=max(thermal_entropy(n_bar + noise.variance) - _entropy_mean(spectrum, config), 0.0),
+        capacity_bits=max(thermal_entropy(n_bar + noise.variance) - mean, 0.0),
         threshold=threshold,
         noise_q=spectrum,
         noise_p=spectrum,
@@ -466,13 +475,14 @@ def first_mode_variance(correlation: float, alt_form: bool = False) -> float:
 
     (1/2 pi) integral of sqrt((1 + c + 2 c cos x) / (1 + c - 2 c cos x))
     over [0, pi], in closed form K(k^2) / pi with k = 2c / (1 + c) and K
-    the complete elliptic integral; equal in q and p by construction,
-    1/2 (coherent) for white noise and strictly larger otherwise, which
-    exposes the entanglement of the first mode with the rest.
-    ``alt_form=True`` replaces 1 + c by 1 + c^2 in both places, which
-    makes the integrand the mean input spectrum, (1 + c^2) K(c^4) / pi;
-    the two variants are reported side by side by the CLI since they
-    differ materially at strong correlation.
+    the complete elliptic integral; 1/2 (coherent) for white noise and
+    strictly larger otherwise, which exposes the entanglement of the first
+    mode with the rest.  No independent route found so far (the dense
+    optimal input, back-rotated) reproduces this value.  ``alt_form=True``
+    replaces 1 + c by 1 + c^2 in both places: the mean input spectrum
+    (1 + c^2) K(c^4) / pi, the limit of the interior modes, which are equal
+    in q and p (the boundary mode is not).  The CLI reports both variants,
+    since they differ materially at strong correlation.
     """
     if not 0.0 <= correlation < 1.0:
         raise ValueError(f"correlation must lie in [0, 1), got {correlation}")

@@ -614,6 +614,15 @@ class TestExtremeInputs:
         assert result.exit_code == 0, result.output
         assert parse_csv(result.output)[1][0]["above_threshold"] == "true"
 
+    def test_mono_at_the_largest_doubles(self, runner):
+        result = runner.invoke(main, ["mono", "--gq", "1e308", "--gp", "1e-308", "--nbar", "1e308"])
+        assert result.exit_code == 0, result.output
+        row = parse_csv(result.output)[1][0]
+        assert (row["threshold"], row["status"]) == ("1e+308", "ok")
+        result = runner.invoke(main, ["mono", "--gq", "1e308", "--gp", "1e308", "--nbar", "1"])
+        assert result.exit_code == 0, result.output
+        assert parse_csv(result.output)[1][0]["water_level"] == "1e+308"
+
     def test_mono_large_variances(self, runner):
         result = runner.invoke(main, ["mono", "--gq", "1e200", "--gp", "1e200", "--nbar", "1"])
         assert result.exit_code == 0, result.output

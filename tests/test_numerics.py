@@ -19,109 +19,157 @@ from gmcapacity.solver import env_symplectic_spectrum
 from gmcapacity.spectra import MarkovNoise
 
 
+def _distance_squared(r):
+    """|1 - r e^{iu}|^2 as (1 - r)^2 + 4 r sin^2(u/2), free of cancellation near u = 0."""
+    return lambda u: (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * u) ** 2
+
+
+def _counted(f, calls):
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+
+    return counted
+
+
+def _node_count(r):
+    # The least multiple of 4, at least 8, with M ln(1/s) >= 128.
+    s = r / (1.0 + math.sqrt(1.0 - r * r))
+    m = 8
+    while s > 0.0 and m * math.log(1.0 / s) < 128.0:
+        m += 4
+    return m
+
+
 class TestIntegrate:
     def test_constant(self):
-        assert integrate(np.ones_like, 0.0, math.pi) == pytest.approx(math.pi, abs=1e-12)
+        for r in (0.0, 0.5, 0.99):
+            assert integrate(np.ones_like, r) == pytest.approx(math.pi, abs=1e-12)
 
     def test_cosine(self):
-        assert integrate(np.cos, 0.0, math.pi) == pytest.approx(0.0, abs=1e-12)
+        assert integrate(np.cos, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_markov_symbol_normalization(self):
         # Mean of the AR(1) spectrum over [0, pi] is the plain variance,
         # so the unit-variance symbol integrates to pi.
         phi = 0.5
         f = lambda x: (1 - phi**2) / (1 + phi**2 - 2 * phi * np.cos(x))
-        assert integrate(f, 0.0, math.pi) == pytest.approx(math.pi, abs=1e-10)
+        assert integrate(f, phi) == pytest.approx(math.pi, abs=1e-10)
 
     def test_linearity(self):
         cfg = QuadratureConfig()
-        f = lambda x: np.exp(-x) * np.sin(3 * x)
-        g = lambda x: 1.0 / (1.0 + x * x)
-        combo = integrate(lambda x: 2.5 * f(x) - 1.25 * g(x), 0.0, 2.0, cfg)
-        parts = 2.5 * integrate(f, 0.0, 2.0, cfg) - 1.25 * integrate(g, 0.0, 2.0, cfg)
+        f = lambda u: np.exp(np.cos(u)) * np.cos(3 * u)
+        g = lambda u: 1.0 / _distance_squared(0.8)(u)
+        combo = integrate(lambda u: 2.5 * f(u) - 1.25 * g(u), 0.8, cfg)
+        parts = 2.5 * integrate(f, 0.8, cfg) - 1.25 * integrate(g, 0.8, cfg)
         assert combo == pytest.approx(parts, abs=2 * cfg.abs_tol)
 
-    def test_empty_interval(self):
-        assert integrate(np.sin, 1.0, 1.0) == 0.0
-
-    def test_reversed_interval(self):
-        assert integrate(np.sin, math.pi, 0.0) == pytest.approx(-2.0, abs=1e-12)
-
-    def test_sharp_peak(self):
-        # Narrow Lorentzian: forces real subdivision work.
-        w = 1e-4
-        f = lambda x: w / (w * w + (x - 0.3) ** 2)
-        exact = math.atan((1 - 0.3) / w) - math.atan(-0.3 / w)
-        assert integrate(f, 0.0, 1.0) == pytest.approx(exact, abs=1e-9)
-
     def test_poisson_kernel_closed_form(self):
-        # Exact value pi / (1 - phi^2); at phi = 0.99 the integrand peaks
-        # at 1e4 in a boundary layer of width ~1e-2.
-        for phi in (0.5, 0.9, 0.99):
-            f = lambda x: 1.0 / (1 + phi * phi - 2 * phi * np.cos(x))
-            exact = math.pi / (1 - phi * phi)
-            assert integrate(f, 0.0, math.pi) == pytest.approx(exact, rel=1e-12)
+        # Exact value pi / (1 - r^2); at r = 0.999 the integrand peaks at
+        # 1e6 in a boundary layer of width ~1e-3.
+        for r in (0.5, 0.9, 0.99, 0.999):
+            exact = math.pi / (1 - r * r)
+            value = integrate(lambda u: 1.0 / _distance_squared(r)(u), r)
+            assert value == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9, 0.99, 0.999])
+    def test_jensen_closed_form(self, r):
+        # Jensen's formula: the mean of log|1 - r e^{iu}| is 0 for r < 1.
+        value = integrate(lambda u: np.log(_distance_squared(r)(u)), r)
+        assert value == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("r", [0.3, 0.9, 0.99, 0.999])
+    def test_elliptic_closed_form(self, r):
+        # The p = 1 member of the family: with u = 2t, |1 - r e^{iu}|^2 is
+        # (1 - r)^2 cos^2 t + (1 + r)^2 sin^2 t, so 1 / |1 - r e^{iu}|
+        # integrates to pi / AGM(1 - r, 1 + r) (Gauss).
+        a, b = 1.0 - r, 1.0 + r
+        while abs(a - b) > 1e-15 * b:
+            a, b = math.sqrt(a * b), 0.5 * (a + b)
+        exact = math.pi / b
+        value = integrate(lambda u: 1.0 / np.sqrt(_distance_squared(r)(u)), r)
+        assert value == pytest.approx(exact, rel=1e-13)
 
     def test_non_convergence_carries_estimate(self):
         cfg = QuadratureConfig(abs_tol=1e-30)
         with pytest.raises(IntegrationError) as excinfo:
-            integrate(np.cos, 0.0, math.pi, cfg)
+            integrate(np.cos, 0.0, cfg)
         err = excinfo.value
         assert abs(err.estimate) < 1e-6
         assert math.isfinite(err.error_bound)
 
     @pytest.mark.parametrize(
-        "f, a, b, exact",
+        "f, exact",
         [
-            (np.sin, 0.0, math.pi, 2.0),
-            (np.exp, 0.0, 1.0, math.e - 1.0),
-            (np.cos, 0.0, math.pi, 0.0),
+            (lambda u: np.sin(u) ** 2, 0.5 * math.pi),
+            (lambda u: np.exp(np.cos(u)), math.pi * float(np.i0(1.0))),
+            (np.cos, 0.0),
         ],
         ids=["sin", "exp", "cos"],
     )
-    def test_unattainable_tolerance_raises(self, f, a, b, exact):
+    def test_unattainable_tolerance_raises(self, f, exact):
         # Double precision cannot certify 1e-30: the round-off floor keeps
         # the error bound positive, so the target is never met.
         cfg = QuadratureConfig(abs_tol=1e-30)
-        with pytest.raises(IntegrationError) as excinfo:
-            integrate(f, a, b, cfg)
+        with pytest.raises(IntegrationError, match="round-off floor") as excinfo:
+            integrate(f, 0.0, cfg)
         err = excinfo.value
         assert err.error_bound > 0.0
         assert err.error_bound >= abs(err.estimate - exact)
 
     def test_noise_floor_failure_still_accurate(self):
         # At phi = 0.999 the kernel integrates to ~1572 while cancellation
-        # noise in the integrand caps the certifiable absolute error near
-        # 1e-8, so the default 1e-10 target must fail; the raised error
-        # still carries an estimate good to the reported bound.
+        # noise in 1 + phi^2 - 2 phi cos u caps the certifiable absolute
+        # error near 1e-8, so the default 1e-10 target must fail; the
+        # raised error still carries an estimate good to 1e-6.
         phi = 0.999
         f = lambda x: 1.0 / (1 + phi * phi - 2 * phi * np.cos(x))
         exact = math.pi / (1 - phi * phi)
         cfg = QuadratureConfig(abs_tol=1e-10)
         with pytest.raises(IntegrationError) as excinfo:
-            integrate(f, 0.0, math.pi, cfg)
+            integrate(f, phi, cfg)
         err = excinfo.value
         assert abs(err.estimate - exact) <= 1e-6
         assert err.error_bound < 1e-6
 
     def test_unattainable_tolerance_fails_fast(self):
-        # Once the change between levels is at the round-off floor, more
-        # panels cannot help: the failure comes after a few levels, not
-        # after the panel cap.
+        # One evaluation decides: no tolerance makes the rule refine.
         calls = []
-
-        def counted_cos(x):
-            calls.append(x.size)
-            return np.cos(x)
-
         with pytest.raises(IntegrationError):
-            integrate(counted_cos, 0.0, math.pi, QuadratureConfig(abs_tol=1e-30))
-        assert len(calls) <= 3
+            integrate(_counted(np.cos, calls), 0.0, QuadratureConfig(abs_tol=1e-30))
+        assert calls == [5]
+
+    @pytest.mark.parametrize("r", [0.0, 1e-20, 0.01, 0.3, 0.9, 0.998, 0.999])
+    def test_node_count_fixed_by_r(self, r):
+        # f is called once, on M/2 + 1 nodes, whatever abs_tol asks for.
+        f = lambda u: 1.0 / _distance_squared(r)(u)
+        counts = []
+        for tol in (1e-6, 1e-10, 1e-12):
+            calls = []
+            try:
+                integrate(_counted(f, calls), r, QuadratureConfig(tol))
+            except IntegrationError:
+                pass
+            counts.append(calls)
+        assert counts == [[_node_count(r) // 2 + 1]] * 3
+
+    def test_nodes_in_the_interval(self):
+        # The nodes run from 0 to pi and cluster near the pole at u = 0.
+        seen = []
+
+        def record(u):
+            seen.append(u)
+            return np.ones_like(u)
+
+        integrate(record, 0.9)
+        [u] = seen
+        assert u[0] == 0.0 and u[-1] == math.pi
+        assert np.all(np.diff(u) > 0)
+        assert np.sum(u < 0.5 * math.pi) > 0.8 * u.size
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_integrand_fails_fast(self, bad):
-        # A non-finite value poisons every later level sum: the failure
-        # comes at once, not after 2**20 panels.
+        # A non-finite value fails its row at once, with an infinite bound.
         calls = []
 
         def poisoned(x):
@@ -129,24 +177,15 @@ class TestIntegrate:
             return np.where(x > 0.3, bad, 1.0)
 
         with pytest.raises(IntegrationError, match="not finite") as excinfo:
-            integrate(poisoned, 0.0, 1.0)
-        assert len(calls) <= 2
+            integrate(poisoned, 0.5)
+        assert len(calls) == 1
         assert excinfo.value.error_bound == math.inf
 
-    @pytest.mark.parametrize(
-        "a, b",
-        [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)],
-        ids=["upper-inf", "lower-inf", "lower-nan", "upper-nan"],
-    )
-    def test_non_finite_bound_rejected(self, a, b):
+    @pytest.mark.parametrize("r", [-0.1, 1.0, 2.0, 1.0 - 1e-12, math.nan, math.inf, -math.inf])
+    def test_pole_radius_rejected(self, r):
         calls = []
-
-        def counted_cos(x):
-            calls.append(x.size)
-            return np.cos(x)
-
-        with pytest.raises(ValueError, match="bounds must be finite"):
-            integrate(counted_cos, a, b)
+        with pytest.raises(ValueError, match="pole radius"):
+            integrate(_counted(np.cos, calls), r)
         assert calls == []
 
     def test_config_validation(self):
@@ -159,88 +198,68 @@ class TestIntegrate:
             QuadratureConfig(abs_tol=bad)
 
 
-def _counted(f, calls):
-    def counted(x):
-        calls.append(x.size)
-        return f(x)
-
-    return counted
-
-
 def _entropy_integrand(phi, variance=1.0):
+    # The symplectic spectrum on the doubled angle u = 2x, with r = phi^2.
     spectrum = env_symplectic_spectrum(MarkovNoise(variance, phi))
-    return lambda x: thermal_entropy(spectrum(x))
+    return lambda u: thermal_entropy(spectrum(0.5 * u))
 
 
-def _error_of(f, a, b, cfg):
+def _error_of(f, r, cfg):
     with pytest.raises(IntegrationError) as excinfo:
-        integrate(f, a, b, cfg)
+        integrate(f, r, cfg)
     err = excinfo.value
     return str(err), err.estimate, err.error_bound
 
 
 class TestIntegrateRows:
     def test_rows_bitwise_equal_one_row_calls(self):
-        # Weak and strong correlation stop at different levels; each row of
-        # the shared call must still be the one-row value, bit for bit.
-        rows = [_entropy_integrand(phi, n) for phi in (0.1, 0.999, 0.7) for n in (1.0, 50.0)]
-        levels = []
-        singles = []
-        for f in rows:
-            calls = []
-            singles.append(integrate(_counted(f, calls), 0.0, math.pi))
-            levels.append(len(calls))
-        assert len(set(levels)) > 1
-        batch = integrate(lambda x: np.stack([f(x) for f in rows]), 0.0, math.pi)
+        # 1e-305 sends the whole batch through the slow path of g.
+        rows = [_entropy_integrand(0.7, n) for n in (1e-3, 1.0, 50.0, 1e6, 1e-305)]
+        singles = [integrate(f, 0.49) for f in rows]
+        batch = integrate(lambda u: np.stack([f(u) for f in rows]), 0.49)
         assert isinstance(batch, np.ndarray)
         assert batch.tolist() == singles
 
     def test_one_dimensional_integrand_returns_float(self):
-        assert type(integrate(np.cos, 0.0, 1.0)) is float
-        one_row = integrate(lambda x: np.cos(x)[None, :], 0.0, 1.0)
+        assert type(integrate(np.cos, 0.5)) is float
+        one_row = integrate(lambda x: np.cos(x)[None, :], 0.5)
         assert one_row.shape == (1,)
-        assert one_row[0] == integrate(np.cos, 0.0, 1.0)
-
-    def test_empty_and_reversed_intervals(self):
-        rows = lambda x: np.stack([np.sin(x), np.cos(x)])
-        assert integrate(rows, 1.0, 1.0).tolist() == [0.0, 0.0]
-        assert integrate(rows, math.pi, 0.0).tolist() == [
-            -integrate(np.sin, 0.0, math.pi), -integrate(np.cos, 0.0, math.pi)
-        ]
+        assert one_row[0] == integrate(np.cos, 0.5)
 
     def test_rejects_other_shapes(self):
-        with pytest.raises(ValueError, match="shape"):
-            integrate(lambda x: np.ones((2, 2, x.size)), 0.0, 1.0)
+        for shape in (lambda n: (2, 2, n), lambda n: (), lambda n: (n + 1,), lambda n: (3, n - 1)):
+            with pytest.raises(ValueError, match="shape"):
+                integrate(lambda x: np.ones(shape(x.size)), 0.5)
 
     def test_lowest_index_failing_row_raises(self):
         # At abs_tol = 1e-13 the small row converges and the others fail:
-        # the NaN and cosine rows at the second level, the exponential row
-        # at its round-off floor five levels later.  A loop over the rows
-        # would raise the exponential row's error, so the batch must too.
+        # the exponential and cosine rows at their round-off floors, the
+        # NaN row as not finite.  A loop over the rows would raise the
+        # exponential row's error, so the batch must too.
         cfg = QuadratureConfig(abs_tol=1e-13)
         rows = [
-            lambda x: 1e-3 * np.sin(x),
-            lambda x: 1000.0 * np.exp(x),
+            lambda x: 1e-3 * np.sin(x) ** 2,
+            lambda x: 1000.0 * np.exp(np.cos(x)),
             lambda x: np.full_like(x, np.nan),
             lambda x: 100.0 * np.cos(x),
         ]
-        integrate(rows[0], 0.0, math.pi, cfg)
-        expected = _error_of(rows[1], 0.0, math.pi, cfg)
-        assert expected != _error_of(rows[3], 0.0, math.pi, cfg)
+        integrate(rows[0], 0.0, cfg)
+        expected = _error_of(rows[1], 0.0, cfg)
+        assert expected != _error_of(rows[3], 0.0, cfg)
         batch = lambda x: np.stack([f(x) for f in rows])
-        assert _error_of(batch, 0.0, math.pi, cfg) == expected
+        assert _error_of(batch, 0.0, cfg) == expected
         # Without the exponential row the NaN row is the first to fail.
         rest = lambda x: np.stack([rows[0](x), rows[2](x), rows[3](x)])
-        message, _, bound = _error_of(rest, 0.0, math.pi, cfg)
+        message, _, bound = _error_of(rest, 0.0, cfg)
         assert "not finite" in message
         assert bound == math.inf
 
     def test_nan_row_fails_fast(self):
         calls = []
-        rows = lambda x: np.stack([np.full_like(x, np.nan), np.sin(x), np.exp(x)])
+        rows = lambda x: np.stack([np.full_like(x, np.nan), np.sin(x) ** 2, np.exp(np.cos(x))])
         with pytest.raises(IntegrationError, match="not finite") as excinfo:
-            integrate(_counted(rows, calls), 0.0, 1.0)
-        assert len(calls) == 2
+            integrate(_counted(rows, calls), 0.5)
+        assert len(calls) == 1
         assert excinfo.value.error_bound == math.inf
 
 

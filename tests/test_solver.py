@@ -574,6 +574,8 @@ class TestFiniteNRate:
         #         [d_-(x) / (1 + 2c cos x + c^2) - d_+(x) / (1 - 2c cos x + c^2)] dx
         # with nu the environment spectrum, M its spectral mean of g,
         # g'(nu) = log2(1 + 1/nu) and d_+-(x) = 2 (x - atan2(sin x, cos x -+ c)).
+        # The integrand is even and symmetric about pi/2, with singularities
+        # at e^{2ix} = c^2 and 1/c^2, so it is integrated on u = 2x with r = c^2.
         noise, n_bar, c = MarkovNoise(variance, phi), 200.0, phi
         cfg = QuadratureConfig(abs_tol=1e-13)
 
@@ -586,12 +588,66 @@ class TestFiniteNRate:
             return nu * np.log2(1.0 + 1.0 / nu) * c * np.sin(x) * bracket
 
         a = (thermal_entropy(variance) - mean_environment_entropy(noise, cfg)
-             - integrate(integrand, 0.0, math.pi, cfg) / math.pi)
+             - integrate(lambda u: integrand(0.5 * u), c * c, cfg) / math.pi)
         assert a == pytest.approx(expected_a, abs=1e-7)
         capacity = asymptotic_capacity(noise, n_bar, cfg)
         residual = [finite_n_rate(noise, n_bar, n) - capacity - a / n for n in (250, 500, 1000, 2000)]
         for coarse, fine in zip(residual, residual[1:]):
             assert coarse / fine == pytest.approx(4.0, abs=0.03)
+
+
+def williamson_rate(variance, phi, n_bar, n):
+    """g(n_bar + N) - mean g(nu) over Williamson's symplectic spectrum of diag(T, D T D).
+
+    For block-diagonal noise diag(A, B) the symplectic eigenvalues are
+    sqrt(eig(A B)) (Williamson 1936); with A = T and B = D T D, D =
+    diag((-1)^i), they are |eig(T D)|, the moduli of the eigenvalues of
+    the symmetric T^(1/2) D T^(1/2).  Dense eigensolves only.
+    """
+    dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    lam, vectors = np.linalg.eigh(variance * phi**dist)
+    root = (vectors * np.sqrt(lam)) @ vectors.T
+    signs = (-1.0) ** np.arange(n)
+    nu = np.abs(np.linalg.eigvalsh((root * signs) @ root))
+    return thermal_entropy(n_bar + variance) - float(np.mean(thermal_entropy(nu)))
+
+
+class TestWilliamsonSpectrum:
+    # finite_n_rate pairs the descending q eigenvalues with the ascending
+    # p ones, which is exact only where T and D T D commute: n <= 2.
+    GRID = [(variance, phi) for variance in (1e-3, 1.0, 1e3)
+            for phi in (0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pairing_exact_for_one_and_two_uses(self, n):
+        for variance, phi in self.GRID:
+            paired = finite_n_rate(MarkovNoise(variance, phi), 7.5, n)
+            assert paired == pytest.approx(williamson_rate(variance, phi, 7.5, n), abs=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 8, 50, 300])
+    def test_paired_entropy_below_williamson(self, n):
+        # The paired mean of g is the smaller one, so R(n) exceeds the
+        # Williamson rate; the smallest gap on this grid is ~1.5e-11.
+        for variance, phi in self.GRID:
+            paired = finite_n_rate(MarkovNoise(variance, phi), 7.5, n)
+            assert paired > williamson_rate(variance, phi, 7.5, n)
+
+    def test_gap_is_order_one_over_n(self):
+        # n x gap settles (0.0716, 0.0722, 0.0725, 0.0727 at c = 0.7, N = 1)
+        # with increments that halve per doubling of n, while both rates
+        # approach C with deviations that halve too.
+        noise, n_bar, ns = MarkovNoise(1.0, 0.7), 7.5, (100, 200, 400, 800)
+        capacity = asymptotic_capacity(noise, n_bar)
+        paired = np.array([finite_n_rate(noise, n_bar, n) for n in ns])
+        williamson = np.array([williamson_rate(1.0, 0.7, n_bar, n) for n in ns])
+        scaled = np.array(ns) * (paired - williamson)
+        assert scaled == pytest.approx([0.0716, 0.0722, 0.0725, 0.0727], abs=1e-4)
+        steps = np.diff(scaled)
+        assert steps[:-1] / steps[1:] == pytest.approx([2.0, 2.0], abs=0.05)
+        for rates in (paired, williamson):
+            deviation = rates - capacity
+            assert np.all(deviation < 0)
+            assert deviation[:-1] / deviation[1:] == pytest.approx([2.0] * 3, abs=0.01)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -864,3 +920,17 @@ class TestMonoExtremeVariances:
 
     def test_oracle_reports_above_threshold(self):
         assert brute_force_mono_oracle(MonoNoise(1e300, 1e-300), 1e301).above_threshold
+
+    def test_threshold_at_the_largest_doubles(self):
+        # sqrt(1e308 / 1e-308) + 1e308 overflows before the halving.
+        assert mono_threshold(MonoNoise(1e308, 1e-308)) == 0.5e308 + 0.5e308
+
+    def test_solve_at_the_largest_doubles(self):
+        # var_q + var_p overflows before the halving.
+        sol = mono_solve(MonoNoise(1e308, 1e308), 1.0)
+        assert sol.water_level == 0.5e308 + 0.5e308
+        assert (sol.input_q, sol.modulation_q, sol.capacity_bits) == (0.5, 0.0, 0.0)
+        sol = mono_solve(MonoNoise(1e308, 1e-308), 1e308)
+        assert sol.water_level == pytest.approx(1.5e308, rel=1e-15)
+        # The geometric mean of the noise is 1, and g(1) = 2.
+        assert sol.capacity_bits == pytest.approx(math.log2(1.5e308) + math.log2(math.e) - 2.0, rel=1e-14)

@@ -226,7 +226,7 @@ class TestAsymptoticSpectrum:
         # (1/pi) * integral of the symbol over [0, pi] recovers the variance.
         for variance, phi in [(1.0, 0.5), (2.5, 0.8)]:
             symbol = markov_symbol(MarkovNoise(variance, phi))
-            mean = integrate(symbol, 0.0, math.pi) / math.pi
+            mean = integrate(symbol, phi) / math.pi
             assert mean == pytest.approx(variance, abs=1e-9)
 
 
