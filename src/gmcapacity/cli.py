@@ -10,7 +10,8 @@ writes nothing to stdout and creates no ``--out`` file.  A ``--config``
 key that names no option of any command is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 below the water-filling
-threshold, 4 numerical failure.
+threshold, 4 numerical failure (a quadrature missed its fixed 1e-10
+bound).  No option is read from the environment.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import click
 import numpy as np
 
 from .gaussian import VACUUM_VARIANCE
-from .numerics import IntegrationError, QuadratureConfig
+from .numerics import IntegrationError
 from .spectra import (
     MarkovNoise,
     asymptotic_markov_spectrum,
@@ -124,17 +125,6 @@ def _load_config(path: str) -> dict[str, tuple[int, str]]:
     return values
 
 
-_quad_tol_option = click.option(
-    "--quad-tol",
-    type=float,
-    default=1e-10,
-    show_default=True,
-    envvar="GMCAP_QUAD_TOL",
-    help="Absolute tolerance of the environment-entropy integral "
-    "(overridable via GMCAP_QUAD_TOL).",
-)
-
-
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 @click.option(
     "--config",
@@ -142,7 +132,7 @@ _quad_tol_option = click.option(
     type=click.Path(exists=True, dir_okay=False),
     default=None,
     help="Optional key=value file of option defaults, keyed by flag names without the dashes; "
-    "a repeatable option takes space-separated values (explicit flags and GMCAP_QUAD_TOL win).",
+    "a repeatable option takes space-separated values (explicit flags win).",
 )
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None) -> None:
@@ -217,7 +207,7 @@ def _mono_csv(command, params, noise, nbar, extra, sol):
 _MULTIMODE_FIELDS = ["phi", "N", "nbar", "threshold", "eta", "mu_global", "capacity_bits", "status"]
 
 
-def _multimode_rows(noises, energies, cfg):
+def _multimode_rows(noises, energies):
     """One ``_MULTIMODE_FIELDS`` row per noise and energy, checked point by point in order.
 
     The capacities of all points above threshold come from one batched
@@ -235,7 +225,7 @@ def _multimode_rows(noises, energies, cfg):
         else:
             row += ["", "", "", "below_threshold"]
         rows.append(row)
-    capacities = asymptotic_capacity([noises[i] for i in above], [energies[i] for i in above], cfg)
+    capacities = asymptotic_capacity([noises[i] for i in above], [energies[i] for i in above])
     for i, cap in zip(above, capacities.tolist()):
         rows[i][6] = _fmt(cap)
     return rows
@@ -265,16 +255,13 @@ def mono(gq, gp, nbar):
     is_flag=True,
     help="Also print the back-rotated first-mode input variance, in both integrand variants.",
 )
-@_quad_tol_option
-def capacity(phi, variance, nbar, allow_below, first_mode, quad_tol):
+def capacity(phi, variance, nbar, allow_below, first_mode):
     """Infinite-use capacity of the correlated-noise channel."""
-    cfg = QuadratureConfig(abs_tol=quad_tol)
     params = [
         ("phi", _fmt(phi)), ("N", _fmt(variance)), ("nbar", _fmt(nbar)),
         ("allow_below", _fmt(allow_below)), ("first_mode", _fmt(first_mode)),
-        ("quad_tol", _fmt(quad_tol)),
     ]
-    [row] = _multimode_rows([MarkovNoise(variance, phi)], [nbar], cfg)
+    [row] = _multimode_rows([MarkovNoise(variance, phi)], [nbar])
     columns = list(_MULTIMODE_FIELDS)
     if first_mode:
         columns[-1:-1] = ["first_mode_variance", "first_mode_variance_alt"]
@@ -301,14 +288,12 @@ def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
 @click.option("--n-min", type=float, default=1.0, show_default=True, help="Smallest noise variance N.")
 @click.option("--n-max", type=float, default=100.0, show_default=True, help="Largest noise variance N.")
 @click.option("--steps", type=int, default=15, show_default=True, help="Geometric steps over [n-min, n-max].")
-@_quad_tol_option
-def fig3(phis, n_min, n_max, steps, quad_tol):
+def fig3(phis, n_min, n_max, steps):
     """Capacity, squeezing fraction and classical limit along the fixed-SNR protocol.
 
     For each correlation the signal-to-noise ratio nbar/N is pinned to the
     threshold value at N = 1, which keeps every N >= 1 above threshold.
     """
-    cfg = QuadratureConfig(abs_tol=quad_tol)
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if not 0 < n_min <= n_max:
@@ -318,28 +303,21 @@ def fig3(phis, n_min, n_max, steps, quad_tol):
     params = [
         ("phi", " ".join(_fmt(p) for p in phis)),
         ("n_min", _fmt(n_min)), ("n_max", _fmt(n_max)), ("steps", _fmt(steps)),
-        ("quad_tol", _fmt(quad_tol)),
     ]
     columns = [*_MULTIMODE_FIELDS[:-1], "classical_limit_bits", "status"]
     rows = []
     for phi in phis:
         snr = multimode_threshold(MarkovNoise(1.0, phi))
         noises, energies, limits = [], [], []
-        try:
-            for variance in _geometric_floats(n_min, n_max, steps):
-                nbar = variance * snr
-                if math.isinf(nbar):
-                    raise ValueError(f"nbar = N * snr overflows at N = {_fmt(variance)}, snr = {_fmt(snr)}")
-                noise = MarkovNoise(variance, phi)
-                limits.append(_fmt(classical_limit_capacity(noise, snr)))
-                noises.append(noise)
-                energies.append(nbar)
-        except ValueError:
-            # A point-by-point sweep would have integrated the earlier
-            # points first, so their failure takes precedence.
-            _multimode_rows(noises, energies, cfg)
-            raise
-        for row, limit in zip(_multimode_rows(noises, energies, cfg), limits):
+        for variance in _geometric_floats(n_min, n_max, steps):
+            nbar = variance * snr
+            if math.isinf(nbar):
+                raise ValueError(f"nbar = N * snr overflows at N = {_fmt(variance)}, snr = {_fmt(snr)}")
+            noise = MarkovNoise(variance, phi)
+            limits.append(_fmt(classical_limit_capacity(noise, snr)))
+            noises.append(noise)
+            energies.append(nbar)
+        for row, limit in zip(_multimode_rows(noises, energies), limits):
             row[-1:-1] = [limit]
             rows.append(row)
     return _csv("fig3", params, columns, map(",".join, rows)), EXIT_OK
@@ -367,10 +345,8 @@ def _geometric_ints(n_max: int) -> list[int]:
 @click.option("--n-max", type=int, default=400, show_default=True, help="Largest number of channel uses.")
 @click.option("--n", "n_values", type=int, multiple=True,
               help="Explicit channel-use counts (overrides the --n-max grid).")
-@_quad_tol_option
-def fig4(phis, variance, nbar, n_max, n_values, quad_tol):
+def fig4(phis, variance, nbar, n_max, n_values):
     """Finite-use transmission rate versus channel uses, with the asymptotic value."""
-    cfg = QuadratureConfig(abs_tol=quad_tol)
     if n_max < 1:
         raise ValueError("n-max must be at least 1")
     uses = sorted(set(n_values)) if n_values else _geometric_ints(n_max)
@@ -380,14 +356,13 @@ def fig4(phis, variance, nbar, n_max, n_values, quad_tol):
         ("phi", " ".join(_fmt(p) for p in phis)),
         ("N", _fmt(variance)), ("nbar", _fmt(nbar)),
         ("n", " ".join(str(n) for n in uses)),
-        ("quad_tol", _fmt(quad_tol)),
     ]
     columns = ["phi", "n", "rate_bits", "capacity_bits", "status"]
     rows = []
     for phi in phis:
         noise = MarkovNoise(variance, phi)
         # One correlation at a time keeps a point-by-point error order.
-        [[*_, cap, status]] = _multimode_rows([noise], [nbar], cfg)
+        [[*_, cap, status]] = _multimode_rows([noise], [nbar])
         for n in uses:
             rows.append([_fmt(phi), str(n), _fmt(finite_n_rate(noise, nbar, n)), cap, status])
     return _csv("fig4", params, columns, map(",".join, rows)), EXIT_OK
@@ -444,7 +419,7 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
 @click.option("--resolution", type=int, default=161, show_default=True,
               help="Grid points per search variable (minimum 64).")
 @click.option("--refinements", type=int, default=2, show_default=True,
-              help="Coarse-to-fine refinement passes.")
+              help="Coarse-to-fine refinement passes, at least (more keep the final step at most 0.01).")
 def oracle(gq, gp, nbar, resolution, refinements):
     """Brute-force grid search for the single-mode optimum.
 

@@ -11,13 +11,11 @@ inputs give bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "QuadratureConfig",
     "IntegrationError",
     "integrate",
     "ellipk",
@@ -26,25 +24,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerance for :func:`integrate`.
-
-    ``abs_tol`` is the absolute error target for the integral over
-    ``[0, pi]``.  The error bound is floored at the round-off level
-    ``50 * eps * integral of |f|``, so an ``abs_tol`` below that floor is
-    unattainable and :func:`integrate` raises :class:`IntegrationError`.
-    """
-
-    abs_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
-            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
-
-
 class IntegrationError(RuntimeError):
-    """Raised when :func:`integrate` cannot certify its tolerance.
+    """Raised when :func:`integrate` cannot certify its error target.
 
     Carries the best available ``estimate`` of the integral and its
     ``error_bound`` at the point of failure.
@@ -61,6 +42,11 @@ class IntegrationError(RuntimeError):
 _EPS = float(np.finfo(float).eps)
 _ROUNDOFF_FACTOR = 50.0 * _EPS
 
+# Absolute error target of :func:`integrate`; the node count does not depend
+# on it.  g of a finite variance is below ~1026 bits, so the round-off floor
+# of the solvers' integrals is at most ~3.6e-11, below this target.
+_ABS_TOL = 1e-10
+
 # Node cap of :func:`integrate`, reached near r = 1 - 7.5e-9; it bounds the memory.
 _MAX_NODES = 2**20
 
@@ -69,11 +55,7 @@ _MAX_NODES = 2**20
 _SYMMETRY_TOL = 1e-12
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    r: float,
-    config: QuadratureConfig | None = None,
-) -> float | np.ndarray:
+def integrate(f: Callable[[np.ndarray], np.ndarray], r: float) -> float | np.ndarray:
     """Integrate an even, 2 pi-periodic ``f`` over ``[0, pi]`` on nodes fixed by ``r``.
 
     Made for ``g(K / |1 - r e^{iu}|^p)``, singular at ``e^{iu} = r`` and
@@ -90,10 +72,10 @@ def integrate(
     integrals, each bitwise as if alone).  The error bound
     ``max(|T_M - T_{M/2}|, 50 eps * integral of |f|)``, with the half rule
     on the even-indexed nodes, is an estimate, not a proven bound.  The
-    lowest-index row whose bound exceeds ``abs_tol``, or whose values are
-    not finite, raises :class:`IntegrationError` with its estimate and bound.
+    lowest-index row whose bound exceeds the fixed target 1e-10, or whose
+    values are not finite, raises :class:`IntegrationError` with its
+    estimate and bound.
     """
-    cfg = config or QuadratureConfig()
     if not 0.0 <= r < 1.0:
         raise ValueError(f"pole radius must lie in [0, 1), got {r}")
     # The hyperbolic midpoint of 0 and r, in a form that is exact at r = 0.
@@ -121,18 +103,18 @@ def integrate(
         change = np.abs(estimate - 2.0 * np.sum(weighted[:, ::2], axis=1))
     floor = _ROUNDOFF_FACTOR * magnitude
     bound = np.where(np.isfinite(magnitude), np.maximum(change, floor), np.inf)
-    failed = bound > cfg.abs_tol
+    failed = bound > _ABS_TOL
     if failed.any():
         row = int(np.argmax(failed))
         if math.isinf(bound[row]):
             reason = "the integrand is not finite"
-        elif floor[row] > cfg.abs_tol:
+        elif floor[row] > _ABS_TOL:
             reason = "the round-off floor is above it"
         else:
             reason = f"{nodes} nodes were not enough"
         value, error_bound = float(estimate[row]), float(bound[row])
         message = f"{reason} (estimate {value:.12g}, bound {error_bound:.3g})"
-        raise IntegrationError(f"quadrature missed abs_tol={cfg.abs_tol:g}: {message}", value, error_bound)
+        raise IntegrationError(f"quadrature missed abs_tol={_ABS_TOL:g}: {message}", value, error_bound)
     return float(estimate[0]) if values.ndim == 1 else estimate
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, thermal_entropy
-from .numerics import QuadratureConfig, ellipk, grid_maximize, integrate
+from .numerics import ellipk, grid_maximize, integrate
 from .spectra import MarkovNoise, SpectralFunction, finite_spectrum, markov_matrix, markov_symbol
 
 # Cap for the closed-form solvers: thresholds and water levels diverge as
@@ -140,9 +140,14 @@ def _require_solver_noise(noise: MarkovNoise) -> None:
         )
 
 
-def _check_energy(n_bar: float) -> None:
+def _check_energy(n_bar: float, variance: float = 0.0) -> float:
+    """Validate n_bar; return n_bar + variance, summed as Python floats so that numpy cannot warn."""
     if not (math.isfinite(n_bar) and n_bar >= 0):
         raise ValueError(f"n_bar must be finite and non-negative, got {n_bar}")
+    total = float(n_bar) + float(variance)
+    if math.isinf(total):
+        raise ValueError(f"n_bar + noise variance overflows: n_bar = {n_bar:g}, variance = {variance:g}")
+    return total
 
 
 def _reaches(n_bar: float, threshold: float) -> bool:
@@ -198,7 +203,7 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
     root_q, root_p = math.sqrt(noise.var_q), math.sqrt(noise.var_p)
     input_q = 0.5 * root_q / root_p
     input_p = 0.5 * root_p / root_q
-    photons = n_bar + (0.5 * noise.var_q + 0.5 * noise.var_p)
+    photons = _check_energy(n_bar, 0.5 * noise.var_q + 0.5 * noise.var_p)
     level = photons + VACUUM_VARIANCE
     modulation_q = max(level - input_q - noise.var_q, 0.0)
     modulation_p = max(level - input_p - noise.var_p, 0.0)
@@ -297,18 +302,17 @@ def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
 
 
 def _entropy_mean(spectrum: Callable[[np.ndarray], np.ndarray], r: float,
-                  config: QuadratureConfig | None, x_per_u: float = 1.0) -> float | np.ndarray:
+                  x_per_u: float = 1.0) -> float | np.ndarray:
     """Mean of g(spectrum(x_per_u * u)) over u in [0, pi]; one mean per row if the spectrum gives rows.
 
     The spectrum must be K / |1 - r e^{iu}|^p in u, as :func:`integrate` needs: r = c at
     x = u for the AR(1) symbol, and r = c^2 at x = u / 2 for the symplectic spectrum.
+    :func:`integrate` certifies each mean to its fixed 1e-10 target.
     """
-    return integrate(lambda u: thermal_entropy(spectrum(x_per_u * u)), r, config) / math.pi
+    return integrate(lambda u: thermal_entropy(spectrum(x_per_u * u)), r) / math.pi
 
 
-def mean_environment_entropy(
-    noise: MarkovNoise, config: QuadratureConfig | None = None
-) -> float:
+def mean_environment_entropy(noise: MarkovNoise) -> float:
     """Spectral average of g over the symplectic noise spectrum, in bits.
 
     This is the subtracted term of the asymptotic capacity; it tends to
@@ -316,7 +320,7 @@ def mean_environment_entropy(
     approaches 1.
     """
     _require_solver_noise(noise)
-    return _entropy_mean(env_symplectic_spectrum(noise), noise.correlation**2, config, 0.5)
+    return _entropy_mean(env_symplectic_spectrum(noise), noise.correlation**2, 0.5)
 
 
 # asymptotic_capacity integrates at most this many points in one call, so
@@ -327,7 +331,6 @@ _BATCH_ROWS = 32
 def asymptotic_capacity(
     noise: MarkovNoise | Sequence[MarkovNoise],
     n_bar: float | Sequence[float],
-    config: QuadratureConfig | None = None,
 ) -> float | np.ndarray:
     """Capacity in the infinite-use limit, in bits per channel use.
 
@@ -336,7 +339,8 @@ def asymptotic_capacity(
 
     Also takes equal-length sequences of :class:`MarkovNoise` and
     energies, and then returns an array of the capacities, bitwise equal
-    to one-point calls.  Every point is validated before any integral;
+    to one-point calls.  Every point is validated before any integral,
+    including that n_bar + variance is finite;
     consecutive points of one correlation share one :func:`integrate`
     call, within blocks of ``_BATCH_ROWS`` points, taken in order.
     """
@@ -349,6 +353,7 @@ def asymptotic_capacity(
         )
     for point, energy in zip(noises, energies.tolist()):
         _above(point, energy, multimode_threshold)
+        _check_energy(energy, point.variance)
     capacities = np.empty(len(noises))
     stop = 0
     for (correlation, _), run in groupby((p.correlation, i // _BATCH_ROWS) for i, p in enumerate(noises)):
@@ -356,15 +361,13 @@ def asymptotic_capacity(
         batch = slice(start, stop)
         # A (k, 1) column, so that the spectrum gives one row per point.
         variances = np.array([[point.variance] for point in noises[batch]])
-        means = _entropy_mean(_env_spectrum(variances, correlation), correlation**2, config, 0.5)
+        means = _entropy_mean(_env_spectrum(variances, correlation), correlation**2, 0.5)
         # Clamped at 0: the trapezoid weights do not sum to exactly pi.
         capacities[batch] = np.maximum(thermal_entropy(energies[batch] + variances[:, 0]) - means, 0.0)
     return float(capacities[0]) if single else capacities
 
 
-def multimode_solve(
-    noise: MarkovNoise, n_bar: float, config: QuadratureConfig | None = None
-) -> MultimodeSolution:
+def multimode_solve(noise: MarkovNoise, n_bar: float) -> MultimodeSolution:
     """Global water-filling solution over the AR(1) noise spectrum.
 
     The pure input spectra match the noise anisotropy pointwise: input_q
@@ -376,7 +379,7 @@ def multimode_solve(
     :class:`BelowThresholdError` (carrying the threshold) when the
     modulation would turn negative somewhere on the spectrum.
     """
-    capacity = asymptotic_capacity(noise, n_bar, config)
+    capacity = asymptotic_capacity(noise, n_bar)
     return MultimodeSolution(
         squeezing_fraction=_squeezing_fraction(noise.correlation, n_bar),
         water_level=n_bar + noise.variance + VACUUM_VARIANCE,
@@ -407,11 +410,11 @@ def finite_n_rate(noise: MarkovNoise, n_bar: float, n: int) -> float:
     _require_solver_noise(noise)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    _check_energy(n_bar)
+    photons = _check_energy(n_bar, noise.variance)
     lam_q = finite_spectrum(markov_matrix(noise, n))
     mean_term = float(np.mean(thermal_entropy(np.sqrt(lam_q) * np.sqrt(lam_q[::-1]))))
     # Clamped at 0: sqrt(l) * sqrt(l') is not exactly N at n = 1.
-    return max(thermal_entropy(n_bar + noise.variance) - mean_term, 0.0)
+    return max(thermal_entropy(photons) - mean_term, 0.0)
 
 
 def classical_limit_capacity(noise: MarkovNoise, snr: float) -> float:
@@ -436,8 +439,7 @@ def full_correlation_capacity(noise: MarkovNoise, n_bar: float) -> float:
     solvers cap the correlation at ``MAX_CORRELATION``: the threshold
     diverges, so the limit is only reached with ever-growing energy.
     """
-    _check_energy(n_bar)
-    return thermal_entropy(n_bar + noise.variance)
+    return thermal_entropy(_check_energy(n_bar, noise.variance))
 
 
 def symmetric_threshold(noise: MarkovNoise) -> float:
@@ -447,9 +449,7 @@ def symmetric_threshold(noise: MarkovNoise) -> float:
     return ((1.0 + c) / (1.0 - c) - 1.0) * noise.variance
 
 
-def symmetric_noise_solution(
-    noise: MarkovNoise, n_bar: float, config: QuadratureConfig | None = None
-) -> MultimodeSolution:
+def symmetric_noise_solution(noise: MarkovNoise, n_bar: float) -> MultimodeSolution:
     """Water-filling solution for symmetrically correlated noise.
 
     With identical spectra in both quadratures the optimal input is
@@ -458,12 +458,13 @@ def symmetric_noise_solution(
     common level n_bar + variance + 1/2.
     """
     threshold = _above(noise, n_bar, symmetric_threshold)
+    photons = _check_energy(n_bar, noise.variance)
     spectrum = markov_symbol(noise)
-    mean = _entropy_mean(spectrum, noise.correlation, config)
+    mean = _entropy_mean(spectrum, noise.correlation)
     return MultimodeSolution(
         squeezing_fraction=0.0,
-        water_level=n_bar + noise.variance + VACUUM_VARIANCE,
-        capacity_bits=max(thermal_entropy(n_bar + noise.variance) - mean, 0.0),
+        water_level=photons + VACUUM_VARIANCE,
+        capacity_bits=max(thermal_entropy(photons) - mean, 0.0),
         threshold=threshold,
         noise_q=spectrum,
         noise_p=spectrum,
@@ -514,8 +515,10 @@ def brute_force_mono_oracle(
     of cancellation at every energy.  Independent of the closed form in
     :func:`mono_solve`; it also explores the below-threshold regime,
     where it returns a boundary solution with one modulation variance
-    pinned at zero.  Raises ``ValueError`` for an n_bar so large that
-    the input variances would overflow.
+    pinned at zero.  Runs at least ``refinements`` passes, and as many
+    more as keep the final step in s at most 0.01 as the box widens with
+    n_bar.  Raises ``ValueError`` for an n_bar so large that the input
+    variances would overflow.
     """
     _check_energy(n_bar)
     if resolution < 64:
@@ -529,6 +532,12 @@ def brute_force_mono_oracle(
     if not math.isfinite(4.0 * budget):
         raise ValueError(f"n_bar = {n_bar:g} is too large for the oracle's variance budget")
     half_width = math.acosh(budget)
+    # The final step in s is 2 half_width 0.25^passes / (resolution - 1); a
+    # count that grid_maximize rejects reaches it unchanged.
+    passes = refinements
+    while (isinstance(passes, (int, np.integer)) and passes >= 0
+           and 2.0 * half_width * 0.25**passes > 0.01 * (resolution - 1)):
+        passes += 1
 
     def state(s, split):
         # (input_q, input_p, mod_q, mod_p) for squeezing s and energy split.
@@ -545,7 +554,7 @@ def brute_force_mono_oracle(
         objective,
         [(-half_width, half_width), (0.0, 1.0)],
         resolution=resolution,
-        refinements=refinements,
+        refinements=passes,
     )
     in_q, in_p, mod_q, mod_p = state(best_s, best_split)
     return MonoSolution(

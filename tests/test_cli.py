@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gmcapacity import solver
 from gmcapacity.cli import _CHUNK_CHARS, _CHUNK_ROWS, _fmt, _geometric_floats, main
+from gmcapacity.numerics import IntegrationError
 from gmcapacity.solver import (
     MonoNoise,
     asymptotic_capacity,
@@ -37,6 +39,10 @@ from gmcapacity.spectra import (
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _failing_integrate(f, r):
+    raise IntegrationError("quadrature missed abs_tol=1e-10: injected", 0.0, 1.0)
 
 
 def parse_csv(text):
@@ -154,8 +160,11 @@ class TestCapacity:
         ],
         ids=["capacity", "fig3", "fig4"],
     )
-    def test_numerical_failure_exit_code(self, runner, args):
-        result = runner.invoke(main, args + ["--quad-tol", "1e-30"])
+    def test_numerical_failure_exit_code(self, runner, monkeypatch, args):
+        # No input the CLI accepts misses the quadrature's fixed target, so
+        # the failure is injected.
+        monkeypatch.setattr(solver, "integrate", _failing_integrate)
+        result = runner.invoke(main, args)
         assert result.exit_code == 4
         assert result.stderr.startswith("numerical failure: ")
 
@@ -188,17 +197,6 @@ class TestFig3:
         first = runner.invoke(main, args)
         second = runner.invoke(main, args)
         assert first.output == second.output
-
-    def test_earlier_integral_failure_wins(self, runner):
-        # The last points overflow nbar to inf, a usage error; an earlier
-        # point fails its integral at this tolerance, and a point-by-point
-        # sweep would report that failure first.
-        result = runner.invoke(
-            main,
-            ["fig3", "--phi", "0.5", "--n-max", "1e308", "--steps", "50", "--quad-tol", "1e-12"],
-        )
-        assert result.exit_code == 4
-        assert "round-off floor" in result.output
 
     def test_bounds_whose_ratio_overflows(self, runner):
         # n_max / n_min overflows; the grid steps in log space instead and
@@ -383,7 +381,6 @@ NON_FINITE_ARGS = {
     "mono-gq": ["mono", "--gq", "{}", "--gp", "0.5", "--nbar", "2"],
     "capacity-nbar": ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "{}"],
     "capacity-N": ["capacity", "--phi", "0.5", "--N", "{}", "--nbar", "5"],
-    "capacity-quad-tol": ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "5", "--quad-tol", "{}"],
     "fig4-nbar": ["fig4", "--phi", "0.4", "--N", "1", "--nbar", "{}", "--n", "3"],
     "fig4-N": ["fig4", "--phi", "0.4", "--N", "{}", "--nbar", "7.5", "--n", "3"],
     "fig3-n-max": ["fig3", "--phi", "0.4", "--n-max", "{}", "--steps", "2"],
@@ -477,12 +474,11 @@ class TestOutputPlumbing:
         assert written.stdout == ""
         assert target.read_text() == piped.stdout
 
-    def test_numerical_failure_writes_no_file(self, runner, tmp_path):
+    def test_numerical_failure_writes_no_file(self, runner, monkeypatch, tmp_path):
+        monkeypatch.setattr(solver, "integrate", _failing_integrate)
         target = tmp_path / "out.csv"
         result = runner.invoke(
-            main,
-            ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "4", "--quad-tol", "1e-30",
-             "--out", str(target)],
+            main, ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "4", "--out", str(target)]
         )
         assert result.exit_code == 4
         assert result.stdout == ""
@@ -551,18 +547,19 @@ class TestOutputPlumbing:
         assert f"{cfg}:2:" in result.stderr
         assert "'qaud_tol'" in result.stderr
 
-    def test_quad_tol_env_var(self, runner, tmp_path):
+    def test_quadrature_tolerance_is_not_an_option(self, runner, tmp_path):
         args = ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "4"]
-        result = runner.invoke(main, args, env={"GMCAP_QUAD_TOL": "1e-08"})
-        assert result.exit_code == 0
-        assert "# quad_tol = 1e-08" in result.output
-        # The environment also beats a config file.
+        result = runner.invoke(main, [*args, "--quad-tol", "1e-9"])
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr
         cfg = tmp_path / "tol.cfg"
         cfg.write_text("quad-tol = 1e-9\n")
-        assert "# quad_tol = 1e-09" in runner.invoke(main, ["--config", str(cfg), *args]).output
-        result = runner.invoke(main, ["--config", str(cfg), *args], env={"GMCAP_QUAD_TOL": "1e-08"})
-        assert result.exit_code == 0
-        assert "# quad_tol = 1e-08" in result.output
+        result = runner.invoke(main, ["--config", str(cfg), *args])
+        assert result.exit_code == 2
+        assert "no command has an option 'quad-tol'" in result.stderr
+        plain = runner.invoke(main, args, env={"GMCAP_QUAD_TOL": "1e-30"})
+        assert plain.exit_code == 0
+        assert "quad_tol" not in plain.output
 
     @pytest.mark.parametrize("command", [["fig3", "--steps", "1"], ["fig4", "--n", "2"]])
     def test_config_list_for_repeatable_option(self, runner, tmp_path, command):
@@ -622,6 +619,19 @@ class TestExtremeInputs:
         result = runner.invoke(main, ["mono", "--gq", "1e308", "--gp", "1e308", "--nbar", "1"])
         assert result.exit_code == 0, result.output
         assert parse_csv(result.output)[1][0]["water_level"] == "1e+308"
+
+    @pytest.mark.parametrize("args, nbar", [
+        (["capacity", "--phi", "0", "--N", "1e308", "--nbar", "1e308"], "1e+308"),
+        (["fig4", "--phi", "0", "--N", "1e308", "--nbar", "1e308", "--n", "2"], "1e+308"),
+        (["fig3", "--phi", "0.3", "--n-min", "1e308", "--n-max", "1e308", "--steps", "1"], "1.28571e+308"),
+        (["mono", "--gq", "1e308", "--gp", "1e308", "--nbar", "1e308"], "1e+308"),
+    ], ids=["capacity", "fig4", "fig3", "mono"])
+    def test_output_energy_overflow_is_usage_error(self, runner, args, nbar):
+        # nbar + N overflows although both are finite; the error names both.
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert f"n_bar + noise variance overflows: n_bar = {nbar}, variance = 1e+308" in result.stderr
 
     def test_mono_large_variances(self, runner):
         result = runner.invoke(main, ["mono", "--gq", "1e200", "--gp", "1e200", "--nbar", "1"])

@@ -9,7 +9,6 @@ import pytest
 from gmcapacity.gaussian import thermal_entropy
 from gmcapacity.numerics import (
     IntegrationError,
-    QuadratureConfig,
     ellipk,
     grid_maximize,
     integrate,
@@ -57,12 +56,12 @@ class TestIntegrate:
         assert integrate(f, phi) == pytest.approx(math.pi, abs=1e-10)
 
     def test_linearity(self):
-        cfg = QuadratureConfig()
         f = lambda u: np.exp(np.cos(u)) * np.cos(3 * u)
         g = lambda u: 1.0 / _distance_squared(0.8)(u)
-        combo = integrate(lambda u: 2.5 * f(u) - 1.25 * g(u), 0.8, cfg)
-        parts = 2.5 * integrate(f, 0.8, cfg) - 1.25 * integrate(g, 0.8, cfg)
-        assert combo == pytest.approx(parts, abs=2 * cfg.abs_tol)
+        combo = integrate(lambda u: 2.5 * f(u) - 1.25 * g(u), 0.8)
+        parts = 2.5 * integrate(f, 0.8) - 1.25 * integrate(g, 0.8)
+        # Twice the fixed error target of integrate.
+        assert combo == pytest.approx(parts, abs=2e-10)
 
     def test_poisson_kernel_closed_form(self):
         # Exact value pi / (1 - r^2); at r = 0.999 the integrand peaks at
@@ -91,9 +90,10 @@ class TestIntegrate:
         assert value == pytest.approx(exact, rel=1e-13)
 
     def test_non_convergence_carries_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-30)
+        # Scaled by 1e6, cos has a round-off floor of ~2.2e-8, above the
+        # fixed 1e-10 target.
         with pytest.raises(IntegrationError) as excinfo:
-            integrate(np.cos, 0.0, cfg)
+            integrate(lambda u: 1e6 * np.cos(u), 0.0)
         err = excinfo.value
         assert abs(err.estimate) < 1e-6
         assert math.isfinite(err.error_bound)
@@ -108,50 +108,45 @@ class TestIntegrate:
         ids=["sin", "exp", "cos"],
     )
     def test_unattainable_tolerance_raises(self, f, exact):
-        # Double precision cannot certify 1e-30: the round-off floor keeps
-        # the error bound positive, so the target is never met.
-        cfg = QuadratureConfig(abs_tol=1e-30)
+        # Scaled by 1e6, each integrand has a round-off floor above the
+        # fixed 1e-10 target, so the target is never met.
         with pytest.raises(IntegrationError, match="round-off floor") as excinfo:
-            integrate(f, 0.0, cfg)
+            integrate(lambda u: 1e6 * f(u), 0.0)
         err = excinfo.value
         assert err.error_bound > 0.0
-        assert err.error_bound >= abs(err.estimate - exact)
+        assert err.error_bound >= abs(err.estimate - 1e6 * exact)
 
     def test_noise_floor_failure_still_accurate(self):
         # At phi = 0.999 the kernel integrates to ~1572 while cancellation
         # noise in 1 + phi^2 - 2 phi cos u caps the certifiable absolute
-        # error near 1e-8, so the default 1e-10 target must fail; the
+        # error near 1e-8, so the fixed 1e-10 target must fail; the
         # raised error still carries an estimate good to 1e-6.
         phi = 0.999
         f = lambda x: 1.0 / (1 + phi * phi - 2 * phi * np.cos(x))
         exact = math.pi / (1 - phi * phi)
-        cfg = QuadratureConfig(abs_tol=1e-10)
         with pytest.raises(IntegrationError) as excinfo:
-            integrate(f, phi, cfg)
+            integrate(f, phi)
         err = excinfo.value
         assert abs(err.estimate - exact) <= 1e-6
         assert err.error_bound < 1e-6
 
     def test_unattainable_tolerance_fails_fast(self):
-        # One evaluation decides: no tolerance makes the rule refine.
+        # One evaluation decides: a missed target makes the rule refine no further.
         calls = []
         with pytest.raises(IntegrationError):
-            integrate(_counted(np.cos, calls), 0.0, QuadratureConfig(abs_tol=1e-30))
+            integrate(_counted(lambda u: 1e6 * np.cos(u), calls), 0.0)
         assert calls == [5]
 
     @pytest.mark.parametrize("r", [0.0, 1e-20, 0.01, 0.3, 0.9, 0.998, 0.999])
     def test_node_count_fixed_by_r(self, r):
-        # f is called once, on M/2 + 1 nodes, whatever abs_tol asks for.
+        # f is called once, on M/2 + 1 nodes.
         f = lambda u: 1.0 / _distance_squared(r)(u)
-        counts = []
-        for tol in (1e-6, 1e-10, 1e-12):
-            calls = []
-            try:
-                integrate(_counted(f, calls), r, QuadratureConfig(tol))
-            except IntegrationError:
-                pass
-            counts.append(calls)
-        assert counts == [[_node_count(r) // 2 + 1]] * 3
+        calls = []
+        try:
+            integrate(_counted(f, calls), r)
+        except IntegrationError:
+            pass
+        assert calls == [_node_count(r) // 2 + 1]
 
     def test_nodes_in_the_interval(self):
         # The nodes run from 0 to pi and cluster near the pole at u = 0.
@@ -188,15 +183,6 @@ class TestIntegrate:
             integrate(_counted(np.cos, calls), r)
         assert calls == []
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_config_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=bad)
-
 
 def _entropy_integrand(phi, variance=1.0):
     # The symplectic spectrum on the doubled angle u = 2x, with r = phi^2.
@@ -204,9 +190,9 @@ def _entropy_integrand(phi, variance=1.0):
     return lambda u: thermal_entropy(spectrum(0.5 * u))
 
 
-def _error_of(f, r, cfg):
+def _error_of(f, r):
     with pytest.raises(IntegrationError) as excinfo:
-        integrate(f, r, cfg)
+        integrate(f, r)
     err = excinfo.value
     return str(err), err.estimate, err.error_bound
 
@@ -232,25 +218,26 @@ class TestIntegrateRows:
                 integrate(lambda x: np.ones(shape(x.size)), 0.5)
 
     def test_lowest_index_failing_row_raises(self):
-        # At abs_tol = 1e-13 the small row converges and the others fail:
-        # the exponential and cosine rows at their round-off floors, the
-        # NaN row as not finite.  A loop over the rows would raise the
-        # exponential row's error, so the batch must too.
-        cfg = QuadratureConfig(abs_tol=1e-13)
+        # The small row meets the 1e-10 target and the others fail: the
+        # exponential and cosine rows, scaled so that their round-off
+        # floors lie above the target, and the NaN row as not finite.  A
+        # loop over the rows would raise the exponential row's error, so
+        # the batch must too.
         rows = [
             lambda x: 1e-3 * np.sin(x) ** 2,
-            lambda x: 1000.0 * np.exp(np.cos(x)),
+            lambda x: 1e6 * np.exp(np.cos(x)),
             lambda x: np.full_like(x, np.nan),
-            lambda x: 100.0 * np.cos(x),
+            lambda x: 1e5 * np.cos(x),
         ]
-        integrate(rows[0], 0.0, cfg)
-        expected = _error_of(rows[1], 0.0, cfg)
-        assert expected != _error_of(rows[3], 0.0, cfg)
+        integrate(rows[0], 0.0)
+        expected = _error_of(rows[1], 0.0)
+        assert "round-off floor" in expected[0]
+        assert expected != _error_of(rows[3], 0.0)
         batch = lambda x: np.stack([f(x) for f in rows])
-        assert _error_of(batch, 0.0, cfg) == expected
+        assert _error_of(batch, 0.0) == expected
         # Without the exponential row the NaN row is the first to fail.
         rest = lambda x: np.stack([rows[0](x), rows[2](x), rows[3](x)])
-        message, _, bound = _error_of(rest, 0.0, cfg)
+        message, _, bound = _error_of(rest, 0.0)
         assert "not finite" in message
         assert bound == math.inf
 

@@ -45,6 +45,16 @@ def test_readme_quick_start_runs(capsys):
     assert float(lines[-1]) == pytest.approx(27.0)
 
 
+def test_readme_names_only_existing_options():
+    # A deleted option or environment variable must leave the README too.
+    text = README.read_text()
+    params = [*main.params, *(param for command in main.commands.values() for param in command.params)]
+    flags = {opt for param in params for opt in [*param.opts, *param.secondary_opts]}
+    envvars = {param.envvar for param in params if isinstance(param.envvar, str)}
+    assert sorted(set(re.findall(r"(?<![\w-])--\w[\w-]*", text)) - flags) == []
+    assert sorted(set(re.findall(r"\bGMCAP_\w+", text)) - envvars) == []
+
+
 def _readme_cli_examples():
     match = re.search(r"## CLI\n.*?```sh\n(.*?)```", README.read_text(), re.S)
     assert match, "README has no CLI block"

@@ -15,7 +15,7 @@ import pytest
 
 from gmcapacity import solver
 from gmcapacity.gaussian import thermal_entropy
-from gmcapacity.numerics import QuadratureConfig, integrate
+from gmcapacity.numerics import integrate
 from gmcapacity.solver import (
     BelowThresholdError,
     MonoNoise,
@@ -341,28 +341,17 @@ class TestMultimodeSolve:
         assert excinfo.value.threshold == pytest.approx(7.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "phi, variance, n_bar, abs_tol",
-        [
-            # Explicit ids keep the names of the default-tolerance cases.
-            pytest.param(0.0, 1.0, 2.0, None, id="0.0-1.0-2.0"),
-            pytest.param(0.4, 0.5, 3.0, None, id="0.4-0.5-3.0"),
-            pytest.param(0.7, 1.0, 7.5, None, id="0.7-1.0-7.5"),
-            pytest.param(0.95, 3.0, 200.0, None, id="0.95-3.0-200.0"),
-            *[
-                (phi, 1.0, n_bar, abs_tol)
-                for phi, n_bar in [(0.3, 4.0), (0.9, 40.0), (0.999, 3000.0)]
-                for abs_tol in (1e-6, 1e-12)
-            ],
-        ],
+        "phi, variance, n_bar",
+        [(0.0, 1.0, 2.0), (0.3, 1.0, 4.0), (0.4, 0.5, 3.0), (0.7, 1.0, 7.5), (0.9, 1.0, 40.0),
+         (0.95, 3.0, 200.0), (0.999, 1.0, 3000.0)],
     )
-    def test_same_numbers_as_public_functions(self, phi, variance, n_bar, abs_tol):
+    def test_same_numbers_as_public_functions(self, phi, variance, n_bar):
         noise = MarkovNoise(variance, phi)
-        cfg = None if abs_tol is None else QuadratureConfig(abs_tol=abs_tol)
-        sol = multimode_solve(noise, n_bar, cfg)
-        assert sol.capacity_bits == asymptotic_capacity(noise, n_bar, cfg)
+        sol = multimode_solve(noise, n_bar)
+        assert sol.capacity_bits == asymptotic_capacity(noise, n_bar)
         # The same point among others in one batched call.
         batch = asymptotic_capacity(
-            [MarkovNoise(2.0, 0.5), noise, MarkovNoise(0.5, 0.95)], [10.0, n_bar, 100.0], cfg
+            [MarkovNoise(2.0, 0.5), noise, MarkovNoise(0.5, 0.95)], [10.0, n_bar, 100.0]
         )
         assert sol.capacity_bits == batch[1]
         assert sol.squeezing_fraction == squeezing_fraction(noise, n_bar)
@@ -577,7 +566,6 @@ class TestFiniteNRate:
         # The integrand is even and symmetric about pi/2, with singularities
         # at e^{2ix} = c^2 and 1/c^2, so it is integrated on u = 2x with r = c^2.
         noise, n_bar, c = MarkovNoise(variance, phi), 200.0, phi
-        cfg = QuadratureConfig(abs_tol=1e-13)
 
         def integrand(x):
             nu = nu_env_vec(variance, c, x)
@@ -587,10 +575,10 @@ class TestFiniteNRate:
                        - d_plus / (1 - 2 * c * np.cos(x) + c * c))
             return nu * np.log2(1.0 + 1.0 / nu) * c * np.sin(x) * bracket
 
-        a = (thermal_entropy(variance) - mean_environment_entropy(noise, cfg)
-             - integrate(lambda u: integrand(0.5 * u), c * c, cfg) / math.pi)
+        a = (thermal_entropy(variance) - mean_environment_entropy(noise)
+             - integrate(lambda u: integrand(0.5 * u), c * c) / math.pi)
         assert a == pytest.approx(expected_a, abs=1e-7)
-        capacity = asymptotic_capacity(noise, n_bar, cfg)
+        capacity = asymptotic_capacity(noise, n_bar)
         residual = [finite_n_rate(noise, n_bar, n) - capacity - a / n for n in (250, 500, 1000, 2000)]
         for coarse, fine in zip(residual, residual[1:]):
             assert coarse / fine == pytest.approx(4.0, abs=0.03)
@@ -684,6 +672,71 @@ class TestNonFiniteInput:
             MonoNoise(bad, 1.0)
         with pytest.raises(ValueError):
             MonoNoise(1.0, bad)
+
+
+# n_bar + variance overflows at the largest doubles, although each is finite.
+OVERFLOW_ENTRY_POINTS = {
+    "mono_solve": lambda: mono_solve(MonoNoise(1e308, 1e308), 1e308),
+    "finite_n_rate": lambda: finite_n_rate(MarkovNoise(1e308, 0.0), 1e308, 3),
+    "multimode_solve": lambda: multimode_solve(MarkovNoise(1e308, 0.0), 1e308),
+    "asymptotic_capacity": lambda: asymptotic_capacity(MarkovNoise(1e308, 0.0), 1e308),
+    "symmetric_noise_solution": lambda: symmetric_noise_solution(MarkovNoise(1e308, 0.0), 1e308),
+    "full_correlation_capacity": lambda: full_correlation_capacity(MarkovNoise(1e308, 0.0), 1e308),
+}
+
+
+class TestOutputEnergyOverflow:
+    @pytest.mark.parametrize("entry", sorted(OVERFLOW_ENTRY_POINTS))
+    def test_overflow_names_both_terms(self, entry):
+        message = "n_bar \\+ noise variance overflows: n_bar = 1e\\+308, variance = 1e\\+308"
+        with pytest.raises(ValueError, match=message) as excinfo:
+            OVERFLOW_ENTRY_POINTS[entry]()
+        assert excinfo.type is ValueError
+
+    def test_numpy_scalars_do_not_warn(self):
+        with pytest.raises(ValueError, match="overflows"):
+            finite_n_rate(MarkovNoise(np.float64(1e308), 0.0), np.float64(1e308), 3)
+
+    def test_checked_before_any_integral(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("integrated before validating every point")
+
+        monkeypatch.setattr(solver, "integrate", unreachable)
+        with pytest.raises(ValueError, match="overflows: n_bar = 1e\\+308"):
+            asymptotic_capacity([MarkovNoise(1.0, 0.5), MarkovNoise(1e308, 0.0)], [5.0, 1e308])
+
+    def test_largest_finite_sum_accepted(self):
+        assert asymptotic_capacity(MarkovNoise(8e307, 0.0), 8e307) == pytest.approx(1.0, rel=1e-12)
+        assert mono_solve(MonoNoise(8e307, 8e307), 8e307).water_level == pytest.approx(1.6e308)
+
+
+class TestFixedQuadratureTarget:
+    # integrate's error target is a constant 1e-10.  Every spectral mean
+    # the solvers take meets it, from the smallest to the largest
+    # variances, at every correlation they accept.
+    CORRELATIONS = np.linspace(0.0, solver.MAX_CORRELATION, 40).tolist()
+    VARIANCES = np.logspace(-300, 308, 100).tolist()
+
+    def _points(self, threshold_of):
+        for c in self.CORRELATIONS:
+            for variance in self.VARIANCES:
+                noise = MarkovNoise(variance, c)
+                n_bar = threshold_of(noise)
+                if math.isfinite(n_bar + variance):
+                    yield noise, n_bar
+
+    def test_asymptotic_capacity_meets_the_target(self):
+        noises, energies = zip(*self._points(multimode_threshold))
+        assert len(noises) > 3900
+        capacities = asymptotic_capacity(noises, energies)
+        assert np.all(np.isfinite(capacities))
+        assert capacities.min() >= 0.0
+
+    def test_symmetric_noise_meets_the_target(self):
+        points = list(self._points(symmetric_threshold))[::10]
+        assert len(points) > 390
+        for noise, n_bar in points:
+            assert symmetric_noise_solution(noise, n_bar).capacity_bits >= 0.0
 
 
 class TestClassicalLimit:
@@ -815,12 +868,15 @@ class TestBruteForceOracle:
 
     @pytest.mark.parametrize("noise", [MonoNoise(1.0, 1.0), MonoNoise(2.0, 0.5), MonoNoise(10.0, 0.1)])
     @pytest.mark.parametrize(
-        "n_bar, tol", [(1e3, 1e-5), (1e5, 1e-5), (1e7, 1e-5), (5e7, 1e-5), (1e12, 2e-5)]
+        "n_bar, tol",
+        [(1e3, 1e-5), (1e5, 1e-5), (1e7, 1e-5), (5e7, 1e-5), (1e12, 2e-5),
+         (1e50, 5e-6), (1e150, 5e-6), (1e300, 5e-6)],
     )
     def test_matches_closed_form_at_large_energy(self, noise, n_bar, tol):
-        # The squeezing axis spans |s| <= acosh(2 n_bar + 1), so the final
-        # grid step in s grows like ln(n_bar): 0.023 at 1e12, where the
-        # shortfall reaches 1.6e-5 bits.
+        # The squeezing axis spans |s| <= acosh(2 n_bar + 1), which grows
+        # like ln(n_bar); extra passes keep the final grid step in s at
+        # most 0.01, so the shortfall does not grow with it.  With three
+        # passes only, it reached 3.9e-3 bits at 1e300.
         found = brute_force_mono_oracle(noise, n_bar)
         closed = mono_solve(noise, n_bar)
         assert abs(closed.capacity_bits - found.capacity_bits) <= tol
