@@ -165,15 +165,17 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 def _command(body):
     """Register ``body``, which returns its output lines and exit code, as a command with ``--out``.
 
-    A ``ValueError`` is a usage error (exit 2), and an
-    :class:`IntegrationError` exits with ``EXIT_NUMERICAL`` and no output.
+    A ``ValueError``, and an ``OverflowError`` or ``MemoryError`` from a
+    size or count too large to convert or allocate, is a usage error
+    (exit 2); an :class:`IntegrationError` exits with ``EXIT_NUMERICAL``
+    and no output.
     """
 
     @functools.wraps(body)
     def run(out_path, **kwargs):
         try:
             lines, code = body(**kwargs)
-        except ValueError as err:
+        except (ValueError, OverflowError, MemoryError) as err:
             raise click.UsageError(str(err))
         except IntegrationError as err:
             click.echo(f"numerical failure: {err}", err=True)
@@ -328,12 +330,7 @@ _USE_POINTS = 25
 
 
 def _geometric_ints(n_max: int) -> list[int]:
-    if n_max == 1:
-        return [1]
-    values = {1, n_max}
-    for i in range(_USE_POINTS):
-        values.add(int(round(n_max ** (i / (_USE_POINTS - 1)))))
-    return sorted(values)
+    return sorted({1, n_max, *(int(round(v)) for v in _geometric_floats(1.0, n_max, _USE_POINTS))})
 
 
 @_command
@@ -418,18 +415,18 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
 @click.option("--nbar", type=float, required=True, help="Mean photon number per use.")
 @click.option("--resolution", type=int, default=161, show_default=True,
               help="Grid points per search variable (minimum 64).")
-@click.option("--refinements", type=int, default=2, show_default=True,
-              help="Coarse-to-fine refinement passes, at least (more keep the final step at most 0.01).")
-def oracle(gq, gp, nbar, resolution, refinements):
+def oracle(gq, gp, nbar, resolution):
     """Brute-force grid search for the single-mode optimum.
 
-    Unlike the closed-form solver this also explores the below-threshold
-    regime, pinning one modulation variance at zero there; the
-    above_threshold column records which side the input energy is on.
+    The search refines at least twice, and more until its final step in
+    the squeezing parameter is at most 0.01.  Unlike the closed-form
+    solver this also explores the below-threshold regime, pinning one
+    modulation variance at zero there; the above_threshold column
+    records which side the input energy is on.
     """
     noise = MonoNoise(gq, gp)
-    sol = brute_force_mono_oracle(noise, nbar, resolution, refinements)
-    params = [("resolution", _fmt(resolution)), ("refinements", _fmt(refinements))]
+    sol = brute_force_mono_oracle(noise, nbar, resolution)
+    params = [("resolution", _fmt(resolution))]
     return _mono_csv("oracle", params, noise, nbar, ["above_threshold"], sol), EXIT_OK
 
 

@@ -182,8 +182,8 @@ def symmetric_eigen(m: np.ndarray) -> np.ndarray:
 def grid_maximize(
     objective: Callable[..., np.ndarray],
     box: Sequence[tuple[float, float]],
-    resolution: int = 65,
-    refinements: int = 2,
+    resolution: int,
+    refinements: int,
 ) -> tuple[tuple[float, ...], float]:
     """Maximize ``objective`` on a box by deterministic coarse-to-fine search.
 

@@ -40,7 +40,6 @@ __all__ = [
     "BelowThresholdError",
     "mono_threshold",
     "mono_solve",
-    "mono_capacity",
     "multimode_threshold",
     "env_symplectic_spectrum",
     "squeezing_fraction",
@@ -218,16 +217,6 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
     )
 
 
-def mono_capacity(noise: MonoNoise, n_bar: float) -> float:
-    """One-shot capacity of the single-mode channel, in bits.
-
-    g(n_bar + arithmetic mean of the noise) - g(geometric mean of the
-    noise); for symmetric noise this is the thermal-channel value
-    g(n_bar + N) - g(N).
-    """
-    return mono_solve(noise, n_bar).capacity_bits
-
-
 # ---------------------------------------------------------------------------
 # Correlated multimode channel, infinite-use limit
 # ---------------------------------------------------------------------------
@@ -275,16 +264,6 @@ def _input_q_integral(c: float) -> float:
     return (1.0 + c * c) * ellipk(c**4)
 
 
-def _squeezing_fraction(c: float, n_bar: float) -> float:
-    excess = _input_q_integral(c) - 0.5 * math.pi
-    if excess == 0:
-        # White noise (or a correlation too weak to register): no squeezing.
-        return 0.0
-    if n_bar == 0:
-        raise ValueError("n_bar must be positive, got 0")
-    return excess / (math.pi * n_bar)
-
-
 def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
     """Fraction of the photon budget spent on squeezing the input.
 
@@ -298,7 +277,13 @@ def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
     """
     _require_solver_noise(noise)
     _check_energy(n_bar)
-    return _squeezing_fraction(noise.correlation, n_bar)
+    excess = _input_q_integral(noise.correlation) - 0.5 * math.pi
+    if excess == 0:
+        # White noise (or a correlation too weak to register): no squeezing.
+        return 0.0
+    if n_bar == 0:
+        raise ValueError("n_bar must be positive, got 0")
+    return excess / (math.pi * n_bar)
 
 
 def _entropy_mean(spectrum: Callable[[np.ndarray], np.ndarray], r: float,
@@ -381,7 +366,7 @@ def multimode_solve(noise: MarkovNoise, n_bar: float) -> MultimodeSolution:
     """
     capacity = asymptotic_capacity(noise, n_bar)
     return MultimodeSolution(
-        squeezing_fraction=_squeezing_fraction(noise.correlation, n_bar),
+        squeezing_fraction=squeezing_fraction(noise, n_bar),
         water_level=n_bar + noise.variance + VACUUM_VARIANCE,
         capacity_bits=capacity,
         threshold=multimode_threshold(noise),
@@ -503,7 +488,6 @@ def brute_force_mono_oracle(
     noise: MonoNoise,
     n_bar: float,
     resolution: int = 161,
-    refinements: int = 2,
 ) -> MonoSolution:
     """Maximize the single-mode information quantity by deterministic grid search.
 
@@ -515,10 +499,10 @@ def brute_force_mono_oracle(
     of cancellation at every energy.  Independent of the closed form in
     :func:`mono_solve`; it also explores the below-threshold regime,
     where it returns a boundary solution with one modulation variance
-    pinned at zero.  Runs at least ``refinements`` passes, and as many
-    more as keep the final step in s at most 0.01 as the box widens with
-    n_bar.  Raises ``ValueError`` for an n_bar so large that the input
-    variances would overflow.
+    pinned at zero.  Refines at least twice, and more until the final
+    step in s is at most 0.01, as the box widens with n_bar.  Raises
+    ``ValueError`` for an n_bar so large that the input variances would
+    overflow.
     """
     _check_energy(n_bar)
     if resolution < 64:
@@ -532,11 +516,9 @@ def brute_force_mono_oracle(
     if not math.isfinite(4.0 * budget):
         raise ValueError(f"n_bar = {n_bar:g} is too large for the oracle's variance budget")
     half_width = math.acosh(budget)
-    # The final step in s is 2 half_width 0.25^passes / (resolution - 1); a
-    # count that grid_maximize rejects reaches it unchanged.
-    passes = refinements
-    while (isinstance(passes, (int, np.integer)) and passes >= 0
-           and 2.0 * half_width * 0.25**passes > 0.01 * (resolution - 1)):
+    # The final step in s is 2 half_width 0.25^passes / (resolution - 1).
+    passes = 2
+    while 2.0 * half_width * 0.25**passes > 0.01 * (resolution - 1):
         passes += 1
 
     def state(s, split):

@@ -23,7 +23,6 @@ from gmcapacity.solver import (
     finite_n_rate,
     first_mode_variance,
     mean_environment_entropy,
-    mono_capacity,
     mono_solve,
     mono_threshold,
     multimode_solve,

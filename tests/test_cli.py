@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gmcapacity import solver
+from gmcapacity import cli, solver
 from gmcapacity.cli import _CHUNK_CHARS, _CHUNK_ROWS, _fmt, _geometric_floats, main
 from gmcapacity.numerics import IntegrationError
 from gmcapacity.solver import (
@@ -422,11 +422,11 @@ class TestOracle:
         result = runner.invoke(
             main,
             ["oracle", "--gq", "1", "--gp", "1", "--nbar", "2",
-             "--resolution", "81", "--refinements", "2"],
+             "--resolution", "81"],
         )
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
-        sol = brute_force_mono_oracle(MonoNoise(1.0, 1.0), 2.0, 81, 2)
+        sol = brute_force_mono_oracle(MonoNoise(1.0, 1.0), 2.0, 81)
         row = rows[0]
         assert row["capacity_bits"] == _fmt(sol.capacity_bits)
         assert row["input_q"] == _fmt(sol.input_q)
@@ -649,3 +649,33 @@ class TestExtremeInputs:
         assert result.exit_code == 2, result.output
         assert "overflows the largest double" in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["fig4", "--phi", "0.5", "--n-max", str(10**400)],
+        ["oracle", "--gq", "2", "--gp", "0.5", "--nbar", "1", "--resolution", str(10**400)],
+    ], ids=["fig4", "oracle"])
+    def test_integer_too_large_for_a_float_is_usage_error(self, runner, tmp_path, args):
+        target = tmp_path / "out.csv"
+        result = runner.invoke(main, [*args, "--out", str(target)])
+        assert result.exit_code == 2, result.output
+        assert "Error: int too large to convert to float" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert not target.exists()
+
+    @pytest.mark.parametrize("module, args", [
+        (cli, ["spectrum", "--kind", "toeplitz", "--phi", "0.5", "--n", "8"]),
+        (solver, ["fig4", "--phi", "0.5", "--n", "8"]),
+    ], ids=["spectrum", "fig4"])
+    def test_failed_allocation_is_usage_error(self, runner, monkeypatch, tmp_path, module, args):
+        # Injected: a real n x n request too large for memory can get the
+        # process killed instead of raising.
+        def unable_to_allocate(noise, n):
+            raise MemoryError(f"Unable to allocate a {n} x {n} matrix")
+
+        monkeypatch.setattr(module, "markov_matrix", unable_to_allocate)
+        target = tmp_path / "out.csv"
+        result = runner.invoke(main, [*args, "--out", str(target)])
+        assert result.exit_code == 2, result.output
+        assert "Error: Unable to allocate a 8 x 8 matrix" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert not target.exists()

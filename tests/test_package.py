@@ -6,6 +6,7 @@ After an intended change to those outputs, rewrite the records with
 ``PYTHONPATH=src python tests/test_package.py`` and say which digits moved.
 """
 
+import ast
 import json
 import re
 import shlex
@@ -17,7 +18,8 @@ from click.testing import CliRunner
 import gmcapacity
 from gmcapacity.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "readme_cli"
 
 
@@ -85,6 +87,37 @@ def test_readme_cli_example_runs(args, tmp_path):
         return
     rows = [row for row in lines if not row.startswith("#")]
     assert re.fullmatch(r"\w+(,\w+)+", rows[0]), rows[0]
+
+
+def _unused_imports(path):
+    """``file:line: name`` of each name an import binds that the module never reads.
+
+    An import whose lines carry ``# noqa`` is exempt, and a string listed
+    in ``__all__`` counts as a use.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(item.value for item in node.value.elts)
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used:
+                unused.append(f"{path.relative_to(ROOT)}:{alias.lineno}: {name}")
+    return unused
+
+
+def test_no_unused_imports():
+    files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    assert [entry for path in files for entry in _unused_imports(path)] == []
 
 
 def _record_golden():

@@ -22,12 +22,10 @@ from gmcapacity.solver import (
     asymptotic_capacity,
     brute_force_mono_oracle,
     classical_limit_capacity,
-    env_symplectic_spectrum,
     finite_n_rate,
     first_mode_variance,
     full_correlation_capacity,
     mean_environment_entropy,
-    mono_capacity,
     mono_solve,
     mono_threshold,
     multimode_solve,
@@ -36,7 +34,7 @@ from gmcapacity.solver import (
     symmetric_noise_solution,
     symmetric_threshold,
 )
-from gmcapacity.spectra import MarkovNoise
+from gmcapacity.spectra import MarkovNoise, markov_matrix
 
 
 def g_vec(x):
@@ -86,9 +84,11 @@ class TestHighPrecisionReference:
         value = squeezing_fraction(MarkovNoise(1.0, phi), n_bar)
         assert value == pytest.approx(expected, rel=1e-13)
 
-    @pytest.mark.parametrize("phi", [0.3, 0.9, 0.999])
+    @pytest.mark.parametrize("phi", [0.3, 0.6, 0.9, 0.999])
     @pytest.mark.parametrize("alt_form", [False, True])
     def test_first_mode_variance(self, phi, alt_form):
+        # With alt_form, the integrand is the optimal input spectrum
+        # MultimodeSolution.input_q (test_input_matches_anisotropy_closed_form).
         def integrand(mp, x):
             c = mp.mpf(phi)
             base = 1 + (c * c if alt_form else c)
@@ -184,26 +184,26 @@ class TestMonoSolve:
 
 class TestMonoCapacity:
     def test_thermal_reduction(self):
-        assert mono_capacity(MonoNoise(1.0, 1.0), 2.0) == pytest.approx(
+        assert mono_solve(MonoNoise(1.0, 1.0), 2.0).capacity_bits == pytest.approx(
             thermal_entropy(3.0) - thermal_entropy(1.0), abs=1e-15
         )
         # 4 log2 4 - 3 log2 3 - 2 = 6 - 3 log2 3.
-        assert mono_capacity(MonoNoise(1.0, 1.0), 2.0) == pytest.approx(
+        assert mono_solve(MonoNoise(1.0, 1.0), 2.0).capacity_bits == pytest.approx(
             6.0 - 3.0 * math.log2(3.0), abs=1e-12
         )
 
     def test_anisotropic_means(self):
-        value = mono_capacity(MonoNoise(2.0, 0.5), 2.0)
+        value = mono_solve(MonoNoise(2.0, 0.5), 2.0).capacity_bits
         assert value == pytest.approx(
             thermal_entropy(3.25) - thermal_entropy(1.0), abs=1e-15
         )
 
     def test_zero_energy_zero_capacity(self):
-        assert mono_capacity(MonoNoise(1.5, 1.5), 0.0) == 0.0
+        assert mono_solve(MonoNoise(1.5, 1.5), 0.0).capacity_bits == 0.0
 
     def test_below_threshold(self):
         with pytest.raises(BelowThresholdError):
-            mono_capacity(MonoNoise(2.0, 0.5), 1.0)
+            mono_solve(MonoNoise(2.0, 0.5), 1.0).capacity_bits
 
 
 class TestMultimodeThreshold:
@@ -663,7 +663,6 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 
 ENERGY_ENTRY_POINTS = {
     "mono_solve": lambda e: mono_solve(MonoNoise(2.0, 0.5), e),
-    "mono_capacity": lambda e: mono_capacity(MonoNoise(2.0, 0.5), e),
     "finite_n_rate": lambda e: finite_n_rate(MarkovNoise(1.0, 0.5), e, 10),
     "multimode_solve": lambda e: multimode_solve(MarkovNoise(1.0, 0.5), e),
     "asymptotic_capacity": lambda e: asymptotic_capacity(MarkovNoise(1.0, 0.5), e),
@@ -852,6 +851,30 @@ class TestFirstModeVariance:
         for p in (0.3, 0.9):
             assert first_mode_variance(p, alt_form=True) > first_mode_variance(p)
 
+    @pytest.mark.parametrize("phi", [0.3, 0.6, 0.9])
+    def test_dense_back_rotated_input(self, phi):
+        # The optimal input of n uses, rotated back from the eigenbasis U of
+        # the q noise block: U diag(sqrt(l_k / l_{n+1-k}) / 2) U^T.  Its
+        # middle diagonal entry tends to the alt_form value, and its first
+        # to the input spectrum weighted by the limit 2 sin^2 x / (1 - 2c cos x
+        # + c^2) of n U_{1k}^2.  Both converge like 1/n, so the Richardson
+        # value 2 M(1000) - M(500) is within 1e-5 of each limit.
+        def middle_and_first(n):
+            lam, vectors = np.linalg.eigh(markov_matrix(MarkovNoise(1.0, phi), n))
+            rotated = (vectors * (0.5 * np.sqrt(lam / lam[::-1]))) @ vectors.T
+            return np.array([rotated[n // 2, n // 2], rotated[0, 0]])
+
+        def weighted_input(mp, x):
+            c = mp.mpf(phi)
+            input_q = 0.5 * mp.sqrt((1 + c * c + 2 * c * mp.cos(x)) / (1 + c * c - 2 * c * mp.cos(x)))
+            return input_q * 2 * mp.sin(x) ** 2 / (1 + c * c - 2 * c * mp.cos(x))
+
+        middle, first = 2 * middle_and_first(1000) - middle_and_first(500)
+        assert abs(middle - first_mode_variance(phi, alt_form=True)) <= 1e-5
+        assert abs(first - float(mpmath_mean(weighted_input))) <= 1e-5
+        # Neither mode reproduces the primary value.
+        assert min(abs(middle - first_mode_variance(phi)), abs(first - first_mode_variance(phi))) > 1e-2
+
     def test_domain(self):
         with pytest.raises(ValueError):
             first_mode_variance(1.0)
@@ -905,7 +928,7 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("n_bar", [1e150, 1e300])
     def test_huge_energy_stays_finite(self, n_bar):
         found = brute_force_mono_oracle(MonoNoise(2.0, 0.5), n_bar)
-        assert abs(mono_capacity(MonoNoise(2.0, 0.5), n_bar) - found.capacity_bits) <= 1e-2
+        assert abs(mono_solve(MonoNoise(2.0, 0.5), n_bar).capacity_bits - found.capacity_bits) <= 1e-2
 
     def test_overflowing_budget_rejected(self):
         with pytest.raises(ValueError, match="n_bar = 1e\\+308"):
@@ -922,8 +945,6 @@ class TestBruteForceOracle:
     def test_non_integer_counts_rejected(self):
         with pytest.raises(ValueError, match="must be an integer"):
             brute_force_mono_oracle(MonoNoise(2.0, 0.5), 1.0, resolution=100.5)
-        with pytest.raises(ValueError, match="must be an integer"):
-            brute_force_mono_oracle(MonoNoise(2.0, 0.5), 1.0, refinements=1.5)
 
     @pytest.mark.parametrize("noise", [MonoNoise(2.0, 0.5), MonoNoise(0.01, 30.0)])
     def test_above_threshold_agrees_with_mono_solve(self, noise):
@@ -945,7 +966,7 @@ class TestBruteForceOracle:
                 solvable = True
             except BelowThresholdError:
                 solvable = False
-            found = brute_force_mono_oracle(noise, n_bar, resolution=64, refinements=0)
+            found = brute_force_mono_oracle(noise, n_bar, resolution=64)
             assert found.above_threshold is solvable, n_bar
             outcomes.append(solvable)
         assert outcomes == [True, True, True, True, False]
