@@ -54,9 +54,7 @@ EXIT_NUMERICAL = 4
 
 
 def _fmt(value) -> str:
-    """Fixed 12-significant-digit decimal rendering; empty for missing fields."""
-    if value is None:
-        return ""
+    """Fixed 12-significant-digit decimal rendering."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -284,12 +282,18 @@ def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
     return [lo * ratio ** (i / (steps - 1)) for i in range(steps)]
 
 
+# fig3 builds its rows as Python lists, about 1 KB each, so it caps their number.
+_FIG3_MAX_ROWS = 100_000
+
+
 @_command
 @click.option("--phi", "phis", type=float, multiple=True, default=(0.4, 0.7, 0.9),
               show_default=True, help="Correlations to sweep (repeatable).")
 @click.option("--n-min", type=float, default=1.0, show_default=True, help="Smallest noise variance N.")
 @click.option("--n-max", type=float, default=100.0, show_default=True, help="Largest noise variance N.")
-@click.option("--steps", type=int, default=15, show_default=True, help="Geometric steps over [n-min, n-max].")
+@click.option("--steps", type=int, default=15, show_default=True,
+              help=f"Geometric steps over [n-min, n-max]; steps times the number of "
+              f"correlations is at most {_FIG3_MAX_ROWS}.")
 def fig3(phis, n_min, n_max, steps):
     """Capacity, squeezing fraction and classical limit along the fixed-SNR protocol.
 
@@ -298,6 +302,8 @@ def fig3(phis, n_min, n_max, steps):
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if steps * len(phis) > _FIG3_MAX_ROWS:
+        raise ValueError(f"steps x correlations must be at most {_FIG3_MAX_ROWS}, got {steps} x {len(phis)}")
     if not 0 < n_min <= n_max:
         raise ValueError("need 0 < n-min <= n-max")
     if math.isinf(n_max):
@@ -310,16 +316,16 @@ def fig3(phis, n_min, n_max, steps):
     rows = []
     for phi in phis:
         snr = multimode_threshold(MarkovNoise(1.0, phi))
-        noises, energies, limits = [], [], []
+        # The classical limit reads only the correlation and the snr.
+        limit = _fmt(classical_limit_capacity(MarkovNoise(1.0, phi), snr))
+        noises, energies = [], []
         for variance in _geometric_floats(n_min, n_max, steps):
             nbar = variance * snr
             if math.isinf(nbar):
                 raise ValueError(f"nbar = N * snr overflows at N = {_fmt(variance)}, snr = {_fmt(snr)}")
-            noise = MarkovNoise(variance, phi)
-            limits.append(_fmt(classical_limit_capacity(noise, snr)))
-            noises.append(noise)
+            noises.append(MarkovNoise(variance, phi))
             energies.append(nbar)
-        for row, limit in zip(_multimode_rows(noises, energies), limits):
+        for row in _multimode_rows(noises, energies):
             row[-1:-1] = [limit]
             rows.append(row)
     return _csv("fig3", params, columns, map(",".join, rows)), EXIT_OK

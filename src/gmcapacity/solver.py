@@ -25,7 +25,7 @@ import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, thermal_entropy
 from .numerics import ellipk, grid_maximize, integrate
-from .spectra import MarkovNoise, SpectralFunction, finite_spectrum, markov_matrix, markov_symbol
+from .spectra import MarkovNoise, SpectralFunction, _ar1_gap, finite_spectrum, markov_matrix, markov_symbol
 
 # Cap for the closed-form solvers: thresholds and water levels diverge as
 # the correlation approaches 1, so stronger correlations are rejected and
@@ -224,26 +224,19 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
 
 def _env_spectrum(variance, correlation) -> SpectralFunction:
     # Floats give one spectrum; (k, 1) columns give k rows on the nodes x.
-    one_minus = 1.0 - correlation * correlation
-    scale = variance * one_minus
-    square = one_minus * one_minus
-    four_c2 = 4.0 * correlation * correlation
-
-    def evaluate(x):
-        sin_x = np.sin(x)
-        return scale / np.sqrt(square + four_c2 * sin_x * sin_x)
-
-    return SpectralFunction(evaluate)
+    r = correlation * correlation
+    scale = variance * (1.0 - r)
+    return SpectralFunction(lambda x: scale / np.sqrt(_ar1_gap(r, 2.0 * x)))
 
 
 def env_symplectic_spectrum(noise: MarkovNoise) -> SpectralFunction:
     """Geometric mean of the two quadrature noise spectra.
 
-    variance (1 - c^2) / sqrt((1 - c^2)^2 + 4 c^2 sin^2 x), the same as
-    variance (1 - c^2) / sqrt((1 + c^2)^2 - 4 c^2 cos^2 x) but free of its
-    cancellation near the endpoints at strong correlation; equals the
-    plain variance at both endpoints, so the integrands built on it stay
-    smooth for |correlation| < 1.
+    variance (1 - c^2) / |1 - c^2 e^{2ix}|, whose denominator :func:`_ar1_gap`
+    takes as sqrt((1 - c^2)^2 + 4 c^2 sin^2 x), free of the cancellation of
+    sqrt((1 + c^2)^2 - 4 c^2 cos^2 x) near the endpoints at strong correlation;
+    equals the plain variance at both endpoints, so the integrands built on
+    it stay smooth for |correlation| < 1.
     """
     return _env_spectrum(noise.variance, noise.correlation)
 

@@ -148,20 +148,22 @@ def asymptotic_markov_spectrum(noise: MarkovNoise, x):
     return values
 
 
+def _ar1_gap(r: float, x):
+    """|1 - r e^{ix}|^2 as a sum of non-negative terms, so that it does not cancel near its minimum."""
+    a = abs(r)
+    h = (np.sin if r >= 0 else np.cos)(0.5 * x)  # 4 |r| h^2 = 2 |r| (1 -+ cos x)
+    return (1.0 - a) * (1.0 - a) + 4.0 * a * h * h
+
+
 def markov_symbol(noise: MarkovNoise) -> SpectralFunction:
     """Limiting AR(1) spectrum on [0, pi] as a callable.
 
-    variance * (1 - c^2) / (1 + c^2 - 2 c cos x) with c = correlation, so
-    the symbol of ``MarkovNoise(N, -phi)`` is this one at pi - x.
+    variance * (1 - c^2) / |1 - c e^{ix}|^2 with c = correlation, by :func:`_ar1_gap`,
+    so the symbol of ``MarkovNoise(N, -phi)`` is this one at pi - x.
     """
     c = noise.correlation
-    one_plus = 1.0 + c * c
     scale = noise.variance * (1.0 - c * c)
-
-    def evaluate(x):
-        return scale / (one_plus - 2.0 * c * np.cos(x))
-
-    return SpectralFunction(evaluate)
+    return SpectralFunction(lambda x: scale / _ar1_gap(c, x))
 
 
 def tridiagonal_inverse(noise: MarkovNoise, n: int) -> np.ndarray:
@@ -182,15 +184,10 @@ def tridiagonal_inverse(noise: MarkovNoise, n: int) -> np.ndarray:
 
 
 def inverse_symbol(noise: MarkovNoise) -> SpectralFunction:
-    """Spectral symbol of :func:`tridiagonal_inverse`: the reciprocal AR(1) symbol."""
+    """Symbol of :func:`tridiagonal_inverse`: 1 / :func:`markov_symbol`, also by :func:`_ar1_gap`."""
     c = noise.correlation
     prefactor = 1.0 / (noise.variance * (1.0 - c * c))
-    one_plus = 1.0 + c * c
-
-    def evaluate(x):
-        return prefactor * (one_plus - 2.0 * c * np.cos(x))
-
-    return SpectralFunction(evaluate)
+    return SpectralFunction(lambda x: prefactor * _ar1_gap(c, x))
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,10 +1,12 @@
-"""The benchmark's layer gates, checked in-process on seed 1 of every workload.
+"""The benchmark's layer gates and CSV checks, run in-process on seed 1 of every workload.
 
 ``bench/run.py --trace 1`` rejects a run in which a counter listed in
-``workloads.EXPECTED_NONZERO`` reads zero.  This runs the same tracer on
-the same commands through the benchmark's own ``in_process_pass`` and
-``layer_values``, so that a change which drops a layer from a workload
-fails here first.
+``workloads.EXPECTED_NONZERO`` reads zero, and counts every row that
+``refs.check`` fails against its independent reference.  This runs the
+same tracer on the same commands through the benchmark's own
+``in_process_pass`` and ``layer_values``, and the same ``refs.check`` on
+their outputs, so that a change which drops a layer from a workload or
+moves a printed number off its reference fails here first.
 """
 
 import importlib
@@ -39,6 +41,10 @@ def test_gates_nonzero(bench, workload):
     tracer = bench.layers.Tracer()
     _, outputs = bench.in_process_pass(gmcapacity, commands, tracer)
     assert [rc for rc, _ in outputs] == [0] * len(commands)
+    for command, (_, stdout) in zip(commands, outputs):
+        rows, failed, messages = bench.refs.check(command, stdout)
+        assert (failed, messages) == (0, []), command.args
+        assert rows > 0, command.args
     values = bench.layer_values(tracer, outputs)
     gates = bench.workloads.EXPECTED_NONZERO[workload]
     assert [name for name in gates if not values.get(name)] == []

@@ -264,6 +264,31 @@ class TestFig3:
             statuses.add((phi, row["status"]))
         assert len(statuses) == 4
 
+    @pytest.mark.parametrize("args", [
+        ["--phi", "0.5", "--steps", "100001"],
+        ["--phi", "0.5", "--phi", "0.6", "--steps", "50001"],
+    ], ids=["one-phi", "two-phis"])
+    def test_row_limit_is_usage_error(self, runner, tmp_path, args):
+        # One past the limit: the grid is never built, so this fails at once.
+        target = tmp_path / "out.csv"
+        result = runner.invoke(main, ["fig3", *args, "--out", str(target)])
+        assert result.exit_code == 2, result.output
+        assert "Error: steps x correlations must be at most 100000, got " in result.stderr
+        assert not target.exists()
+
+    def test_classical_limit_once_per_correlation(self, runner, monkeypatch):
+        calls = []
+
+        def counting(noise, snr):
+            calls.append(noise.correlation)
+            return classical_limit_capacity(noise, snr)
+
+        monkeypatch.setattr(cli, "classical_limit_capacity", counting)
+        args = ["fig3", "--phi", "0.4", "--phi", "0.7", "--n-min", "1", "--n-max", "10", "--steps", "5"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert calls == [0.4, 0.7]
+
 
 class TestFig4:
     def test_rows_match_library(self, runner):
@@ -328,6 +353,22 @@ class TestSpectrum:
         expected = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
         assert result.output.splitlines()[-samples:] == expected
         assert result.output.splitlines()[-samples - 1] == "x,value"
+
+    @pytest.mark.parametrize("sign, index, peak", [
+        ("+1", 0, "0,1999"),
+        ("-1", -1, "3.14159265359,1999"),
+    ])
+    def test_asymptotic_peak_is_exact(self, runner, sign, index, peak):
+        # N (1 + c) / (1 - c) = 1999 at the peak, where 1 + c^2 - 2 c cos x
+        # would cancel and miss it in the 10th digit.
+        result = runner.invoke(
+            main,
+            ["spectrum", "--kind", "asymptotic", "--phi", "0.999", "--N", "1",
+             "--samples", "2001", "--sign", sign],
+        )
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[lines.index("x,value") + 1:][index] == peak
 
     def test_toeplitz_white_noise(self, runner):
         result = runner.invoke(
@@ -407,6 +448,17 @@ def test_rejected_value_is_usage_error(runner, command):
     assert "Error: " in result.stderr
     # The domain error is mapped to a usage exit, not leaked as a ValueError.
     assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fig3", "--steps", "0"], "steps must be at least 1"),
+    (["fig4", "--n-max", "0"], "n-max must be at least 1"),
+    (["spectrum", "--kind", "asymptotic", "--phi", "0.5", "--samples", "1"], "samples must be at least 2"),
+], ids=["fig3-steps", "fig4-n-max", "spectrum-samples"])
+def test_count_below_minimum_is_usage_error(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"Error: {message}" in result.stderr
 
 
 class TestNonFiniteInput:

@@ -346,6 +346,14 @@ class TestGridMaximize:
             with pytest.raises(ValueError, match="must be an integer"):
                 grid_maximize(lambda x: x, [(0.0, 1.0)], resolution, refinements)
 
+    def test_negative_refinements_rejected(self):
+        with pytest.raises(ValueError, match="refinements must be non-negative"):
+            grid_maximize(lambda x: x, [(0.0, 1.0)], 65, -1)
+
+    def test_objective_shape_checked(self):
+        with pytest.raises(ValueError, match=r"objective returned shape \(3,\), expected \(65,\)"):
+            grid_maximize(lambda x, y: np.ones(3), [(0.0, 1.0), (0.0, 1.0)], 65, 0)
+
 
 def _scalar_grid_maximize(objective, box, resolution, refinements):
     """Point-by-point reference: the full grid in itertools order, scalar calls."""

@@ -98,6 +98,15 @@ class TestHighPrecisionReference:
         value = first_mode_variance(phi, alt_form=alt_form)
         assert value == pytest.approx(expected, rel=1e-13)
 
+    def test_input_spectrum_mean_at_strong_correlation(self):
+        # The double-precision input spectrum, integrated at 30 digits, has
+        # the closed-form mean; its symbols peak at x = 0 and x = pi, where
+        # 1 + c^2 -+ 2 c cos x would cancel (an error of ~1e-11 here).
+        noise = MarkovNoise(1.0, 0.999)
+        sol = multimode_solve(noise, multimode_threshold(noise) + 1.0)
+        expected = float(mpmath_mean(lambda mp, x: sol.input_q(float(x))))
+        assert first_mode_variance(0.999, alt_form=True) == pytest.approx(expected, rel=1e-13)
+
     @pytest.mark.parametrize("phi", [0.5, 0.9, 0.99, 0.999])
     @pytest.mark.parametrize("variance", [1.0, 100.0])
     def test_mean_environment_entropy(self, phi, variance):
@@ -301,8 +310,10 @@ class TestMultimodeSolve:
         noise = MarkovNoise(variance, phi)
         sol = multimode_solve(noise, multimode_threshold(noise) + 1.0)
         xs = np.linspace(0.0, math.pi, 100001)
-        cos_x = np.cos(xs)
-        expected = 0.5 * np.sqrt((1 + phi**2 + 2 * phi * cos_x) / (1 + phi**2 - 2 * phi * cos_x))
+        # |1 + phi e^{ix}|^2 / |1 - phi e^{ix}|^2, both free of cancellation.
+        gap_p = (1 - phi) ** 2 + 4 * phi * np.cos(0.5 * xs) ** 2
+        gap_q = (1 - phi) ** 2 + 4 * phi * np.sin(0.5 * xs) ** 2
+        expected = 0.5 * np.sqrt(gap_p / gap_q)
         assert np.max(np.abs(sol.input_q(xs) / expected - 1.0)) <= 4.5e-16
 
     def test_purity_everywhere(self):

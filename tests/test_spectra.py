@@ -200,12 +200,15 @@ class TestAsymptoticSpectrum:
     @pytest.mark.parametrize("phi", [0.0, 0.5, 0.999, -0.7])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_array_matches_scalar_formula(self, phi, sign):
-        # One array call against the closed form evaluated point by point.
+        # One array call against the closed form evaluated point by point,
+        # with |1 - c e^{ix}|^2 in its cancellation-free form.
         xs = np.linspace(0.0, math.pi, 1001)
         values = asymptotic_markov_spectrum(MarkovNoise(1.3, sign * phi), xs)
         c = sign * phi
+        a = abs(c)
         for x, value in zip(xs.tolist(), values.tolist()):
-            expected = 1.3 * (1.0 - c * c) / (1.0 + c * c - 2.0 * c * math.cos(x))
+            h = math.sin(0.5 * x) if c >= 0 else math.cos(0.5 * x)
+            expected = 1.3 * (1.0 - c * c) / ((1.0 - a) ** 2 + 4.0 * a * h * h)
             assert value == pytest.approx(expected, rel=4e-16, abs=0.0)
 
     @pytest.mark.parametrize("bad", [-0.1, math.pi + 0.1, math.nan])
@@ -228,6 +231,20 @@ class TestAsymptoticSpectrum:
             symbol = markov_symbol(MarkovNoise(variance, phi))
             mean = integrate(symbol, phi) / math.pi
             assert mean == pytest.approx(variance, abs=1e-9)
+
+    @pytest.mark.parametrize("phi", [0.5, 0.9, 0.999, -0.999])
+    def test_symbol_against_mpmath(self, phi):
+        # The symbol's peak sits at x = 0 (phi > 0) or x = pi (phi < 0), where
+        # 1 + c^2 - 2 c cos x cancels; the grid reaches 1e-8 from both ends.
+        mpmath = pytest.importorskip("mpmath")
+        offsets = [10.0**-k for k in range(1, 9)]
+        xs = [0.0, *offsets, 0.5, 1.0, 1.5, 2.0, 2.5, *(math.pi - d for d in offsets), math.pi]
+        values = markov_symbol(MarkovNoise(1.7, phi))(np.array(xs))
+        with mpmath.workdps(40):
+            c = mpmath.mpf(phi)
+            for x, value in zip(xs, values.tolist()):
+                exact = 1.7 * (1 - c * c) / (1 + c * c - 2 * c * mpmath.cos(mpmath.mpf(x)))
+                assert abs(value / exact - 1) <= 3e-14, x
 
 
 class TestSzegoConvergence:
