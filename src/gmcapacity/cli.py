@@ -3,8 +3,9 @@
 Every command emits deterministic CSV: ``#``-prefixed comment lines echo
 the full parameter set, then a header row and data rows with values
 printed at 12 significant digits, locale-independent.  Output goes to
-stdout or to the file named by ``--out``, written in blocks of at most
-``_CHUNK_ROWS`` lines and about ``_CHUNK_CHARS`` characters.  A command
+stdout or to the file named by ``--out``, in writes of whole lines, each
+under ``_CHUNK_CHARS`` characters plus its last piece: one line, or one
+text of at most ``_CHUNK_ROWS`` rows of a numeric table.  A command
 computes every number before it writes a line, so a failing command
 writes nothing to stdout and creates no ``--out`` file.  A ``--config``
 key that names no option of any command is a usage error.
@@ -63,7 +64,7 @@ def _fmt(value) -> str:
 
 
 def _csv(command: str, params, columns, rows):
-    """CSV lines: comment lines for the parameters, the header, then ``rows``, each one string."""
+    """CSV pieces: comment lines for the parameters, the header, then ``rows``, each a line or a text of lines."""
     yield f"# command = {command}"
     for key, value in params:
         yield f"# {key} = {value}"
@@ -71,29 +72,30 @@ def _csv(command: str, params, columns, rows):
     yield from rows
 
 
-# _write sends, and _array_rows converts from numpy to Python numbers,
-# this many lines at a time, so that neither holds the whole table; a
-# write also ends once its lines pass _CHUNK_CHARS characters, so that
-# long lines (a --dump-matrix row) do not add up to one large block.
+# _array_rows converts from numpy to Python numbers, and renders as one
+# text, _CHUNK_ROWS rows at a time; _write ends a write at the line or
+# text that brings it to _CHUNK_CHARS characters, about the size of one
+# table text of 12-digit values.  No write holds the whole table, and
+# long lines (a --dump-matrix row) do not add up to one large write.
 _CHUNK_ROWS = 4096
-_CHUNK_CHARS = 1 << 20
+_CHUNK_CHARS = 1 << 16
 
 
 def _array_rows(template: str, *columns: np.ndarray):
-    """Yield ``template.format(...)`` for each row of equal-length array columns."""
+    """Yield the ``template.format(...)`` rows of equal-length array columns, ``_CHUNK_ROWS`` to a text."""
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         chunks = [column[start:start + _CHUNK_ROWS].tolist() for column in columns]
-        yield from map(template.format, *chunks)
+        yield "\n".join(map(template.format, *chunks))
 
 
-def _blocks(lines):
-    """Join ``lines`` into newline-ended texts of ``_CHUNK_ROWS`` lines, cut short past ``_CHUNK_CHARS`` characters."""
+def _blocks(pieces):
+    """Join ``pieces`` into newline-ended texts, each ended by the piece that brings it to ``_CHUNK_CHARS`` characters."""
     block, size = [], 0
-    for line in lines:
-        block.append(line)
-        size += len(line)
-        if len(block) == _CHUNK_ROWS or size >= _CHUNK_CHARS:
-            # The empty last item ends the text with a newline; the lines
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece) + 1
+        if size >= _CHUNK_CHARS:
+            # The empty last item ends the text with a newline; the pieces
             # are dropped before the text is written.
             text, block, size = "\n".join([*block, ""]), [], 0
             yield text
@@ -101,11 +103,11 @@ def _blocks(lines):
         yield "\n".join([*block, ""])
 
 
-def _write(lines, out_path: str | None) -> None:
-    """Write ``lines`` to ``out_path`` or stdout, one text of :func:`_blocks` per write."""
+def _write(pieces, out_path: str | None) -> None:
+    """Write ``pieces`` (lines, or texts of lines) to ``out_path`` or stdout, one text of :func:`_blocks` per write."""
     target = open(out_path, "w", encoding="ascii", newline="") if out_path else contextlib.nullcontext()
     with target as handle:
-        for text in _blocks(lines):
+        for text in _blocks(pieces):
             click.echo(text, file=handle, nl=False)
 
 
@@ -371,6 +373,23 @@ def fig4(phis, variance, nbar, n_max, n_values):
     return _csv("fig4", params, columns, map(",".join, rows)), EXIT_OK
 
 
+def _circulant_spectrum(first_row: np.ndarray) -> np.ndarray:
+    """Eigenvalues, descending, of the symmetric circulant with ``first_row``: its real DFT.
+
+    The DFT diagonalizes every circulant (Gray, *Toeplitz and Circulant
+    Matrices: A Review*, 2006).  A symmetric first row makes eigenvalue
+    ``k`` equal eigenvalue ``n - k``, so ``rfft`` gives each pair once.
+    Raises ``ValueError`` if an eigenvalue overflows the largest double.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.fft.rfft(first_row).real
+    if not np.isfinite(half).all():
+        raise ValueError("eigenvalue overflows the largest double")
+    values = np.concatenate([half, half[1:(len(first_row) + 1) // 2]])
+    values.sort()
+    return values[::-1]
+
+
 @_command
 @click.option("--kind", type=click.Choice(["toeplitz", "circulant", "asymptotic"]),
               required=True, help="Finite matrix spectra or the limiting symbol.")
@@ -410,7 +429,7 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
     matrix = builder(noise, n)
     if dump_matrix:
         return (" ".join(_fmt(v) for v in row) for row in matrix), EXIT_OK
-    values = finite_spectrum(matrix)
+    values = finite_spectrum(matrix) if kind == "toeplitz" else _circulant_spectrum(matrix[0])
     rows = _array_rows("{},{:.12g}", np.arange(n), values)
     return _csv("spectrum", params, ["index", "eigenvalue"], rows), EXIT_OK
 

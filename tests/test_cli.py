@@ -32,6 +32,7 @@ from gmcapacity.spectra import (
     asymptotic_markov_spectrum,
     circulant_embedding,
     finite_spectrum,
+    fourier_diagonalizer,
     markov_matrix,
 )
 
@@ -386,6 +387,44 @@ class TestSpectrum:
         assert [row["index"] for row in rows] == ["0", "1", "2", "3", "4"]
         assert [row["eigenvalue"] for row in rows] == [_fmt(v) for v in expected]
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 601, 1200])
+    def test_circulant_matches_dense_routes(self, runner, n):
+        # The printed eigenvalues come from one FFT of the first row.  Each
+        # must be within 1e-14 * lambda_max of the dense eigvalsh spectrum,
+        # and of the Rayleigh quotients diag(Q^T C Q) of the real Fourier
+        # basis, which carry the basis's own rounding: Q^T Q is the identity
+        # only to within its largest entry error, which the second bound adds.
+        q = fourier_diagonalizer(n)
+        defect = np.abs(q.T @ q - np.eye(n)).max()
+        for phi in [0.0, 0.3, 0.7, 0.999, -0.7]:
+            result = runner.invoke(
+                main, ["spectrum", "--kind", "circulant", "--phi", str(phi), "--n", str(n)]
+            )
+            assert result.exit_code == 0, result.output
+            printed = np.array([float(row["eigenvalue"]) for row in parse_csv(result.output)[1]])
+            c = circulant_embedding(MarkovNoise(1.0, phi), n)
+            dense = np.linalg.eigvalsh(c)[::-1]
+            basis = np.sort((q * (c @ q)).sum(axis=0))[::-1]
+            tol = 1e-14 * dense[0]
+            for ref, bound in [(dense, tol), (basis, tol + defect * dense[0])]:
+                # Rounding to 12 digits is monotone, so a value within the
+                # bound prints between the printed ends of the interval.
+                low = [float(_fmt(v)) for v in ref - bound]
+                high = [float(_fmt(v)) for v in ref + bound]
+                assert np.all((low <= printed) & (printed <= high)), (phi, n)
+
+    def test_circulant_skips_the_dense_solve(self, runner, monkeypatch):
+        def dense_solve(matrix):
+            raise RuntimeError("dense eigensolve")
+
+        monkeypatch.setattr(cli, "finite_spectrum", dense_solve)
+        args = ["--phi", "0.5", "--n", "8"]
+        circulant = runner.invoke(main, ["spectrum", "--kind", "circulant", *args])
+        toeplitz = runner.invoke(main, ["spectrum", "--kind", "toeplitz", *args])
+        assert circulant.exit_code == 0, circulant.output
+        assert len(parse_csv(circulant.output)[1]) == 8
+        assert str(toeplitz.exception) == "dense eigensolve"
+
     def test_sign_branch(self, runner):
         result = runner.invoke(
             main,
@@ -555,6 +594,29 @@ class TestOutputPlumbing:
         assert len(sizes) > 1
         assert sum(sizes) == len(result.output)
         assert max(sizes) < _CHUNK_CHARS + 2 * longest
+
+    @pytest.mark.parametrize("samples", [2 * _CHUNK_ROWS + 3, 32 * _CHUNK_ROWS + 1])
+    def test_table_writes_end_at_chunk_chars(self, runner, monkeypatch, samples):
+        # A write holds whole lines and ends at the piece, a line or a text
+        # of at most _CHUNK_ROWS table rows, that brings it to _CHUNK_CHARS
+        # characters.
+        writes = []
+        echo = click.echo
+
+        def recording_echo(message, **kwargs):
+            writes.append(message)
+            echo(message, **kwargs)
+
+        monkeypatch.setattr(click, "echo", recording_echo)
+        result = runner.invoke(
+            main, ["spectrum", "--kind", "asymptotic", "--phi", "0.6", "--samples", str(samples)]
+        )
+        assert result.exit_code == 0
+        longest = max(map(len, result.output.splitlines(keepends=True)))
+        assert "".join(writes) == result.output
+        assert all(text.endswith("\n") for text in writes)
+        assert all(len(text) >= _CHUNK_CHARS for text in writes[:-1])
+        assert all(len(text) < _CHUNK_CHARS + _CHUNK_ROWS * longest for text in writes)
 
     def test_header_comments_echo_parameters(self, runner):
         result = runner.invoke(main, ["mono", "--gq", "1", "--gp", "1", "--nbar", "2"])
