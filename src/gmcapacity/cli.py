@@ -3,12 +3,12 @@
 Every command emits deterministic CSV: ``#``-prefixed comment lines echo
 the full parameter set, then a header row and data rows with values
 printed at 12 significant digits, locale-independent.  Output goes to
-stdout or to the file named by ``--out``, in writes of whole lines, each
-under ``_CHUNK_CHARS`` characters plus its last piece: one line, or one
-text of at most ``_CHUNK_ROWS`` rows of a numeric table.  A command
-computes every number before it writes a line, so a failing command
-writes nothing to stdout and creates no ``--out`` file.  A ``--config``
-key that names no option of any command is a usage error.
+stdout or to the file named by ``--out``, one text of whole lines to a
+write: the comment lines and header, at most ``_CHUNK_ROWS`` table rows,
+or one ``--dump-matrix`` row.  A command computes every number before
+it writes a line, so a failing command writes nothing to stdout and
+creates no ``--out`` file.  A ``--config`` key that names no option of
+any command is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 below the water-filling
 threshold, 4 numerical failure (a quadrature missed its fixed 1e-10
@@ -64,21 +64,15 @@ def _fmt(value) -> str:
 
 
 def _csv(command: str, params, columns, rows):
-    """CSV pieces: comment lines for the parameters, the header, then ``rows``, each a line or a text of lines."""
-    yield f"# command = {command}"
-    for key, value in params:
-        yield f"# {key} = {value}"
-    yield ",".join(columns)
+    """CSV texts: the comment lines for the parameters and the header as one text, then ``rows``."""
+    yield "\n".join([f"# command = {command}", *(f"# {key} = {value}" for key, value in params),
+                     ",".join(columns)])
     yield from rows
 
 
-# _array_rows converts from numpy to Python numbers, and renders as one
-# text, _CHUNK_ROWS rows at a time; _write ends a write at the line or
-# text that brings it to _CHUNK_CHARS characters, about the size of one
-# table text of 12-digit values.  No write holds the whole table, and
-# long lines (a --dump-matrix row) do not add up to one large write.
+# _array_rows (from numpy arrays) and _list_rows (from lists of fields) hand
+# a table to _write _CHUNK_ROWS rows to a text, so no write holds it whole.
 _CHUNK_ROWS = 4096
-_CHUNK_CHARS = 1 << 16
 
 
 def _array_rows(template: str, *columns: np.ndarray):
@@ -88,27 +82,18 @@ def _array_rows(template: str, *columns: np.ndarray):
         yield "\n".join(map(template.format, *chunks))
 
 
-def _blocks(pieces):
-    """Join ``pieces`` into newline-ended texts, each ended by the piece that brings it to ``_CHUNK_CHARS`` characters."""
-    block, size = [], 0
-    for piece in pieces:
-        block.append(piece)
-        size += len(piece) + 1
-        if size >= _CHUNK_CHARS:
-            # The empty last item ends the text with a newline; the pieces
-            # are dropped before the text is written.
-            text, block, size = "\n".join([*block, ""]), [], 0
-            yield text
-    if block:
-        yield "\n".join([*block, ""])
+def _list_rows(rows: list[list[str]]):
+    """Yield the comma-joined ``rows``, ``_CHUNK_ROWS`` to a text."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        yield "\n".join(map(",".join, rows[start:start + _CHUNK_ROWS]))
 
 
-def _write(pieces, out_path: str | None) -> None:
-    """Write ``pieces`` (lines, or texts of lines) to ``out_path`` or stdout, one text of :func:`_blocks` per write."""
+def _write(texts, out_path: str | None) -> None:
+    """Write each of ``texts``, one or more whole lines, to ``out_path`` or stdout as one write."""
     target = open(out_path, "w", encoding="ascii", newline="") if out_path else contextlib.nullcontext()
     with target as handle:
-        for text in _blocks(pieces):
-            click.echo(text, file=handle, nl=False)
+        for text in texts:
+            click.echo(text, file=handle)
 
 
 def _load_config(path: str) -> dict[str, tuple[int, str]]:
@@ -163,7 +148,7 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 
 
 def _command(body):
-    """Register ``body``, which returns its output lines and exit code, as a command with ``--out``.
+    """Register ``body``, which returns its output texts and exit code, as a command with ``--out``.
 
     A ``ValueError``, and an ``OverflowError`` or ``MemoryError`` from a
     size or count too large to convert or allocate, is a usage error
@@ -174,14 +159,14 @@ def _command(body):
     @functools.wraps(body)
     def run(out_path, **kwargs):
         try:
-            lines, code = body(**kwargs)
+            texts, code = body(**kwargs)
         except (ValueError, OverflowError, MemoryError) as err:
             raise click.UsageError(str(err))
         except IntegrationError as err:
             click.echo(f"numerical failure: {err}", err=True)
             code = EXIT_NUMERICAL
         else:
-            _write(lines, out_path)
+            _write(texts, out_path)
         click.get_current_context().exit(code)
 
     command = main.command()(run)
@@ -203,7 +188,7 @@ def _mono_csv(command, params, noise, nbar, extra, sol):
         row += [""] * len(_MONO_FIELDS) + ["below_threshold"]
     else:
         row += [_fmt(getattr(sol, name)) for name in [*extra, *_MONO_FIELDS]] + ["ok"]
-    return _csv(command, params, columns, [",".join(row)])
+    return _csv(command, params, columns, _list_rows([row]))
 
 
 _MULTIMODE_FIELDS = ["phi", "N", "nbar", "threshold", "eta", "mu_global", "capacity_bits", "status"]
@@ -269,7 +254,7 @@ def capacity(phi, variance, nbar, allow_below, first_mode):
         columns[-1:-1] = ["first_mode_variance", "first_mode_variance_alt"]
         row[-1:-1] = [_fmt(first_mode_variance(phi, alt_form=alt)) for alt in (False, True)]
     code = EXIT_OK if row[-1] == "ok" or allow_below else EXIT_BELOW_THRESHOLD
-    return _csv("capacity", params, columns, [",".join(row)]), code
+    return _csv("capacity", params, columns, _list_rows([row])), code
 
 
 def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
@@ -330,7 +315,7 @@ def fig3(phis, n_min, n_max, steps):
         for row in _multimode_rows(noises, energies):
             row[-1:-1] = [limit]
             rows.append(row)
-    return _csv("fig3", params, columns, map(",".join, rows)), EXIT_OK
+    return _csv("fig3", params, columns, _list_rows(rows)), EXIT_OK
 
 
 # Geometric grid points of fig4's channel-use counts when no --n is given.
@@ -370,7 +355,7 @@ def fig4(phis, variance, nbar, n_max, n_values):
         [[*_, cap, status]] = _multimode_rows([noise], [nbar])
         for n in uses:
             rows.append([_fmt(phi), str(n), _fmt(finite_n_rate(noise, nbar, n)), cap, status])
-    return _csv("fig4", params, columns, map(",".join, rows)), EXIT_OK
+    return _csv("fig4", params, columns, _list_rows(rows)), EXIT_OK
 
 
 def _circulant_spectrum(first_row: np.ndarray) -> np.ndarray:
@@ -428,7 +413,8 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
     builder = markov_matrix if kind == "toeplitz" else circulant_embedding
     matrix = builder(noise, n)
     if dump_matrix:
-        return (" ".join(_fmt(v) for v in row) for row in matrix), EXIT_OK
+        template = " ".join(["{:.12g}"] * n)
+        return (template.format(*row.tolist()) for row in matrix), EXIT_OK
     values = finite_spectrum(matrix) if kind == "toeplitz" else _circulant_spectrum(matrix[0])
     rows = _array_rows("{},{:.12g}", np.arange(n), values)
     return _csv("spectrum", params, ["index", "eigenvalue"], rows), EXIT_OK

@@ -19,6 +19,7 @@ __all__ = [
     "IntegrationError",
     "integrate",
     "ellipk",
+    "ellipk_split",
     "symmetric_eigen",
     "grid_maximize",
 ]
@@ -119,19 +120,30 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], r: float) -> float | np.nda
 
 
 def ellipk(m: float) -> float:
-    """Complete elliptic integral of the first kind K(m), with parameter m = k^2 in [0, 1).
+    """Complete elliptic integral of the first kind K(m): the first value of :func:`ellipk_split`."""
+    return ellipk_split(m)[0]
 
-    ``pi / (2 AGM(1, sqrt(1 - m)))`` by the arithmetic-geometric mean
+
+def ellipk_split(m: float) -> tuple[float, float]:
+    """K(m), the complete elliptic integral of the first kind, and K(m) - pi/2; m = k^2 in [0, 1).
+
+    ``K = pi / (2 AGM(1, sqrt(1 - m)))`` by the arithmetic-geometric mean
     (Borwein & Borwein, *Pi and the AGM*, 1987), which converges
-    quadratically to machine precision.
+    quadratically to machine precision.  Beside ``a`` and ``b`` the
+    iteration carries their distances from 1, ``da`` and ``db``, so
+    ``K - pi/2 = pi (da + db) / (2 (a + b))`` needs no subtraction and
+    keeps its relative precision as m approaches 0.
     """
     m = float(m)
     if not 0.0 <= m < 1.0:
         raise ValueError(f"parameter must lie in [0, 1), got {m}")
     a, b = 1.0, math.sqrt(1.0 - m)
+    da, db = 0.0, m / (1.0 + b)
     while a - b > 2.0 * _EPS * a:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
+        root = math.sqrt(a * b)
+        # 1 - sqrt(ab) = (1 - ab) / (1 + sqrt(ab)), and 1 - ab = da + db - da db.
+        a, b, da, db = 0.5 * (a + b), root, 0.5 * (da + db), (da + db - da * db) / (1.0 + root)
+    return math.pi / (a + b), math.pi * (da + db) / (2.0 * (a + b))
 
 
 def _check_integer(value, name: str = "n") -> None:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, thermal_entropy
-from .numerics import ellipk, grid_maximize, integrate
+from .numerics import ellipk, ellipk_split, grid_maximize, integrate
 from .spectra import MarkovNoise, SpectralFunction, _ar1_gap, finite_spectrum, markov_matrix, markov_symbol
 
 # Cap for the closed-form solvers: thresholds and water levels diverge as
@@ -244,17 +244,13 @@ def env_symplectic_spectrum(noise: MarkovNoise) -> SpectralFunction:
 def multimode_threshold(noise: MarkovNoise) -> float:
     """Minimum input energy that lets the modulation cover the whole spectrum.
 
-    ((1 + c)/(1 - c) - 1) (variance + 1/2); grows without bound as the
+    ((1 + c)/(1 - c) - 1) (variance + 1/2), written 2c/(1 - c) so it does
+    not cancel at weak correlation; grows without bound as the
     correlation approaches 1 and vanishes for white noise.
     """
     _require_solver_noise(noise)
     c = noise.correlation
-    return ((1.0 + c) / (1.0 - c) - 1.0) * (noise.variance + VACUUM_VARIANCE)
-
-
-def _input_q_integral(c: float) -> float:
-    # Integral of the optimal q input spectrum over [0, pi].
-    return (1.0 + c * c) * ellipk(c**4)
+    return 2.0 * c / (1.0 - c) * (noise.variance + VACUUM_VARIANCE)
 
 
 def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
@@ -263,20 +259,24 @@ def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
     (mean input variance - 1/2) / n_bar with the mean taken over the
     spectral interval, in closed form
     ((1 + c^2) K(c^4) - pi/2) / (pi n_bar) with K the complete elliptic
-    integral of parameter c^4; zero for white noise, independent of the
-    noise variance by construction.  Lies in [0, 1] whenever n_bar is at
-    or above :func:`multimode_threshold`; larger values signal that the
-    energy cannot cover the squeezing demanded by the noise anisotropy.
+    integral of parameter c^4, summed as c^2 K + (K - pi/2) by
+    :func:`ellipk_split` so it keeps its precision at weak correlation.
+    Zero for white noise and for zero energy at a threshold within
+    round-off of zero; otherwise independent of the noise variance by
+    construction.  Lies in [0, 1] whenever n_bar is at or above
+    :func:`multimode_threshold`; larger values signal that the energy
+    cannot cover the squeezing demanded by the noise anisotropy.
     """
     _require_solver_noise(noise)
     _check_energy(n_bar)
-    excess = _input_q_integral(noise.correlation) - 0.5 * math.pi
-    if excess == 0:
-        # White noise (or a correlation too weak to register): no squeezing.
-        return 0.0
     if n_bar == 0:
+        # Only a threshold within round-off of zero (see _reaches) admits zero energy.
+        if _reaches(0.0, multimode_threshold(noise)):
+            return 0.0
         raise ValueError("n_bar must be positive, got 0")
-    return excess / (math.pi * n_bar)
+    c = noise.correlation
+    k, k_excess = ellipk_split(c**4)
+    return (c * c * k + k_excess) / (math.pi * n_bar)
 
 
 def _entropy_mean(spectrum: Callable[[np.ndarray], np.ndarray], r: float,
@@ -424,7 +424,7 @@ def symmetric_threshold(noise: MarkovNoise) -> float:
     """Water-filling threshold when both quadratures carry the same correlation sign."""
     _require_solver_noise(noise)
     c = noise.correlation
-    return ((1.0 + c) / (1.0 - c) - 1.0) * noise.variance
+    return 2.0 * c / (1.0 - c) * noise.variance
 
 
 def symmetric_noise_solution(noise: MarkovNoise, n_bar: float) -> MultimodeSolution:
@@ -467,7 +467,7 @@ def first_mode_variance(correlation: float, alt_form: bool = False) -> float:
         raise ValueError(f"correlation must lie in [0, 1), got {correlation}")
     c = correlation
     if alt_form:
-        return _input_q_integral(c) / math.pi
+        return (1.0 + c * c) * ellipk(c**4) / math.pi
     k = 2.0 * c / (1.0 + c)
     return ellipk(k * k) / math.pi
 

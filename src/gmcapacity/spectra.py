@@ -118,13 +118,14 @@ def fourier_diagonalizer(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be positive")
     j = np.arange(n)
+    k = np.arange(1, (n + 1) // 2)
+    # Reduced mod n, every angle lies in [0, 2 pi), where cos and sin keep full precision.
+    angle = 2.0 * math.pi * (np.outer(k, j) % n) / n
     qt = np.zeros((n, n))
     qt[0] = 1.0 / math.sqrt(n)
     amp = math.sqrt(2.0 / n)
-    for k in range(1, (n + 1) // 2):
-        angle = 2.0 * math.pi * k * j / n
-        qt[k] = amp * np.cos(angle)
-        qt[n - k] = amp * np.sin(angle)
+    qt[k] = amp * np.cos(angle)
+    qt[n - k] = amp * np.sin(angle)
     if n % 2 == 0:
         qt[n // 2] = (-1.0) ** j / math.sqrt(n)
     return qt.T

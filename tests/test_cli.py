@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from gmcapacity import cli, solver
-from gmcapacity.cli import _CHUNK_CHARS, _CHUNK_ROWS, _fmt, _geometric_floats, main
+from gmcapacity.cli import _CHUNK_ROWS, _fmt, _geometric_floats, main
 from gmcapacity.numerics import IntegrationError
 from gmcapacity.solver import (
     MonoNoise,
@@ -40,6 +40,20 @@ from gmcapacity.spectra import (
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """The text of each ``click.echo`` call, with the newline that echo adds."""
+    recorded = []
+    echo = click.echo
+
+    def recording_echo(message, **kwargs):
+        recorded.append(message + "\n" if kwargs.get("nl", True) else message)
+        echo(message, **kwargs)
+
+    monkeypatch.setattr(click, "echo", recording_echo)
+    return recorded
 
 
 def _failing_integrate(f, r):
@@ -289,6 +303,26 @@ class TestFig3:
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert calls == [0.4, 0.7]
+
+    def test_rows_across_chunks(self, runner, writes):
+        # 4097 rows are written as two texts, of _CHUNK_ROWS rows and of one,
+        # with no blank line between; each row equals the one-row command
+        # at its N, checked at the seam and at a stride.
+        steps = _CHUNK_ROWS + 1
+        args = ["fig3", "--phi", "0.5", "--n-min", "1", "--n-max", "100"]
+        result = runner.invoke(main, [*args, "--steps", str(steps)])
+        assert result.exit_code == 0, result.output
+        assert "".join(writes) == result.output
+        assert "" not in result.output.splitlines()
+        _, *tables = [text.splitlines() for text in writes]
+        assert [len(table) for table in tables] == [_CHUNK_ROWS, 1]
+        rows = [row for table in tables for row in table]
+        variances = _geometric_floats(1.0, 100.0, steps)
+        assert [row.split(",")[1] for row in rows] == [_fmt(v) for v in variances]
+        for i in [*range(0, steps, 256), _CHUNK_ROWS - 1, _CHUNK_ROWS]:
+            n = repr(variances[i])
+            one = runner.invoke(main, ["fig3", "--phi", "0.5", "--n-min", n, "--n-max", n, "--steps", "1"])
+            assert one.output.splitlines()[-1] == rows[i]
 
 
 class TestFig4:
@@ -575,48 +609,31 @@ class TestOutputPlumbing:
         assert result.stdout == ""
         assert not target.exists()
 
-    def test_long_lines_written_in_blocks(self, runner, monkeypatch):
-        # 1200 rows of ~20k characters: under _CHUNK_ROWS lines, but far
-        # over _CHUNK_CHARS characters.
-        sizes = []
-        echo = click.echo
-
-        def counting_echo(message, **kwargs):
-            sizes.append(len(message))
-            echo(message, **kwargs)
-
-        monkeypatch.setattr(click, "echo", counting_echo)
+    def test_dump_matrix_written_a_row_at_a_time(self, runner, writes):
+        # 1200 rows of ~20k characters: each is one write, so long lines do
+        # not add up into one large write.
         result = runner.invoke(
             main, ["spectrum", "--kind", "toeplitz", "--phi", "0.7", "--n", "1200", "--dump-matrix"]
         )
         assert result.exit_code == 0
-        longest = max(map(len, result.output.splitlines()))
-        assert len(sizes) > 1
-        assert sum(sizes) == len(result.output)
-        assert max(sizes) < _CHUNK_CHARS + 2 * longest
+        assert writes == result.output.splitlines(keepends=True)
+        assert len(writes) == 1200
 
     @pytest.mark.parametrize("samples", [2 * _CHUNK_ROWS + 3, 32 * _CHUNK_ROWS + 1])
-    def test_table_writes_end_at_chunk_chars(self, runner, monkeypatch, samples):
-        # A write holds whole lines and ends at the piece, a line or a text
-        # of at most _CHUNK_ROWS table rows, that brings it to _CHUNK_CHARS
-        # characters.
-        writes = []
-        echo = click.echo
-
-        def recording_echo(message, **kwargs):
-            writes.append(message)
-            echo(message, **kwargs)
-
-        monkeypatch.setattr(click, "echo", recording_echo)
+    def test_table_writes_hold_at_most_chunk_rows(self, runner, writes, samples):
+        # The comment lines and header are one write; then each write holds
+        # _CHUNK_ROWS table rows, the last one the rest, so no write holds
+        # the whole table.
         result = runner.invoke(
             main, ["spectrum", "--kind", "asymptotic", "--phi", "0.6", "--samples", str(samples)]
         )
         assert result.exit_code == 0
-        longest = max(map(len, result.output.splitlines(keepends=True)))
         assert "".join(writes) == result.output
-        assert all(text.endswith("\n") for text in writes)
-        assert all(len(text) >= _CHUNK_CHARS for text in writes[:-1])
-        assert all(len(text) < _CHUNK_CHARS + _CHUNK_ROWS * longest for text in writes)
+        header, *tables = [text.splitlines() for text in writes]
+        assert header[-1] == "x,value"
+        assert all(line.startswith("# ") for line in header[:-1])
+        full, rest = divmod(samples, _CHUNK_ROWS)
+        assert [len(table) for table in tables] == [_CHUNK_ROWS] * full + [rest]
 
     def test_header_comments_echo_parameters(self, runner):
         result = runner.invoke(main, ["mono", "--gq", "1", "--gp", "1", "--nbar", "2"])

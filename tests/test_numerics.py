@@ -10,6 +10,7 @@ from gmcapacity.gaussian import thermal_entropy
 from gmcapacity.numerics import (
     IntegrationError,
     ellipk,
+    ellipk_split,
     grid_maximize,
     integrate,
     symmetric_eigen,
@@ -257,10 +258,24 @@ class TestEllipk:
         exact = float(mpmath.ellipk(m))
         assert ellipk(m) == pytest.approx(exact, rel=1e-15)
 
+    @pytest.mark.parametrize("m", [0.0, 1e-48, 1e-24, 1e-12, 1e-4, 0.5, 0.99, 0.999999])
+    def test_split_against_mpmath(self, m):
+        # K - pi/2 keeps its relative precision down to the smallest m; at
+        # m = 1e-48 it is ~4e-49, so the reference needs 80 digits.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            exact = mpmath.ellipk(m)
+            exact_excess = float(exact - mpmath.pi / 2)
+        k, excess = ellipk_split(m)
+        assert k == ellipk(m) == pytest.approx(float(exact), rel=1e-15)
+        assert excess == pytest.approx(exact_excess, rel=1e-15, abs=0)
+
     def test_domain(self):
         for m in (-0.1, 1.0, math.nan):
             with pytest.raises(ValueError):
                 ellipk(m)
+            with pytest.raises(ValueError):
+                ellipk_split(m)
 
 
 class TestSymmetricEigen:

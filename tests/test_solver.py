@@ -215,9 +215,27 @@ class TestMonoCapacity:
             mono_solve(MonoNoise(2.0, 0.5), 1.0).capacity_bits
 
 
+# Correlations from weak, where (1 + c)/(1 - c) - 1 and (1 + c^2) K - pi/2
+# cancel, to the strongest admissible.
+MPMATH_PHIS = [1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.5, 0.999]
+
+
 class TestMultimodeThreshold:
     def test_memoryless(self):
         assert multimode_threshold(MarkovNoise(1.0, 0.0)) == 0.0
+
+    @pytest.mark.parametrize("phi", MPMATH_PHIS)
+    def test_against_mpmath(self, phi):
+        mpmath = pytest.importorskip("mpmath")
+        variance = 2.3
+        with mpmath.workdps(40):
+            c = mpmath.mpf(phi)
+            gain = (1 + c) / (1 - c) - 1
+            expected = float(gain * (mpmath.mpf(variance) + mpmath.mpf(0.5)))
+            expected_symmetric = float(gain * mpmath.mpf(variance))
+        noise = MarkovNoise(variance, phi)
+        assert multimode_threshold(noise) == pytest.approx(expected, rel=1e-15, abs=0)
+        assert symmetric_threshold(noise) == pytest.approx(expected_symmetric, rel=1e-15, abs=0)
 
     def test_reference_points(self):
         # Closed form lands within one ulp of the round values.
@@ -237,6 +255,17 @@ class TestSqueezingFraction:
         assert squeezing_fraction(MarkovNoise(1.0, 0.0), 3.0) == 0.0
         # No squeezing is needed, so zero energy is no error.
         assert squeezing_fraction(MarkovNoise(1.0, 0.0), 0.0) == 0.0
+
+    @pytest.mark.parametrize("phi", MPMATH_PHIS)
+    def test_against_mpmath(self, phi):
+        mpmath = pytest.importorskip("mpmath")
+        n_bar = 2.0
+        with mpmath.workdps(40):
+            c = mpmath.mpf(phi)
+            excess = (1 + c * c) * mpmath.ellipk(c**4) - mpmath.pi / 2
+            expected = float(excess / (mpmath.pi * n_bar))
+        value = squeezing_fraction(MarkovNoise(1.0, phi), n_bar)
+        assert value == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_variance_independent(self):
         lo = squeezing_fraction(MarkovNoise(1.0, 0.5), 1.0)
@@ -389,13 +418,13 @@ class TestMultimodeSolve:
         assert sol.squeezing_fraction == squeezing_fraction(noise, n_bar)
         assert sol.threshold == multimode_threshold(noise)
 
-    @pytest.mark.parametrize("phi", [0.0, 1e-17])
+    @pytest.mark.parametrize("phi", [0.0, 1e-17, 1e-13])
     def test_white_noise_zero_energy(self, phi):
-        # The threshold is 0 (at 1e-17 it rounds to 0), so zero energy is
-        # the binding point.
+        # The threshold 3 phi / (1 - phi) is 0, or within the round-off
+        # slack of zero, so zero energy is the binding point.
         noise = MarkovNoise(1.0, phi)
         sol = multimode_solve(noise, 0.0)
-        assert sol.threshold == 0.0
+        assert sol.threshold == pytest.approx(3.0 * phi / (1.0 - phi), rel=1e-15, abs=0)
         assert sol.squeezing_fraction == 0.0
         assert sol.water_level == 1.5
         assert sol.capacity_bits == asymptotic_capacity(noise, 0.0)
