@@ -2,8 +2,9 @@
 
 Four self-contained pieces: a fixed-node trapezoid rule on numpy arrays
 for even, periodic spectral integrands, the complete elliptic integral
-K(m) by the arithmetic-geometric mean, a dense symmetric eigenvalue
-front end, and a coarse-to-fine grid maximizer.  All of them are pure
+K(m) and K(m) - pi/2 by the arithmetic-geometric mean, from m and its
+complement 1 - m, a dense symmetric eigenvalue front end, and a
+coarse-to-fine grid maximizer.  All of them are pure
 functions with fixed evaluation order, so repeated calls with identical
 inputs give bit-identical results.
 """
@@ -18,7 +19,6 @@ import numpy as np
 __all__ = [
     "IntegrationError",
     "integrate",
-    "ellipk",
     "ellipk_split",
     "symmetric_eigen",
     "grid_maximize",
@@ -119,25 +119,23 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], r: float) -> float | np.nda
     return float(estimate[0]) if values.ndim == 1 else estimate
 
 
-def ellipk(m: float) -> float:
-    """Complete elliptic integral of the first kind K(m): the first value of :func:`ellipk_split`."""
-    return ellipk_split(m)[0]
+def ellipk_split(m: float, m1: float) -> tuple[float, float]:
+    """K(m), the complete elliptic integral of the first kind, and K(m) - pi/2, from m and m1 = 1 - m.
 
-
-def ellipk_split(m: float) -> tuple[float, float]:
-    """K(m), the complete elliptic integral of the first kind, and K(m) - pi/2; m = k^2 in [0, 1).
-
-    ``K = pi / (2 AGM(1, sqrt(1 - m)))`` by the arithmetic-geometric mean
+    ``K = pi / (2 AGM(1, sqrt(m1)))`` by the arithmetic-geometric mean
     (Borwein & Borwein, *Pi and the AGM*, 1987), which converges
-    quadratically to machine precision.  Beside ``a`` and ``b`` the
-    iteration carries their distances from 1, ``da`` and ``db``, so
+    quadratically to machine precision.  The caller passes m1 in a form
+    that does not cancel, so K keeps its precision as m approaches 1.
+    Beside ``a`` and ``b`` the iteration carries their distances from 1,
+    ``da`` and ``db`` (from ``db = m / (1 + b)``), so
     ``K - pi/2 = pi (da + db) / (2 (a + b))`` needs no subtraction and
-    keeps its relative precision as m approaches 0.
+    keeps its relative precision as m approaches 0.  A NaN, m outside
+    [0, 1], m1 outside (0, 1] or ``|m + m1 - 1| > 4 eps`` raises ``ValueError``.
     """
-    m = float(m)
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"parameter must lie in [0, 1), got {m}")
-    a, b = 1.0, math.sqrt(1.0 - m)
+    m, m1 = float(m), float(m1)
+    if not (0.0 <= m <= 1.0 and 0.0 < m1 <= 1.0 and abs(m + m1 - 1.0) <= 4.0 * _EPS):
+        raise ValueError(f"need m in [0, 1] and m1 = 1 - m in (0, 1], got m = {m}, m1 = {m1}")
+    a, b = 1.0, math.sqrt(m1)
     da, db = 0.0, m / (1.0 + b)
     while a - b > 2.0 * _EPS * a:
         root = math.sqrt(a * b)

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, thermal_entropy
-from .numerics import ellipk, ellipk_split, grid_maximize, integrate
+from .numerics import ellipk_split, grid_maximize, integrate
 from .spectra import MarkovNoise, SpectralFunction, _ar1_gap, finite_spectrum, markov_matrix, markov_symbol
 
 # Cap for the closed-form solvers: thresholds and water levels diverge as
@@ -253,14 +253,28 @@ def multimode_threshold(noise: MarkovNoise) -> float:
     return 2.0 * c / (1.0 - c) * (noise.variance + VACUUM_VARIANCE)
 
 
+def _landen_ellipk(c: float, alt_form: bool) -> tuple[float, float]:
+    """K(k^2) and K(k^2) - pi/2 at the Landen modulus k = 2c / (1 + d), d = c^2 if alt_form else c.
+
+    At d = c^2, K(k^2) = (1 + c^2) K(c^4) (Landen, DLMF 19.8).  The
+    complement 1 - k^2 = (1 + d - 2c)(1 + d + 2c) / (1 + d)^2 takes
+    1 + d - 2c as (1 - c)^2 or 1 - c, which do not cancel near c = 1.
+    """
+    d = c * c if alt_form else c
+    k = 2.0 * c / (1.0 + d)
+    gap = (1.0 - c) * ((1.0 - c) if alt_form else 1.0)
+    return ellipk_split(k * k, gap * (1.0 + d + 2.0 * c) / (1.0 + d) ** 2)
+
+
 def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
     """Fraction of the photon budget spent on squeezing the input.
 
     (mean input variance - 1/2) / n_bar with the mean taken over the
-    spectral interval, in closed form
-    ((1 + c^2) K(c^4) - pi/2) / (pi n_bar) with K the complete elliptic
-    integral of parameter c^4, summed as c^2 K + (K - pi/2) by
-    :func:`ellipk_split` so it keeps its precision at weak correlation.
+    spectral interval, in closed form ((1 + c^2) K(c^4) - pi/2) / (pi n_bar)
+    with K the complete elliptic integral, taken as K(k^2) - pi/2 at the
+    Landen modulus k = 2c / (1 + c^2) without cancellation, so it keeps
+    its precision at weak correlation.  It is divided by pi, then by
+    n_bar, since pi n_bar overflows at the largest energies.
     Zero for white noise and for zero energy at a threshold within
     round-off of zero; otherwise independent of the noise variance by
     construction.  Lies in [0, 1] whenever n_bar is at or above
@@ -274,9 +288,7 @@ def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
         if _reaches(0.0, multimode_threshold(noise)):
             return 0.0
         raise ValueError("n_bar must be positive, got 0")
-    c = noise.correlation
-    k, k_excess = ellipk_split(c**4)
-    return (c * c * k + k_excess) / (math.pi * n_bar)
+    return _landen_ellipk(noise.correlation, alt_form=True)[1] / math.pi / n_bar
 
 
 def _entropy_mean(spectrum: Callable[[np.ndarray], np.ndarray], r: float,
@@ -398,7 +410,7 @@ def finite_n_rate(noise: MarkovNoise, n_bar: float, n: int) -> float:
 def classical_limit_capacity(noise: MarkovNoise, snr: float) -> float:
     """Capacity of the classical Gaussian channel with the same correlated noise.
 
-    log2((1 + snr) / (1 - c^2)) at fixed signal-to-noise ratio
+    log2((1 + snr) / ((1 - c)(1 + c))) at fixed signal-to-noise ratio
     snr = n_bar / variance; the quantum capacity approaches this value
     from below as energy and noise grow together.
     """
@@ -406,7 +418,7 @@ def classical_limit_capacity(noise: MarkovNoise, snr: float) -> float:
     if not (math.isfinite(snr) and snr > 0):
         raise ValueError(f"snr must be positive, got {snr}")
     c = noise.correlation
-    return math.log2((1.0 + snr) / (1.0 - c * c))
+    return math.log2((1.0 + snr) / ((1.0 - c) * (1.0 + c)))
 
 
 def full_correlation_capacity(noise: MarkovNoise, n_bar: float) -> float:
@@ -458,18 +470,15 @@ def first_mode_variance(correlation: float, alt_form: bool = False) -> float:
     strictly larger otherwise, which exposes the entanglement of the first
     mode with the rest.  No independent route found so far (the dense
     optimal input, back-rotated) reproduces this value.  ``alt_form=True``
-    replaces 1 + c by 1 + c^2 in both places: the mean input spectrum
+    replaces 1 + c by 1 + c^2 in the integrand and in k = 2c / (1 + c^2):
+    the mean input spectrum, equal by Landen's transformation to
     (1 + c^2) K(c^4) / pi, the limit of the interior modes, which are equal
     in q and p (the boundary mode is not).  The CLI reports both variants,
     since they differ materially at strong correlation.
     """
     if not 0.0 <= correlation < 1.0:
         raise ValueError(f"correlation must lie in [0, 1), got {correlation}")
-    c = correlation
-    if alt_form:
-        return (1.0 + c * c) * ellipk(c**4) / math.pi
-    k = 2.0 * c / (1.0 + c)
-    return ellipk(k * k) / math.pi
+    return _landen_ellipk(correlation, alt_form)[0] / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -751,6 +751,13 @@ class TestExtremeInputs:
         assert result.exit_code == 0, result.output
         assert parse_csv(result.output)[1][0]["water_level"] == "1e+308"
 
+    def test_capacity_eta_at_the_largest_energy(self, runner):
+        # pi * nbar overflows; eta is subnormal but not zero.
+        result = runner.invoke(main, ["capacity", "--phi", "0.999", "--N", "1e300", "--nbar", "1e308"])
+        assert result.exit_code == 0, result.output
+        row = parse_csv(result.output)[1][0]
+        assert (row["eta"], row["status"]) == ("2.13991946284e-308", "ok")
+
     @pytest.mark.parametrize("args, nbar", [
         (["capacity", "--phi", "0", "--N", "1e308", "--nbar", "1e308"], "1e+308"),
         (["fig4", "--phi", "0", "--N", "1e308", "--nbar", "1e308", "--n", "2"], "1e+308"),

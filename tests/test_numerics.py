@@ -9,7 +9,6 @@ import pytest
 from gmcapacity.gaussian import thermal_entropy
 from gmcapacity.numerics import (
     IntegrationError,
-    ellipk,
     ellipk_split,
     grid_maximize,
     integrate,
@@ -256,7 +255,7 @@ class TestEllipk:
     def test_against_mpmath(self, m):
         mpmath = pytest.importorskip("mpmath")
         exact = float(mpmath.ellipk(m))
-        assert ellipk(m) == pytest.approx(exact, rel=1e-15)
+        assert ellipk_split(m, 1 - m)[0] == pytest.approx(exact, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("m", [0.0, 1e-48, 1e-24, 1e-12, 1e-4, 0.5, 0.99, 0.999999])
     def test_split_against_mpmath(self, m):
@@ -266,16 +265,29 @@ class TestEllipk:
         with mpmath.workdps(80):
             exact = mpmath.ellipk(m)
             exact_excess = float(exact - mpmath.pi / 2)
-        k, excess = ellipk_split(m)
-        assert k == ellipk(m) == pytest.approx(float(exact), rel=1e-15)
+        k, excess = ellipk_split(m, 1 - m)
+        assert k == pytest.approx(float(exact), rel=1e-15, abs=0)
+        assert excess == pytest.approx(exact_excess, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("m1", [1e-20, 1e-32])
+    def test_tiny_complement_against_mpmath(self, m1):
+        # m = 1.0 is the rounding of 1 - m1; K follows the exact complement.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            exact = mpmath.ellipk(1 - mpmath.mpf(m1))
+            exact_excess = float(exact - mpmath.pi / 2)
+        k, excess = ellipk_split(1.0, m1)
+        assert k == pytest.approx(float(exact), rel=1e-15, abs=0)
         assert excess == pytest.approx(exact_excess, rel=1e-15, abs=0)
 
     def test_domain(self):
-        for m in (-0.1, 1.0, math.nan):
+        bad_pairs = [(1.0, m1) for m1 in (0.0, -1e-300, 1.5, math.nan)]
+        bad_pairs += [(m, 1.0 - m) for m in (-0.1, 1.1, math.nan)]
+        # Each value lies in its range, but the two do not sum to 1.
+        bad_pairs.append((0.5, 0.25))
+        for m, m1 in bad_pairs:
             with pytest.raises(ValueError):
-                ellipk(m)
-            with pytest.raises(ValueError):
-                ellipk_split(m)
+                ellipk_split(m, m1)
 
 
 class TestSymmetricEigen:

@@ -82,9 +82,9 @@ class TestHighPrecisionReference:
         n_bar = 2.0
         expected = float((mpmath_mean(input_q) - 0.5) / n_bar)
         value = squeezing_fraction(MarkovNoise(1.0, phi), n_bar)
-        assert value == pytest.approx(expected, rel=1e-13)
+        assert value == pytest.approx(expected, rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("phi", [0.3, 0.6, 0.9, 0.999])
+    @pytest.mark.parametrize("phi", [0.3, 0.6, 0.9, 0.99, 0.9985, 0.999])
     @pytest.mark.parametrize("alt_form", [False, True])
     def test_first_mode_variance(self, phi, alt_form):
         # With alt_form, the integrand is the optimal input spectrum
@@ -96,16 +96,17 @@ class TestHighPrecisionReference:
 
         expected = float(mpmath_mean(integrand))
         value = first_mode_variance(phi, alt_form=alt_form)
-        assert value == pytest.approx(expected, rel=1e-13)
+        assert value == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_input_spectrum_mean_at_strong_correlation(self):
         # The double-precision input spectrum, integrated at 30 digits, has
         # the closed-form mean; its symbols peak at x = 0 and x = pi, where
         # 1 + c^2 -+ 2 c cos x would cancel (an error of ~1e-11 here).
-        noise = MarkovNoise(1.0, 0.999)
-        sol = multimode_solve(noise, multimode_threshold(noise) + 1.0)
-        expected = float(mpmath_mean(lambda mp, x: sol.input_q(float(x))))
-        assert first_mode_variance(0.999, alt_form=True) == pytest.approx(expected, rel=1e-13)
+        for phi in (0.9985, 0.999):
+            noise = MarkovNoise(1.0, phi)
+            sol = multimode_solve(noise, multimode_threshold(noise) + 1.0)
+            expected = float(mpmath_mean(lambda mp, x: sol.input_q(float(x))))
+            assert first_mode_variance(phi, alt_form=True) == pytest.approx(expected, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("phi", [0.5, 0.9, 0.99, 0.999])
     @pytest.mark.parametrize("variance", [1.0, 100.0])
@@ -256,7 +257,7 @@ class TestSqueezingFraction:
         # No squeezing is needed, so zero energy is no error.
         assert squeezing_fraction(MarkovNoise(1.0, 0.0), 0.0) == 0.0
 
-    @pytest.mark.parametrize("phi", MPMATH_PHIS)
+    @pytest.mark.parametrize("phi", MPMATH_PHIS + [0.99, 0.9985])
     def test_against_mpmath(self, phi):
         mpmath = pytest.importorskip("mpmath")
         n_bar = 2.0
@@ -265,7 +266,19 @@ class TestSqueezingFraction:
             excess = (1 + c * c) * mpmath.ellipk(c**4) - mpmath.pi / 2
             expected = float(excess / (mpmath.pi * n_bar))
         value = squeezing_fraction(MarkovNoise(1.0, phi), n_bar)
-        assert value == pytest.approx(expected, rel=1e-14, abs=0)
+        assert value == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("n_bar", [6e307, 1e308, 1.7e308])
+    def test_largest_energies(self, n_bar):
+        # pi * n_bar overflows here, so the fraction is divided by pi first;
+        # the subnormal result is good to one unit of its last place.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            excess = (1 + mpmath.mpf(0.25)) * mpmath.ellipk(mpmath.mpf(0.5) ** 4) - mpmath.pi / 2
+            expected = float(excess / (mpmath.pi * n_bar))
+        value = squeezing_fraction(MarkovNoise(1.0, 0.5), n_bar)
+        assert value > 0.0
+        assert value == pytest.approx(expected, rel=1e-15, abs=math.ulp(0.0))
 
     def test_variance_independent(self):
         lo = squeezing_fraction(MarkovNoise(1.0, 0.5), 1.0)
@@ -816,6 +829,17 @@ class TestClassicalLimit:
         noise = MarkovNoise(1.0, phi)
         assert asymptotic_capacity(noise, snr) < classical_limit_capacity(noise, snr)
 
+    @pytest.mark.parametrize("phi", [0.99, 0.995, 0.999])
+    def test_against_mpmath(self, phi):
+        # At the threshold snr; 1 - c^2 is taken as (1 - c)(1 + c), exact to rounding.
+        mpmath = pytest.importorskip("mpmath")
+        snr = multimode_threshold(MarkovNoise(1.0, phi))
+        with mpmath.workdps(40):
+            c = mpmath.mpf(phi)
+            expected = float(mpmath.log((1 + mpmath.mpf(snr)) / (1 - c * c), 2))
+        value = classical_limit_capacity(MarkovNoise(1.0, phi), snr)
+        assert value == pytest.approx(expected, rel=5e-16, abs=0)
+
     def test_rejects_nonpositive_snr(self):
         with pytest.raises(ValueError):
             classical_limit_capacity(MarkovNoise(1.0, 0.5), 0.0)
@@ -914,6 +938,19 @@ class TestFirstModeVariance:
         assert abs(first - float(mpmath_mean(weighted_input))) <= 1e-5
         # Neither mode reproduces the primary value.
         assert min(abs(middle - first_mode_variance(phi)), abs(first - first_mode_variance(phi))) > 1e-2
+
+    @pytest.mark.parametrize("phi", MPMATH_PHIS + [0.99, 0.9985, 1 - 1e-6, 1 - 1e-9, math.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("alt_form", [False, True])
+    def test_against_mpmath(self, phi, alt_form):
+        # The alternative form is checked in its pre-Landen shape (1 + c^2) K(c^4).
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            c = mpmath.mpf(phi)
+            if alt_form:
+                expected = float((1 + c * c) * mpmath.ellipk(c**4) / mpmath.pi)
+            else:
+                expected = float(mpmath.ellipk((2 * c / (1 + c)) ** 2) / mpmath.pi)
+        assert first_mode_variance(phi, alt_form=alt_form) == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
