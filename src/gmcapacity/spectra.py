@@ -73,10 +73,16 @@ class SpectralFunction:
 
 
 def _symmetric_toeplitz(scale: float, first_row: np.ndarray) -> np.ndarray:
-    """Fresh C-contiguous ``scale * first_row[|i - j|]``, the only n x n array built."""
+    """Read-only n x n view ``scale * first_row[|i - j|]`` over 2n - 1 stored values.
+
+    The scaled row is mirrored once and every matrix row is a window of
+    it, so no n x n array is built.  Writing into the result raises
+    ``ValueError``; ``.copy()`` gives a writeable array.
+    """
     n = len(first_row)
-    mirrored = np.concatenate([first_row[:0:-1], first_row])
-    return scale * sliding_window_view(mirrored, n)[::-1]
+    scaled = scale * first_row
+    mirrored = np.concatenate([scaled[:0:-1], scaled])
+    return sliding_window_view(mirrored, n)[::-1]
 
 
 def markov_matrix(noise: MarkovNoise, n: int) -> np.ndarray:
@@ -84,6 +90,8 @@ def markov_matrix(noise: MarkovNoise, n: int) -> np.ndarray:
 
     Symmetric Toeplitz and positive definite for |correlation| < 1.  The
     p quadrature's block is ``markov_matrix(MarkovNoise(N, -phi), n)``.
+    The result is a read-only view over 2n - 1 values; ``.copy()`` gives
+    a writeable array.
     """
     _check_integer(n)
     if n < 1:
@@ -97,6 +105,8 @@ def circulant_embedding(noise: MarkovNoise, n: int) -> np.ndarray:
     Entries depend only on the cyclic distance min(|i-j|, n - |i-j|), at
     most n // 2, so every row is a cyclic shift of the first and the
     matrix is diagonalized exactly by :func:`fourier_diagonalizer`.
+    The result is a read-only view over 2n - 1 values; ``.copy()`` gives
+    a writeable array.
     """
     _check_integer(n)
     if n < 2:
@@ -173,6 +183,8 @@ def tridiagonal_inverse(noise: MarkovNoise, n: int) -> np.ndarray:
     Diagonal (1 + c^2) / (variance (1 - c^2)), off-diagonals
     -c / (variance (1 - c^2)).  Multiplying by the finite covariance
     reproduces identity rows exactly away from the two boundary rows.
+    The result is a read-only view over 2n - 1 values; ``.copy()`` gives
+    a writeable array.
     """
     _check_integer(n)
     if n < 2:
@@ -212,7 +224,9 @@ def finite_spectrum(m: np.ndarray) -> np.ndarray:
     and top-right h x h corners, h = n // 2 (Cantoni & Butler, *Linear
     Algebra Appl.* 13, 1976).  For odd n the middle index belongs to the
     A + B J block, bordered by sqrt(2) times the middle row and column.
-    Two half-size eigensolves cost a quarter of one full one.  Raises
+    Two half-size eigensolves cost a quarter of one full one.  The
+    blocks are built and solved one at a time, so beside ``m`` at most
+    one half-size block and the solver's copy of it are alive.  Raises
     ``ValueError`` unless ``m`` is square, finite and centrosymmetric
     within ``1e-12 * max(1, max|m|)`` and both blocks are symmetric
     within ``1e-12 * max(1, max|block|)``, which makes ``m`` symmetric.
@@ -230,8 +244,11 @@ def finite_spectrum(m: np.ndarray) -> np.ndarray:
         plus[:h, :h] += flipped
         plus[h:, :h] *= math.sqrt(2.0)
         plus[:h, h:] *= math.sqrt(2.0)
+    upper = symmetric_eigen(plus)
+    del plus
+    with np.errstate(over="ignore"):
         minus = m[:h, :h] - flipped
-    values = np.concatenate([symmetric_eigen(plus), symmetric_eigen(minus)])
+    values = np.concatenate([upper, symmetric_eigen(minus)])
     if not np.isfinite(values).all():
         raise ValueError("eigenvalue overflows the largest double")
     return np.sort(values)[::-1].copy()

@@ -69,7 +69,7 @@ class TestIntegrate:
         for r in (0.5, 0.9, 0.99, 0.999):
             exact = math.pi / (1 - r * r)
             value = integrate(lambda u: 1.0 / _distance_squared(r)(u), r)
-            assert value == pytest.approx(exact, rel=1e-13)
+            assert value == pytest.approx(exact, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.9, 0.99, 0.999])
     def test_jensen_closed_form(self, r):
@@ -87,7 +87,7 @@ class TestIntegrate:
             a, b = math.sqrt(a * b), 0.5 * (a + b)
         exact = math.pi / b
         value = integrate(lambda u: 1.0 / np.sqrt(_distance_squared(r)(u)), r)
-        assert value == pytest.approx(exact, rel=1e-13)
+        assert value == pytest.approx(exact, rel=1e-13, abs=0)
 
     def test_non_convergence_carries_estimate(self):
         # Scaled by 1e6, cos has a round-off floor of ~2.2e-8, above the
@@ -308,7 +308,7 @@ class TestSymmetricEigen:
         values = symmetric_eigen(m)
         assert np.all(np.diff(values) <= 0)
         assert np.sum(values) == pytest.approx(np.trace(m), abs=1e-9 * 64)
-        assert np.sum(values**2) == pytest.approx(np.sum(m * m), rel=1e-12)
+        assert np.sum(values**2) == pytest.approx(np.sum(m * m), rel=1e-12, abs=0)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

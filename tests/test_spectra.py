@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from gmcapacity.numerics import integrate
 from gmcapacity.spectra import (
@@ -79,7 +80,9 @@ class TestMarkovMatrix:
         expected = 1.3 * (sign * phi) ** np.abs(idx[:, None] - idx[None, :])
         m = markov_matrix(MarkovNoise(1.3, sign * phi), n)
         assert np.array_equal(m, expected)
-        assert m.flags.c_contiguous and m.flags.writeable
+        assert not m.flags.writeable
+        low, high = byte_bounds(m)
+        assert high - low == (2 * n - 1) * 8
 
     @pytest.mark.parametrize("phi", [0.3, 0.7, 0.95, 0.999, -0.7])
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 300])
@@ -136,7 +139,9 @@ class TestCirculantEmbedding:
         expected = 1.3 * (sign * phi) ** np.where(dist <= kappa, dist, n - dist)
         m = circulant_embedding(MarkovNoise(1.3, sign * phi), n)
         assert np.array_equal(m, expected)
-        assert m.flags.c_contiguous and m.flags.writeable
+        assert not m.flags.writeable
+        low, high = byte_bounds(m)
+        assert high - low == (2 * n - 1) * 8
 
 
 class TestFourierDiagonalizer:
@@ -332,8 +337,9 @@ class TestTridiagonalInverse:
 
 @pytest.mark.parametrize("builder", [markov_matrix, circulant_embedding, tridiagonal_inverse])
 def test_builder_allocates_one_matrix(builder):
-    # The returned n x n matrix is the only large array a builder makes.
-    n = 1200
+    # The one matrix a builder returns is a view over its 2n - 1 values,
+    # so no n x n array (128 MB at this n) is ever allocated.
+    n = 4000
     noise = MarkovNoise(1.3, 0.7)
     builder(noise, 8)  # warm-up, so that first-call caches are not counted
     tracemalloc.start()
@@ -342,8 +348,18 @@ def test_builder_allocates_one_matrix(builder):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert m.nbytes == 8 * n * n
-    assert peak <= 1.1 * m.nbytes
+    assert m.shape == (n, n)
+    assert peak <= 2**20
+
+
+@pytest.mark.parametrize("builder", [markov_matrix, circulant_embedding, tridiagonal_inverse])
+def test_builder_result_is_read_only(builder):
+    m = builder(MarkovNoise(1.3, 0.7), 5)
+    with pytest.raises(ValueError, match="read-only"):
+        m[2, 2] = 0.0
+    writeable = m.copy()
+    writeable[2, 2] = 0.0
+    assert writeable[2, 2] == 0.0 and m[2, 2] != 0.0
 
 
 class TestCommutatorNorm:
@@ -455,10 +471,24 @@ class TestFiniteSpectrum:
         with pytest.raises(ValueError, match="non-finite"):
             finite_spectrum(np.array([[1.0, bad], [bad, 1.0]]))
         # m[3, 3] is read only by the centrosymmetry check, not by the blocks.
-        m = markov_matrix(MarkovNoise(1.0, 0.5), 4)
+        m = markov_matrix(MarkovNoise(1.0, 0.5), 4).copy()
         m[3, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             finite_spectrum(m)
+
+    @pytest.mark.parametrize("n", [1200, 1201])
+    def test_holds_one_half_size_block_at_a_time(self, n):
+        # Beside the O(n) input view, one h x h block and the solver's copy
+        # of it take 0.5 n^2 doubles; both blocks at once would take 0.75.
+        noise = MarkovNoise(1.0, 0.7)
+        finite_spectrum(markov_matrix(noise, 8))  # warm-up
+        tracemalloc.start()
+        try:
+            finite_spectrum(markov_matrix(noise, n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.55 * n * n * 8
 
     def test_rejects_overflowing_blocks(self):
         # A + B J overflows; the overflowed block is rejected, with no warning.
