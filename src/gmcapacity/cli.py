@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -38,6 +39,7 @@ from .solver import (
     MonoNoise,
     _check_energy,
     _reaches,
+    _threshold,
     asymptotic_capacity,
     brute_force_mono_oracle,
     classical_limit_capacity,
@@ -194,28 +196,66 @@ def _mono_csv(command, params, noise, nbar, extra, sol):
 _MULTIMODE_FIELDS = ["phi", "N", "nbar", "threshold", "eta", "mu_global", "capacity_bits", "status"]
 
 
-def _multimode_rows(noises, energies):
-    """One ``_MULTIMODE_FIELDS`` row per noise and energy, checked point by point in order.
+class _MultimodePoints(NamedTuple):
+    """One correlation's points as arrays: the numeric ``_MULTIMODE_FIELDS`` and the above mask.
 
-    The capacities of all points above threshold come from one batched
-    :func:`asymptotic_capacity` call.
+    ``eta``, ``mu_global`` and ``capacity_bits`` are nan where ``above``
+    is false: there the energy is below the threshold.
     """
-    rows, above = [], []
-    for noise, nbar in zip(noises, energies):
-        threshold = multimode_threshold(noise)
-        _check_energy(nbar)
-        row = [_fmt(noise.correlation), _fmt(noise.variance), _fmt(nbar), _fmt(threshold)]
-        if _reaches(nbar, threshold):
-            mu_global = _fmt(nbar + noise.variance + VACUUM_VARIANCE)
-            row += [_fmt(squeezing_fraction(noise, nbar)), mu_global, "", "ok"]
-            above.append(len(rows))
+
+    phi: float
+    N: np.ndarray
+    nbar: np.ndarray
+    threshold: np.ndarray
+    eta: np.ndarray
+    mu_global: np.ndarray
+    capacity_bits: np.ndarray
+    above: np.ndarray
+
+
+def _multimode_points(phi: float, variances: np.ndarray, energies: np.ndarray) -> _MultimodePoints:
+    """Evaluate one correlation at arrays of valid noise variances and of energies.
+
+    Checked as point-by-point calls would be: the correlation, then each
+    energy in order.  Only the points above threshold become
+    :class:`MarkovNoise` objects, for one :func:`squeezing_fraction` and
+    one batched :func:`asymptotic_capacity` call.
+    """
+    threshold = _threshold(phi, variances)
+    invalid = np.flatnonzero(~(np.isfinite(energies) & (energies >= 0)))
+    if invalid.size:
+        _check_energy(energies[invalid[0]].item())  # raises the one-point message
+    above = _reaches(energies, threshold)
+    eta, mu_global, capacity = (np.full(len(energies), np.nan) for _ in range(3))
+    if above.any():
+        noises = [MarkovNoise(variance, phi) for variance in variances[above].tolist()]
+        eta[above] = squeezing_fraction(noises, energies[above])
+        capacity[above] = asymptotic_capacity(noises, energies[above])
+        # asymptotic_capacity has checked that nbar + N is finite.
+        mu_global[above] = energies[above] + variances[above] + VACUUM_VARIANCE
+    return _MultimodePoints(phi, variances, energies, threshold, eta, mu_global, capacity, above)
+
+
+def _multimode_texts(points: _MultimodePoints, extra: str = ""):
+    """The CSV texts of the rows of ``points``, from one ``_array_rows`` call per run of equal ``above``.
+
+    A row above threshold prints every field; one below prints its
+    threshold, then empty ``eta``, ``mu_global`` and ``capacity_bits``.
+    ``extra`` holds the fields, each followed by a comma, that every row
+    carries before its status.
+    """
+    p = points
+    head = f"{_fmt(p.phi)},{{:.12g}},{{:.12g}},{{:.12g}},"
+    ok = head + "{:.12g},{:.12g},{:.12g}," + extra + "ok"
+    below = head + ",,," + extra + "below_threshold"
+    edges = [0, *(np.flatnonzero(np.diff(p.above)) + 1).tolist(), len(p.above)]
+    for start, stop in zip(edges, edges[1:]):
+        run = slice(start, stop)
+        if p.above[start]:
+            yield from _array_rows(ok, p.N[run], p.nbar[run], p.threshold[run],
+                                   p.eta[run], p.mu_global[run], p.capacity_bits[run])
         else:
-            row += ["", "", "", "below_threshold"]
-        rows.append(row)
-    capacities = asymptotic_capacity([noises[i] for i in above], [energies[i] for i in above])
-    for i, cap in zip(above, capacities.tolist()):
-        rows[i][6] = _fmt(cap)
-    return rows
+            yield from _array_rows(below, p.N[run], p.nbar[run], p.threshold[run])
 
 
 @_command
@@ -248,13 +288,14 @@ def capacity(phi, variance, nbar, allow_below, first_mode):
         ("phi", _fmt(phi)), ("N", _fmt(variance)), ("nbar", _fmt(nbar)),
         ("allow_below", _fmt(allow_below)), ("first_mode", _fmt(first_mode)),
     ]
-    [row] = _multimode_rows([MarkovNoise(variance, phi)], [nbar])
-    columns = list(_MULTIMODE_FIELDS)
+    MarkovNoise(variance, phi)  # checks N, then |phi| < 1
+    points = _multimode_points(phi, np.array([variance]), np.array([nbar]))
+    columns, extra = list(_MULTIMODE_FIELDS), ""
     if first_mode:
         columns[-1:-1] = ["first_mode_variance", "first_mode_variance_alt"]
-        row[-1:-1] = [_fmt(first_mode_variance(phi, alt_form=alt)) for alt in (False, True)]
-    code = EXIT_OK if row[-1] == "ok" or allow_below else EXIT_BELOW_THRESHOLD
-    return _csv("capacity", params, columns, _list_rows([row])), code
+        extra = "".join(_fmt(first_mode_variance(phi, alt_form=alt)) + "," for alt in (False, True))
+    code = EXIT_OK if points.above[0] or allow_below else EXIT_BELOW_THRESHOLD
+    return _csv("capacity", params, columns, _multimode_texts(points, extra)), code
 
 
 def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
@@ -269,7 +310,11 @@ def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
     return [lo * ratio ** (i / (steps - 1)) for i in range(steps)]
 
 
-# fig3 builds its rows as Python lists, about 1 KB each, so it caps their number.
+# fig3 computes every number of its table before it writes a row: ~60 B a
+# row held in arrays, plus ~0.2 KB a row above threshold while one
+# correlation is evaluated.  At the cap, 7 x 14000 rows peaked at 38 MB
+# RSS, 9 MB above the import floor (Python 3.11, numpy 2.4).  The cap
+# bounds that memory and the run time.
 _FIG3_MAX_ROWS = 100_000
 
 
@@ -286,6 +331,7 @@ def fig3(phis, n_min, n_max, steps):
 
     For each correlation the signal-to-noise ratio nbar/N is pinned to the
     threshold value at N = 1, which keeps every N >= 1 above threshold.
+    Every correlation and energy is checked before any row is evaluated.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -300,22 +346,24 @@ def fig3(phis, n_min, n_max, steps):
         ("n_min", _fmt(n_min)), ("n_max", _fmt(n_max)), ("steps", _fmt(steps)),
     ]
     columns = [*_MULTIMODE_FIELDS[:-1], "classical_limit_bits", "status"]
-    rows = []
+    variances = np.array(_geometric_floats(n_min, n_max, steps))
+    sweeps = []
     for phi in phis:
-        snr = multimode_threshold(MarkovNoise(1.0, phi))
+        noise = MarkovNoise(1.0, phi)
+        snr = multimode_threshold(noise)
+        if snr == 0:
+            raise ValueError(f"fig3 needs correlations above 0: at phi = {_fmt(phi)} "
+                             "the fixed-SNR protocol pins nbar to 0")
+        with np.errstate(over="ignore"):
+            energies = variances * snr
+        overflow = np.flatnonzero(np.isinf(energies))
+        if overflow.size:
+            raise ValueError(f"nbar = N * snr overflows at N = {_fmt(variances[overflow[0]])}, snr = {_fmt(snr)}")
         # The classical limit reads only the correlation and the snr.
-        limit = _fmt(classical_limit_capacity(MarkovNoise(1.0, phi), snr))
-        noises, energies = [], []
-        for variance in _geometric_floats(n_min, n_max, steps):
-            nbar = variance * snr
-            if math.isinf(nbar):
-                raise ValueError(f"nbar = N * snr overflows at N = {_fmt(variance)}, snr = {_fmt(snr)}")
-            noises.append(MarkovNoise(variance, phi))
-            energies.append(nbar)
-        for row in _multimode_rows(noises, energies):
-            row[-1:-1] = [limit]
-            rows.append(row)
-    return _csv("fig3", params, columns, _list_rows(rows)), EXIT_OK
+        sweeps.append((phi, energies, _fmt(classical_limit_capacity(noise, snr)) + ","))
+    evaluated = [(_multimode_points(phi, variances, energies), limit) for phi, energies, limit in sweeps]
+    texts = (text for points, limit in evaluated for text in _multimode_texts(points, limit))
+    return _csv("fig3", params, columns, texts), EXIT_OK
 
 
 # Geometric grid points of fig4's channel-use counts when no --n is given.
@@ -352,7 +400,8 @@ def fig4(phis, variance, nbar, n_max, n_values):
     for phi in phis:
         noise = MarkovNoise(variance, phi)
         # One correlation at a time keeps a point-by-point error order.
-        [[*_, cap, status]] = _multimode_rows([noise], [nbar])
+        points = _multimode_points(phi, np.array([variance]), np.array([nbar]))
+        cap, status = (_fmt(points.capacity_bits[0]), "ok") if points.above[0] else ("", "below_threshold")
         for n in uses:
             rows.append([_fmt(phi), str(n), _fmt(finite_n_rate(noise, nbar, n)), cap, status])
     return _csv("fig4", params, columns, _list_rows(rows)), EXIT_OK

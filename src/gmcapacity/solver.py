@@ -131,11 +131,11 @@ class MultimodeSolution:
         return self.water_level - self.input_p(x) - self.noise_p(x)
 
 
-def _require_solver_noise(noise: MarkovNoise) -> None:
-    if not 0.0 <= noise.correlation <= MAX_CORRELATION:
+def _check_correlation(correlation: float) -> None:
+    if not 0.0 <= correlation <= MAX_CORRELATION:
         raise ValueError(
             "closed-form solvers accept correlations in [0, "
-            f"{MAX_CORRELATION}], got {noise.correlation}"
+            f"{MAX_CORRELATION}], got {correlation}"
         )
 
 
@@ -149,10 +149,16 @@ def _check_energy(n_bar: float, variance: float = 0.0) -> float:
     return total
 
 
-def _reaches(n_bar: float, threshold: float) -> bool:
-    # Relative slack absorbs round-off when n_bar sits exactly at the
-    # threshold (the closed form may land a few ulps on either side).
-    return n_bar >= threshold - 1e-12 * max(1.0, abs(threshold))
+def _reaches(n_bar, threshold):
+    """Whether n_bar reaches the threshold: a bool, or elementwise a bool array for arrays.
+
+    Relative slack absorbs round-off when n_bar sits exactly at the
+    threshold (the closed form may land a few ulps on either side).  An
+    infinite threshold is out of reach.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite threshold
+        reached = n_bar >= threshold - 1e-12 * np.maximum(1.0, np.abs(threshold))
+    return reached if isinstance(reached, np.ndarray) else bool(reached)
 
 
 def _above(
@@ -248,9 +254,18 @@ def multimode_threshold(noise: MarkovNoise) -> float:
     not cancel at weak correlation; grows without bound as the
     correlation approaches 1 and vanishes for white noise.
     """
-    _require_solver_noise(noise)
-    c = noise.correlation
-    return 2.0 * c / (1.0 - c) * (noise.variance + VACUUM_VARIANCE)
+    return _threshold(noise.correlation, noise.variance)
+
+
+def _threshold(correlation: float, variance):
+    """:func:`multimode_threshold` at a float or, elementwise, an array of noise variances.
+
+    Validates the correlation.  As in float arithmetic, a threshold that
+    overflows is inf.
+    """
+    _check_correlation(correlation)
+    with np.errstate(over="ignore"):
+        return 2.0 * correlation / (1.0 - correlation) * (variance + VACUUM_VARIANCE)
 
 
 def _landen_ellipk(c: float, alt_form: bool) -> tuple[float, float]:
@@ -266,7 +281,36 @@ def _landen_ellipk(c: float, alt_form: bool) -> tuple[float, float]:
     return ellipk_split(k * k, gap * (1.0 + d + 2.0 * c) / (1.0 + d) ** 2)
 
 
-def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
+def _points(noise, n_bar) -> tuple[bool, list[MarkovNoise], np.ndarray]:
+    """Whether a call is one point, and its noises and energies as a list and an array."""
+    single = isinstance(noise, MarkovNoise)
+    noises = [noise] if single else list(noise)
+    energies = np.asarray([n_bar] if single else n_bar, dtype=float)
+    if energies.shape != (len(noises),):
+        raise ValueError(
+            f"expected {len(noises)} energies, one per noise, got shape {energies.shape}"
+        )
+    return single, noises, energies
+
+
+def _runs(noises: list[MarkovNoise], block: int | None = None):
+    """Yield (correlation, slice) for each run of consecutive points of one correlation.
+
+    With ``block``, a run is also cut wherever the point index crosses a
+    multiple of ``block``.
+    """
+    stop = 0
+    for (correlation, _), run in groupby(
+        (point.correlation, i // block if block else 0) for i, point in enumerate(noises)
+    ):
+        start, stop = stop, stop + len(list(run))
+        yield correlation, slice(start, stop)
+
+
+def squeezing_fraction(
+    noise: MarkovNoise | Sequence[MarkovNoise],
+    n_bar: float | Sequence[float],
+) -> float | np.ndarray:
     """Fraction of the photon budget spent on squeezing the input.
 
     (mean input variance - 1/2) / n_bar with the mean taken over the
@@ -280,15 +324,29 @@ def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
     construction.  Lies in [0, 1] whenever n_bar is at or above
     :func:`multimode_threshold`; larger values signal that the energy
     cannot cover the squeezing demanded by the noise anisotropy.
+
+    Also takes equal-length sequences of :class:`MarkovNoise` and
+    energies, as :func:`asymptotic_capacity` does, and then returns an
+    array of the fractions, bitwise equal to one-point calls, or raises
+    the error of the first point whose one-point call would.  Each run of
+    consecutive points of one correlation takes one closed-form
+    evaluation, divided by each point's energy.
     """
-    _require_solver_noise(noise)
-    _check_energy(n_bar)
-    if n_bar == 0:
-        # Only a threshold within round-off of zero (see _reaches) admits zero energy.
-        if _reaches(0.0, multimode_threshold(noise)):
-            return 0.0
-        raise ValueError("n_bar must be positive, got 0")
-    return _landen_ellipk(noise.correlation, alt_form=True)[1] / math.pi / n_bar
+    single, noises, energies = _points(noise, n_bar)
+    fractions = np.zeros(len(noises))
+    for correlation, run in _runs(noises):
+        _check_correlation(correlation)
+        # Zero energy, and any invalid one, takes the one-point check.
+        for i in run.start + np.flatnonzero(~(energies[run] > 0) | np.isinf(energies[run])):
+            energy = _check_energy(energies[i].item())
+            # Only a threshold within round-off of zero (see _reaches) admits zero energy.
+            if energy == 0 and not _reaches(0.0, multimode_threshold(noises[i])):
+                raise ValueError("n_bar must be positive, got 0")
+        split = _landen_ellipk(correlation, alt_form=True)[1] / math.pi
+        # As in float arithmetic, a quotient that overflows is inf.
+        with np.errstate(over="ignore"):
+            np.divide(split, energies[run], out=fractions[run], where=energies[run] != 0)
+    return float(fractions[0]) if single else fractions
 
 
 def _entropy_mean(spectrum: Callable[[np.ndarray], np.ndarray], r: float,
@@ -309,7 +367,7 @@ def mean_environment_entropy(noise: MarkovNoise) -> float:
     g(variance) for white noise and to zero when the correlation
     approaches 1.
     """
-    _require_solver_noise(noise)
+    _check_correlation(noise.correlation)
     return _entropy_mean(env_symplectic_spectrum(noise), noise.correlation**2, 0.5)
 
 
@@ -330,30 +388,29 @@ def asymptotic_capacity(
     Also takes equal-length sequences of :class:`MarkovNoise` and
     energies, and then returns an array of the capacities, bitwise equal
     to one-point calls.  Every point is validated before any integral,
-    including that n_bar + variance is finite;
-    consecutive points of one correlation share one :func:`integrate`
+    including that n_bar + variance is finite, on arrays per correlation:
+    the first point whose one-point call would fail raises its error.
+    Consecutive points of one correlation share one :func:`integrate`
     call, within blocks of ``_BATCH_ROWS`` points, taken in order.
     """
-    single = isinstance(noise, MarkovNoise)
-    noises = [noise] if single else list(noise)
-    energies = np.asarray([n_bar] if single else n_bar, dtype=float)
-    if energies.shape != (len(noises),):
-        raise ValueError(
-            f"expected {len(noises)} energies, one per noise, got shape {energies.shape}"
-        )
-    for point, energy in zip(noises, energies.tolist()):
-        _above(point, energy, multimode_threshold)
-        _check_energy(energy, point.variance)
+    single, noises, energies = _points(noise, n_bar)
+    variances = np.array([point.variance for point in noises])
+    for correlation, run in _runs(noises):
+        energy, variance = energies[run], variances[run]
+        with np.errstate(over="ignore"):
+            valid = (energy >= 0) & np.isfinite(energy + variance)
+        valid &= _reaches(energy, _threshold(correlation, variance))
+        # Only the points the array checks reject take the one-point checks, which raise.
+        for i in run.start + np.flatnonzero(~valid):
+            _above(noises[i], energies[i].item(), multimode_threshold)
+            _check_energy(energies[i].item(), noises[i].variance)
     capacities = np.empty(len(noises))
-    stop = 0
-    for (correlation, _), run in groupby((p.correlation, i // _BATCH_ROWS) for i, p in enumerate(noises)):
-        start, stop = stop, stop + len(list(run))
-        batch = slice(start, stop)
+    for correlation, batch in _runs(noises, _BATCH_ROWS):
         # A (k, 1) column, so that the spectrum gives one row per point.
-        variances = np.array([[point.variance] for point in noises[batch]])
-        means = _entropy_mean(_env_spectrum(variances, correlation), correlation**2, 0.5)
+        column = variances[batch, None]
+        means = _entropy_mean(_env_spectrum(column, correlation), correlation**2, 0.5)
         # Clamped at 0: the trapezoid weights do not sum to exactly pi.
-        capacities[batch] = np.maximum(thermal_entropy(energies[batch] + variances[:, 0]) - means, 0.0)
+        capacities[batch] = np.maximum(thermal_entropy(energies[batch] + variances[batch]) - means, 0.0)
     return float(capacities[0]) if single else capacities
 
 
@@ -397,7 +454,7 @@ def finite_n_rate(noise: MarkovNoise, n_bar: float, n: int) -> float:
     it exceeds the rate of Williamson's symplectic eigenvalues
     |eig(T D)| by O(1/n).
     """
-    _require_solver_noise(noise)
+    _check_correlation(noise.correlation)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     photons = _check_energy(n_bar, noise.variance)
@@ -416,7 +473,7 @@ def classical_limit_capacity(noise: MarkovNoise, snr: float) -> float:
     ``log1p`` terms, so it keeps full relative precision at weak
     correlation, where the quotient is near 1.
     """
-    _require_solver_noise(noise)
+    _check_correlation(noise.correlation)
     if not (math.isfinite(snr) and snr > 0):
         raise ValueError(f"snr must be positive, got {snr}")
     c = noise.correlation
@@ -436,7 +493,7 @@ def full_correlation_capacity(noise: MarkovNoise, n_bar: float) -> float:
 
 def symmetric_threshold(noise: MarkovNoise) -> float:
     """Water-filling threshold when both quadratures carry the same correlation sign."""
-    _require_solver_noise(noise)
+    _check_correlation(noise.correlation)
     c = noise.correlation
     return 2.0 * c / (1.0 - c) * noise.variance
 

@@ -6,6 +6,7 @@ of its own.
 """
 
 import math
+import tracemalloc
 
 import click
 import numpy as np
@@ -250,34 +251,90 @@ class TestFig3:
         assert [row["status"] for row in rows] == ["below_threshold", "ok"]
         assert rows[0]["eta"] == ""
 
-    def test_mixed_regimes(self, runner):
-        # The fixed-SNR protocol puts every N < 1 below threshold.  The ok
-        # rows of each phi share batched integrals; each must still print
-        # the one-point library value.
-        phis = (0.5, 0.95)
-        result = runner.invoke(
-            main,
-            ["fig3", "--phi", "0.5", "--phi", "0.95", "--n-min", "0.3", "--n-max", "30",
-             "--steps", "40"],
-        )
-        assert result.exit_code == 0
+    @staticmethod
+    def one_point_sweep(runner, phis, n_min):
+        """Run fig3 over ``phis`` on 40 steps of [n_min, 30]; check every row against one-point calls.
+
+        Each phi is evaluated on arrays, its ok rows in batched integrals;
+        every row must still print the one-point library values.  Returns
+        the rows and the set of (phi, above threshold) seen.
+        """
+        args = ["fig3", "--n-min", repr(n_min), "--n-max", "30", "--steps", "40"]
+        result = runner.invoke(main, [*args, *(arg for phi in phis for arg in ("--phi", repr(phi)))])
+        assert result.exit_code == 0, result.output
         _, rows = parse_csv(result.output)
-        points = [(phi, n) for phi in phis for n in _geometric_floats(0.3, 30.0, 40)]
+        points = [(phi, n) for phi in phis for n in _geometric_floats(n_min, 30.0, 40)]
         assert len(rows) == len(points)
-        statuses = set()
+        seen = set()
         for row, (phi, variance) in zip(rows, points):
+            noise = MarkovNoise(variance, phi)
             nbar = variance * multimode_threshold(MarkovNoise(1.0, phi))
-            assert row["N"] == _fmt(variance)
-            if variance < 1.0:
+            assert (row["N"], row["nbar"]) == (_fmt(variance), _fmt(nbar))
+            assert row["threshold"] == _fmt(multimode_threshold(noise))
+            above = row["status"] == "ok"
+            if above:
+                sol = multimode_solve(noise, nbar)
+                assert row["eta"] == _fmt(sol.squeezing_fraction)
+                assert row["mu_global"] == _fmt(sol.water_level)
+                assert row["capacity_bits"] == _fmt(sol.capacity_bits)
+            else:
+                with pytest.raises(solver.BelowThresholdError):
+                    multimode_solve(noise, nbar)
                 assert row["status"] == "below_threshold"
                 assert row["eta"] == row["mu_global"] == row["capacity_bits"] == ""
-            else:
-                assert row["status"] == "ok"
-                assert row["capacity_bits"] == _fmt(
-                    asymptotic_capacity(MarkovNoise(variance, phi), nbar)
-                )
-            statuses.add((phi, row["status"]))
-        assert len(statuses) == 4
+            seen.add((phi, above))
+        return rows, seen
+
+    def test_mixed_regimes(self, runner):
+        # The fixed-SNR protocol puts every N < 1 below threshold.
+        rows, seen = self.one_point_sweep(runner, (0.5, 0.95), 0.3)
+        assert seen == {(0.5, False), (0.5, True), (0.95, False), (0.95, True)}
+        assert [row["status"] == "ok" for row in rows] == [
+            n >= 1.0 for _ in range(2) for n in _geometric_floats(0.3, 30.0, 40)
+        ]
+
+    def test_mixed_regimes_energy_underflow(self, runner):
+        # N * snr underflows to 0 at N = 5e-324: below threshold at
+        # phi = 0.1, but above it, with eta = 0, at phi = 1e-13, whose
+        # threshold is within round-off of 0.
+        rows, seen = self.one_point_sweep(runner, (1e-13, 0.1), 5e-324)
+        assert seen == {(1e-13, True), (0.1, False), (0.1, True)}
+        assert [rows[0][key] for key in ("nbar", "eta", "status")] == ["0", "0", "ok"]
+        assert [rows[40][key] for key in ("nbar", "eta", "status")] == ["0", "", "below_threshold"]
+
+    @pytest.mark.parametrize("phis", [["0"], ["0.5", "0"], ["-0.0"]], ids=["alone", "after-valid", "negative-zero"])
+    def test_zero_correlation_is_usage_error(self, runner, monkeypatch, tmp_path, phis):
+        # At phi = 0 the snr, and so every nbar, is 0: the error names the
+        # correlation, and comes before any row is computed.
+        calls = []
+        monkeypatch.setattr(cli, "asymptotic_capacity", lambda *args: calls.append(args))
+        target = tmp_path / "out.csv"
+        args = [arg for phi in phis for arg in ("--phi", phi)]
+        result = runner.invoke(main, ["fig3", *args, "--out", str(target)])
+        assert result.exit_code == 2, result.output
+        shown = "-0" if phis[-1] == "-0.0" else "0"
+        assert (f"Error: fig3 needs correlations above 0: at phi = {shown} "
+                "the fixed-SNR protocol pins nbar to 0") in result.stderr
+        assert result.stdout == ""
+        assert not target.exists()
+        assert calls == []
+
+    def test_memory_per_row(self, runner, tmp_path):
+        # Each correlation is evaluated on numpy arrays: ~60 B a row held
+        # until the table is written, and ~0.2 KB a row above threshold
+        # while its correlation is evaluated; 260 B a row in all here.
+        # A Python list of strings per row took 820 B.
+        steps = 20000
+        args = ["fig3", "--phi", "0.5", "--n-min", "1", "--n-max", "100", "--steps", str(steps),
+                "--out", str(tmp_path / "out.csv")]
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert peak / steps < 450
 
     @pytest.mark.parametrize("args", [
         ["--phi", "0.5", "--steps", "100001"],

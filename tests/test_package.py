@@ -44,7 +44,8 @@ def test_readme_quick_start_runs(capsys):
     assert len(lines) == 7
     assert float(lines[0]) == pytest.approx(gmcapacity.asymptotic_capacity(
         gmcapacity.MarkovNoise(1.0, 0.7), 7.5), rel=1e-15, abs=0)
-    assert float(lines[-1]) == pytest.approx(27.0)
+    # 2c/(1 - c) (N + 1/2) at c = 0.9 rounds to 27.000000000000007.
+    assert float(lines[-1]) == pytest.approx(27.0, rel=1e-15, abs=0)
 
 
 def test_readme_names_only_existing_options():
@@ -118,6 +119,28 @@ def _unused_imports(path):
 def test_no_unused_imports():
     files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
     assert [entry for path in files for entry in _unused_imports(path)] == []
+
+
+def _approx_calls(path):
+    """``file:line`` and whether it passes ``abs=``, for each ``approx(...)`` call in ``path``."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "approx":
+                passes_abs = any(keyword.arg == "abs" for keyword in node.keywords)
+                calls.append((f"{path.relative_to(ROOT)}:{node.lineno}", passes_abs))
+    return calls
+
+
+def test_every_approx_states_its_absolute_tolerance():
+    # Without abs=, pytest.approx also accepts anything within 1e-12 of the
+    # expected value, and without rel= too, within 1e-6 of it relatively.
+    # Each call states abs= (0 where only rel= is meant), so it says what it checks.
+    calls = [call for path in sorted((ROOT / "tests").rglob("*.py")) for call in _approx_calls(path)]
+    assert len(calls) > 100
+    assert [where for where, passes_abs in calls if not passes_abs] == []
 
 
 def _record_golden():

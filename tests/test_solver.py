@@ -552,6 +552,80 @@ class TestAsymptoticCapacitySequences:
             asymptotic_capacity([noise, MarkovNoise(1.0, -0.5)], [7.5, 7.5])
 
 
+
+class TestSqueezingFractionSequences:
+    PHIS = (0.0, 1e-13, 0.1, 0.5, 0.9, 0.999)
+    # From subnormal to the largest doubles, where pi * n_bar overflows.
+    ENERGIES = [5e-324, 1e-320, 1e-13, 0.5, 2.0, 7.5, 1e4, 6e307, 1.7e308]
+
+    def test_bitwise_equal_to_one_point_calls(self, monkeypatch):
+        noises, energies = [], []
+        for phi in self.PHIS:
+            # Zero energy is valid at phi = 0 and at phi = 1e-13, N = 1,
+            # whose threshold 3e-13 is within round-off of 0.
+            points = [*self.ENERGIES, 0.0] if phi < 1e-12 else self.ENERGIES
+            for i, n_bar in enumerate(points):
+                noises.append(MarkovNoise(1.0 + i, phi) if n_bar else MarkovNoise(1.0, phi))
+                energies.append(n_bar)
+        expected = [squeezing_fraction(noise, n_bar) for noise, n_bar in zip(noises, energies)]
+        calls = []
+        landen = solver._landen_ellipk
+
+        def counting(c, alt_form):
+            calls.append(c)
+            return landen(c, alt_form)
+
+        monkeypatch.setattr(solver, "_landen_ellipk", counting)
+        batch = squeezing_fraction(noises, np.array(energies))
+        assert isinstance(batch, np.ndarray)
+        assert batch.tolist() == expected
+        assert expected[len(self.ENERGIES)] == expected[2 * len(self.ENERGIES) + 1] == 0.0
+        # One closed form per run of one correlation.
+        assert calls == list(self.PHIS)
+
+    def test_zero_energy_within_round_off_of_the_threshold(self):
+        values = squeezing_fraction([MarkovNoise(1.0, 1e-13)] * 2, [0.0, 2.0])
+        assert values.tolist() == [0.0, squeezing_fraction(MarkovNoise(1.0, 1e-13), 2.0)]
+        # At N = 10 the threshold 2.1e-12 is beyond the round-off slack.
+        for noise in (MarkovNoise(10.0, 1e-13), MarkovNoise(1.0, 0.5)):
+            with pytest.raises(ValueError, match="n_bar must be positive, got 0"):
+                squeezing_fraction([MarkovNoise(1.0, 1e-13), noise], [0.0, 0.0])
+
+    def test_scalar_form_returns_float(self):
+        assert type(squeezing_fraction(MarkovNoise(1.0, 0.7), 7.5)) is float
+        assert squeezing_fraction([], []).shape == (0,)
+        with pytest.raises(ValueError, match="energies"):
+            squeezing_fraction([MarkovNoise(1.0, 0.5)] * 2, [7.5])
+
+
+def _first_one_point_error(function, noises, energies):
+    for noise, n_bar in zip(noises, energies):
+        try:
+            function(noise, n_bar)
+        except ValueError as err:
+            return type(err), str(err)
+    raise AssertionError("no point fails")
+
+
+@pytest.mark.parametrize("function", [asymptotic_capacity, squeezing_fraction])
+@pytest.mark.parametrize("points", [
+    [(1.0, 0.5, 10.0), (1.0, 0.5, math.nan), (1.0, 0.9995, 10.0)],
+    [(1.0, 0.5, 10.0), (1.0, 0.5, 1.0), (1.0, -0.5, 10.0)],
+    [(1.0, 0.5, 10.0), (1.0, 0.9995, math.nan)],
+    [(1e308, 0.0, 1e308), (1.0, 0.5, math.nan)],
+    [(1.0, 0.5, 10.0), (1.0, 0.5, -1.0), (1.0, 0.5, math.inf)],
+    [(1.0, 0.5, 10.0), (1.0, 0.5, math.inf)],
+    [(1.0, 1e-13, 0.0), (10.0, 1e-13, 0.0)],
+], ids=["nan", "below-then-sign", "correlation", "sum-overflow", "negative", "inf", "zero"])
+def test_sequence_raises_the_first_one_point_error(function, points):
+    # The sequence forms check points in arrays; the first point whose
+    # one-point call fails must raise that call's error.
+    noises = [MarkovNoise(variance, phi) for variance, phi, _ in points]
+    energies = [n_bar for *_, n_bar in points]
+    with pytest.raises(ValueError) as excinfo:
+        function(noises, energies)
+    assert (type(excinfo.value), str(excinfo.value)) == _first_one_point_error(function, noises, energies)
+
 class TestFiniteNRate:
     def test_single_use(self):
         value = finite_n_rate(MarkovNoise(1.0, 0.7), 7.5, 1)
@@ -780,7 +854,7 @@ class TestOutputEnergyOverflow:
 
     def test_largest_finite_sum_accepted(self):
         assert asymptotic_capacity(MarkovNoise(8e307, 0.0), 8e307) == pytest.approx(1.0, rel=1e-12, abs=0)
-        assert mono_solve(MonoNoise(8e307, 8e307), 8e307).water_level == pytest.approx(1.6e308)
+        assert mono_solve(MonoNoise(8e307, 8e307), 8e307).water_level == 1.6e308
 
 
 class TestFixedQuadratureTarget:
