@@ -474,15 +474,16 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
 @click.option("--gp", type=float, required=True, help="Noise variance in the p quadrature.")
 @click.option("--nbar", type=float, required=True, help="Mean photon number per use.")
 @click.option("--resolution", type=int, default=161, show_default=True,
-              help="Grid points per search variable (minimum 64).")
+              help="Grid points on the squeezing axis (minimum 64).")
 def oracle(gq, gp, nbar, resolution):
-    """Brute-force grid search for the single-mode optimum.
+    """Brute-force search for the single-mode optimum.
 
-    The search refines at least twice, and more until its final step in
-    the squeezing parameter is at most 0.01.  Unlike the closed-form
-    solver this also explores the below-threshold regime, pinning one
-    modulation variance at zero there; the above_threshold column
-    records which side the input energy is on.
+    The squeezing parameter is searched on a grid, refined at least
+    twice, and more until its final step is at most 0.01; at each grid
+    point the modulation split is searched over all of [0, 1].  Unlike
+    the closed-form solver this also explores the below-threshold
+    regime, pinning one modulation variance at zero there; the
+    above_threshold column records which side the input energy is on.
     """
     noise = MonoNoise(gq, gp)
     sol = brute_force_mono_oracle(noise, nbar, resolution)

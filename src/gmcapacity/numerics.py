@@ -4,7 +4,7 @@ Four self-contained pieces: a fixed-node trapezoid rule on numpy arrays
 for even, periodic spectral integrands, the complete elliptic integral
 K(m) and K(m) - pi/2 by the arithmetic-geometric mean, from m and its
 complement 1 - m, a dense symmetric eigenvalue front end, and a
-coarse-to-fine grid maximizer.  All of them are pure
+one-dimensional coarse-to-fine grid maximizer.  All of them are pure
 functions with fixed evaluation order, so repeated calls with identical
 inputs give bit-identical results.
 """
@@ -12,7 +12,7 @@ inputs give bit-identical results.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -190,21 +190,19 @@ def symmetric_eigen(m: np.ndarray) -> np.ndarray:
 
 
 def grid_maximize(
-    objective: Callable[..., np.ndarray],
-    box: Sequence[tuple[float, float]],
+    objective: Callable[[np.ndarray], np.ndarray],
+    interval: tuple[float, float],
     resolution: int,
     refinements: int,
-) -> tuple[tuple[float, ...], float]:
-    """Maximize ``objective`` on a box by deterministic coarse-to-fine search.
+) -> tuple[float, float]:
+    """Maximize ``objective`` on an interval by deterministic coarse-to-fine search.
 
-    Every pass evaluates the full cartesian grid (``resolution`` points
-    per axis); each refinement shrinks the box four-fold around the
-    incumbent, clipped to the original bounds.  Ties go to the
-    lexicographically smallest coordinates.  The grid is evaluated one
-    slice of the first axis at a time: the objective is called as
-    ``objective(x1, X2, ..., Xk)`` with a float ``x1`` and the
-    ``indexing="ij"`` meshgrid arrays of the other axes, and must return
-    an array of their shape holding finite values.
+    Each pass calls ``objective(xs)`` once, on ``resolution`` equally
+    spaced points ``xs`` of the current interval, and must get back an
+    array of their shape holding finite values; each refinement shrinks
+    the interval four-fold around the incumbent, clipped to the original
+    one.  Ties go to the smaller ``x``.  Returns the best ``x`` and its
+    value.
     """
     _check_integer(resolution, "resolution")
     _check_integer(refinements, "refinements")
@@ -212,40 +210,26 @@ def grid_maximize(
         raise ValueError("resolution must be at least 2")
     if refinements < 0:
         raise ValueError("refinements must be non-negative")
-    original = [(float(lo), float(hi)) for lo, hi in box]
-    for lo, hi in original:
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("box bounds must be finite")
-        if hi < lo:
-            raise ValueError("box bounds must satisfy lo <= hi")
+    olo, ohi = (float(bound) for bound in interval)
+    if not (math.isfinite(olo) and math.isfinite(ohi)):
+        raise ValueError("interval bounds must be finite")
+    if ohi < olo:
+        raise ValueError("interval bounds must satisfy lo <= hi")
 
-    current = list(original)
-    best_point: tuple[float, ...] | None = None
-    best_value = -math.inf
+    lo, hi = olo, ohi
+    best_x, best_value = math.nan, -math.inf
     for _ in range(refinements + 1):
-        axes = [np.linspace(lo, hi, resolution) for lo, hi in current]
-        rest = np.meshgrid(*axes[1:], indexing="ij")
-        shape = (resolution,) * len(rest)
-        for x1 in axes[0].tolist():
-            values = np.asarray(objective(x1, *rest), dtype=float)
-            if values.shape != shape:
-                raise ValueError(
-                    f"objective returned shape {values.shape}, expected {shape}"
-                )
-            finite = np.isfinite(values)
-            # argmax takes the first hit in C order, which is the
-            # lexicographically smallest point because every axis increases.
-            k = int(np.argmax(values)) if finite.all() else int(np.argmin(finite))
-            point = (x1, *(float(r.flat[k]) for r in rest))
-            value = float(values.flat[k])
-            if not math.isfinite(value):
-                raise ValueError(f"objective returned a non-finite value at {point}")
-            if value > best_value or (value == best_value and point < best_point):
-                best_value = value
-                best_point = point
-        shrunk = []
-        for (olo, ohi), (lo, hi), x in zip(original, current, best_point):
-            width = (hi - lo) / 4.0
-            shrunk.append((max(olo, x - width / 2.0), min(ohi, x + width / 2.0)))
-        current = shrunk
-    return best_point, best_value
+        xs = np.linspace(lo, hi, resolution)
+        values = np.asarray(objective(xs), dtype=float)
+        if values.shape != xs.shape:
+            raise ValueError(f"objective returned shape {values.shape}, expected {xs.shape}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"objective returned a non-finite value at {xs[np.argmin(finite)]}")
+        # argmax takes the first maximum, the smallest x because xs increases.
+        k = int(np.argmax(values))
+        if values[k] > best_value or (values[k] == best_value and xs[k] < best_x):
+            best_x, best_value = float(xs[k]), float(values[k])
+        width = (hi - lo) / 4.0
+        lo, hi = max(olo, best_x - width / 2.0), min(ohi, best_x + width / 2.0)
+    return best_x, best_value

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, thermal_entropy
-from .numerics import ellipk_split, grid_maximize, integrate
+from .numerics import _EPS, ellipk_split, grid_maximize, integrate
 from .spectra import MarkovNoise, SpectralFunction, _ar1_gap, finite_spectrum, markov_matrix, markov_symbol
 
 # Cap for the closed-form solvers: thresholds and water levels diverge as
@@ -152,12 +152,14 @@ def _check_energy(n_bar: float, variance: float = 0.0) -> float:
 def _reaches(n_bar, threshold):
     """Whether n_bar reaches the threshold: a bool, or elementwise a bool array for arrays.
 
-    Relative slack absorbs round-off when n_bar sits exactly at the
-    threshold (the closed form may land a few ulps on either side).  An
-    infinite threshold is out of reach.
+    A slack of a few ulps of the threshold absorbs round-off when n_bar is
+    computed to sit exactly at it (the two closed forms may land a few
+    ulps apart).  It is relative only, so zero energy lies below every
+    positive threshold, however small.  An infinite threshold is out of
+    reach.
     """
     with np.errstate(invalid="ignore"):  # inf - inf at an infinite threshold
-        reached = n_bar >= threshold - 1e-12 * np.maximum(1.0, np.abs(threshold))
+        reached = n_bar >= threshold - 4.0 * _EPS * np.abs(threshold)
     return reached if isinstance(reached, np.ndarray) else bool(reached)
 
 
@@ -319,11 +321,11 @@ def squeezing_fraction(
     Landen modulus k = 2c / (1 + c^2) without cancellation, so it keeps
     its precision at weak correlation.  It is divided by pi, then by
     n_bar, since pi n_bar overflows at the largest energies.
-    Zero for white noise and for zero energy at a threshold within
-    round-off of zero; otherwise independent of the noise variance by
-    construction.  Lies in [0, 1] whenever n_bar is at or above
-    :func:`multimode_threshold`; larger values signal that the energy
-    cannot cover the squeezing demanded by the noise anisotropy.
+    Zero for white noise, the only case that admits zero energy;
+    otherwise independent of the noise variance by construction.  Lies
+    in [0, 1] whenever n_bar is at or above :func:`multimode_threshold`;
+    larger values signal that the energy cannot cover the squeezing
+    demanded by the noise anisotropy.
 
     Also takes equal-length sequences of :class:`MarkovNoise` and
     energies, as :func:`asymptotic_capacity` does, and then returns an
@@ -339,7 +341,7 @@ def squeezing_fraction(
         # Zero energy, and any invalid one, takes the one-point check.
         for i in run.start + np.flatnonzero(~(energies[run] > 0) | np.isinf(energies[run])):
             energy = _check_energy(energies[i].item())
-            # Only a threshold within round-off of zero (see _reaches) admits zero energy.
+            # Only a zero threshold admits zero energy (see _reaches).
             if energy == 0 and not _reaches(0.0, multimode_threshold(noises[i])):
                 raise ValueError("n_bar must be positive, got 0")
         split = _landen_ellipk(correlation, alt_form=True)[1] / math.pi
@@ -545,19 +547,53 @@ def first_mode_variance(correlation: float, alt_form: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Golden-section search (Kiefer 1953) shrinks a bracket by this factor per
+# step; the oracle's split search takes enough steps to narrow [0, 1] below
+# 1e-9.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SPLIT_STEPS = math.ceil(math.log(1e-9) / math.log(_GOLDEN))
+
+
+def _golden_max(f: Callable[[np.ndarray], np.ndarray], size: int) -> np.ndarray:
+    """Maximizers on [0, 1] of ``size`` concave functions, searched together.
+
+    ``f`` maps points, one per function along the last axis, to values.
+    Each step places two points at the golden ratio inside every bracket
+    and keeps the part that holds a maximizer.  One of them is, up to
+    rounding, the point the step before kept; it is evaluated again,
+    which here costs less than the bookkeeping that would reuse its
+    value.  At the end both bracket ends are compared with 0 and 1, ties
+    going to the smaller point, so a maximizer on the boundary is
+    returned exactly.
+    """
+    lo, hi = np.zeros(size), np.ones(size)
+    for _ in range(_SPLIT_STEPS):
+        x, y = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        # Concavity puts a maximizer in [lo, y] or in [x, hi].
+        left = f(x) >= f(y)
+        lo, hi = np.where(left, lo, x), np.where(left, y, hi)
+    points = np.stack([np.zeros(size), lo, hi, np.ones(size)])
+    return points[np.argmax(f(points), axis=0), np.arange(size)]
+
+
 def brute_force_mono_oracle(
     noise: MonoNoise,
     n_bar: float,
     resolution: int = 161,
 ) -> MonoSolution:
-    """Maximize the single-mode information quantity by deterministic grid search.
+    """Maximize the single-mode information quantity by deterministic search.
 
-    Searches over the input squeezing s = ln(2 input_q) and the split of
-    the remaining energy between the two modulation variances, holding
-    the total energy constraint with equality.  The input is pure,
-    (e^s / 2, e^-s / 2), and spends cosh(s) of the variance budget
-    2 n_bar + 1, so s ranges over |s| <= acosh(2 n_bar + 1), a box free
-    of cancellation at every energy.  Independent of the closed form in
+    Searches the input squeezing s = ln(2 input_q) on a grid and, at each
+    grid point, the split of the remaining energy between the two
+    modulation variances over all of [0, 1], holding the total energy
+    constraint with equality.  The input is pure, (e^s / 2, e^-s / 2),
+    and spends cosh(s) of the variance budget 2 n_bar + 1, so s ranges
+    over |s| <= acosh(2 n_bar + 1), a box free of cancellation at every
+    energy; ``resolution`` counts the grid points in s.  At fixed s the
+    output's symplectic eigenvalue is the geometric mean of two affine
+    functions of the split, so it is concave in the split, and a
+    golden-section search finds its maximizer, exactly 0 or 1 where that
+    lies on the boundary.  Independent of the closed form in
     :func:`mono_solve`; it also explores the below-threshold regime,
     where it returns a boundary solution with one modulation variance
     pinned at zero.  Refines at least twice, and more until the final
@@ -582,24 +618,28 @@ def brute_force_mono_oracle(
     while 2.0 * half_width * 0.25**passes > 0.01 * (resolution - 1):
         passes += 1
 
-    def state(s, split):
-        # (input_q, input_p, mod_q, mod_p) for squeezing s and energy split.
-        mod_total = max(budget - math.cosh(s), 0.0)
-        return 0.5 * math.exp(s), 0.5 * math.exp(-s), split * mod_total, (1.0 - split) * mod_total
+    def optimum(s):
+        # The objective at each squeezing s, maximized over the split, and
+        # the state (input_q, input_p, mod_q, mod_p) that attains it.
+        in_q, in_p = 0.5 * np.exp(s), 0.5 * np.exp(-s)
+        mod_total = np.maximum(budget - np.cosh(s), 0.0)
 
-    def objective(s, split):
-        in_q, in_p, mod_q, mod_p = state(s, split)
-        nu_out = math.sqrt(in_q + var_q) * math.sqrt(in_p + var_p)
-        nu_bar = np.sqrt(in_q + var_q + mod_q) * np.sqrt(in_p + var_p + mod_p)
-        return thermal_entropy(nu_bar - 0.5) - thermal_entropy(nu_out - 0.5)
+        def nu_bar(split):
+            return np.sqrt(in_q + var_q + split * mod_total) * np.sqrt(
+                in_p + var_p + (1.0 - split) * mod_total
+            )
 
-    (best_s, best_split), best_value = grid_maximize(
-        objective,
-        [(-half_width, half_width), (0.0, 1.0)],
-        resolution=resolution,
-        refinements=passes,
+        # g is increasing, so the split that maximizes nu_bar maximizes the objective.
+        split = _golden_max(nu_bar, s.size)
+        nu_out = np.sqrt(in_q + var_q) * np.sqrt(in_p + var_p)
+        value = thermal_entropy(nu_bar(split) - 0.5) - thermal_entropy(nu_out - 0.5)
+        return value, (in_q, in_p, split * mod_total, (1.0 - split) * mod_total)
+
+    best_s, _ = grid_maximize(
+        lambda s: optimum(s)[0], (-half_width, half_width), resolution, passes
     )
-    in_q, in_p, mod_q, mod_p = state(best_s, best_split)
+    value, state = optimum(np.array([best_s]))
+    in_q, in_p, mod_q, mod_p = (float(column[0]) for column in state)
     return MonoSolution(
         input_q=in_q,
         input_p=in_p,
@@ -608,6 +648,6 @@ def brute_force_mono_oracle(
         # Below threshold the two columns differ; the water surface sits
         # on the taller one.
         water_level=max(in_q + var_q + mod_q, in_p + var_p + mod_p),
-        capacity_bits=best_value,
+        capacity_bits=float(value[0]),
         above_threshold=_reaches(n_bar, mono_threshold(noise)),
     )

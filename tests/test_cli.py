@@ -146,6 +146,14 @@ class TestCapacity:
         assert rows[0]["capacity_bits"] == ""
         assert rows[0]["threshold"] == _fmt(multimode_threshold(MarkovNoise(1.0, 0.7)))
 
+    def test_below_a_tiny_threshold(self, runner):
+        # The round-off slack is relative, so an energy 3e307 times below
+        # the threshold 3e-13 does not reach it.
+        result = runner.invoke(main, ["capacity", "--phi", "1e-13", "--N", "1", "--nbar", "1e-320"])
+        assert result.exit_code == 3
+        _, rows = parse_csv(result.output)
+        assert [rows[0][key] for key in ("threshold", "eta", "status")] == ["3e-13", "", "below_threshold"]
+
     def test_allow_below_reports_threshold(self, runner):
         result = runner.invoke(
             main, ["capacity", "--phi", "0.7", "--N", "1", "--nbar", "6", "--allow-below"]
@@ -294,13 +302,15 @@ class TestFig3:
         ]
 
     def test_mixed_regimes_energy_underflow(self, runner):
-        # N * snr underflows to 0 at N = 5e-324: below threshold at
-        # phi = 0.1, but above it, with eta = 0, at phi = 1e-13, whose
-        # threshold is within round-off of 0.
+        # N * snr underflows to 0 at N = 5e-324, which lies below the
+        # positive threshold of either correlation, even phi = 1e-13's.
         rows, seen = self.one_point_sweep(runner, (1e-13, 0.1), 5e-324)
-        assert seen == {(1e-13, True), (0.1, False), (0.1, True)}
-        assert [rows[0][key] for key in ("nbar", "eta", "status")] == ["0", "0", "ok"]
-        assert [rows[40][key] for key in ("nbar", "eta", "status")] == ["0", "", "below_threshold"]
+        assert seen == {(1e-13, False), (1e-13, True), (0.1, False), (0.1, True)}
+        assert [row["status"] == "ok" for row in rows] == [
+            n >= 1.0 for _ in range(2) for n in _geometric_floats(5e-324, 30.0, 40)
+        ]
+        for row in (rows[0], rows[40]):
+            assert [row[key] for key in ("nbar", "eta", "status")] == ["0", "", "below_threshold"]
 
     @pytest.mark.parametrize("phis", [["0"], ["0.5", "0"], ["-0.0"]], ids=["alone", "after-valid", "negative-zero"])
     def test_zero_correlation_is_usage_error(self, runner, monkeypatch, tmp_path, phis):

@@ -1,6 +1,5 @@
 """Tests for the quadrature, eigensolver and grid-search kernels."""
 
-import itertools
 import math
 
 import numpy as np
@@ -330,92 +329,114 @@ class TestSymmetricEigen:
 
 class TestGridMaximize:
     def test_1d_quadratic(self):
-        point, value = grid_maximize(lambda x: -((x - 1.0) ** 2), [(0.0, 2.0)], 65, 2)
-        assert abs(point[0] - 1.0) <= 1e-3
+        x, value = grid_maximize(lambda x: -((x - 1.0) ** 2), (0.0, 2.0), 65, 2)
+        assert abs(x - 1.0) <= 1e-3
         assert value <= 0.0
 
-    def test_2d_quadratic(self):
-        objective = lambda x, y: -((x - 0.3) ** 2) - 2.0 * (y + 0.4) ** 2
-        point, _ = grid_maximize(objective, [(-1.0, 1.0), (-1.0, 1.0)], 65, 2)
-        assert abs(point[0] - 0.3) <= 1e-3
-        assert abs(point[1] + 0.4) <= 1e-3
-
     def test_deterministic(self):
-        objective = lambda x, y: np.sin(5 * x) * np.cos(3 * y)
-        box = [(0.0, 2.0), (0.0, 2.0)]
-        first = grid_maximize(objective, box, 65, 2)
-        second = grid_maximize(objective, box, 65, 2)
+        objective = lambda x: np.sin(5 * x) * np.cos(3 * x)
+        first = grid_maximize(objective, (0.0, 2.0), 65, 2)
+        second = grid_maximize(objective, (0.0, 2.0), 65, 2)
         assert first == second
 
-    def test_tie_break_lexicographic(self):
-        # Flat objective: every grid point ties, the smallest corner wins.
-        point, value = grid_maximize(lambda x, y: np.ones_like(y), [(0.0, 1.0), (2.0, 3.0)], 65, 1)
-        assert point == (0.0, 2.0)
-        assert value == 1.0
+    def test_ties_go_to_the_smaller_x(self):
+        # Flat objective: every grid point of every pass ties, the left end wins.
+        x, value = grid_maximize(lambda x: np.ones_like(x), (2.0, 3.0), 65, 1)
+        assert (x, value) == (2.0, 1.0)
+
+    def test_one_call_per_pass(self):
+        calls = []
+
+        def objective(xs):
+            calls.append(xs)
+            return -xs * xs
+
+        grid_maximize(objective, (-1.0, 1.0), 65, 3)
+        assert [xs.shape for xs in calls] == [(65,)] * 4
+        assert [(xs[0], xs[-1]) for xs in calls[:2]] == [(-1.0, 1.0), (-0.25, 0.25)]
+
+    def test_refinements_clip_to_the_interval(self):
+        # The maximum sits at the right end: each pass shrinks four-fold
+        # around it, and the clipped half past the end is cut off.
+        calls = []
+
+        def objective(xs):
+            calls.append((xs[0], xs[-1]))
+            return xs
+
+        x, value = grid_maximize(objective, (0.0, 1.0), 65, 2)
+        assert (x, value) == (1.0, 1.0)
+        assert calls == [(0.0, 1.0), (0.875, 1.0), (0.984375, 1.0)]
 
     def test_non_finite_objective_rejected(self):
-        with pytest.raises(ValueError, match="non-finite value"):
-            grid_maximize(lambda x: np.where(x > 0.5, np.inf, x), [(0.0, 1.0)], 65, 0)
+        with pytest.raises(ValueError, match="non-finite value at 0.515625"):
+            grid_maximize(lambda x: np.where(x > 0.5, np.inf, x), (0.0, 1.0), 65, 0)
+        with pytest.raises(ValueError, match="non-finite value at 0.0"):
+            grid_maximize(lambda x: np.where(x < 0.5, np.nan, x), (0.0, 1.0), 65, 0)
 
     def test_degenerate_box(self):
-        point, value = grid_maximize(lambda x: -x * x, [(0.5, 0.5)], 65, 1)
-        assert point == (0.5,)
-        assert value == -0.25
+        x, value = grid_maximize(lambda x: -x * x, (0.5, 0.5), 65, 1)
+        assert (x, value) == (0.5, -0.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            grid_maximize(lambda x: x, [(0.0, 1.0)], 1, 0)
-        with pytest.raises(ValueError):
-            grid_maximize(lambda x: x, [(1.0, 0.0)], 65, 0)
-        with pytest.raises(ValueError):
-            grid_maximize(lambda x: x, [(0.0, math.inf)], 65, 0)
+            grid_maximize(lambda x: x, (0.0, 1.0), 1, 0)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            grid_maximize(lambda x: x, (1.0, 0.0), 65, 0)
+        with pytest.raises(ValueError, match="finite"):
+            grid_maximize(lambda x: x, (0.0, math.inf), 65, 0)
+        with pytest.raises(ValueError, match="finite"):
+            grid_maximize(lambda x: x, (math.nan, 1.0), 65, 0)
         for resolution, refinements in [(65.5, 0), (65, 1.5), (math.nan, 0)]:
             with pytest.raises(ValueError, match="must be an integer"):
-                grid_maximize(lambda x: x, [(0.0, 1.0)], resolution, refinements)
+                grid_maximize(lambda x: x, (0.0, 1.0), resolution, refinements)
 
     def test_negative_refinements_rejected(self):
         with pytest.raises(ValueError, match="refinements must be non-negative"):
-            grid_maximize(lambda x: x, [(0.0, 1.0)], 65, -1)
+            grid_maximize(lambda x: x, (0.0, 1.0), 65, -1)
 
     def test_objective_shape_checked(self):
         with pytest.raises(ValueError, match=r"objective returned shape \(3,\), expected \(65,\)"):
-            grid_maximize(lambda x, y: np.ones(3), [(0.0, 1.0), (0.0, 1.0)], 65, 0)
+            grid_maximize(lambda x: np.ones(3), (0.0, 1.0), 65, 0)
+        with pytest.raises(ValueError, match=r"objective returned shape \(\), expected \(65,\)"):
+            grid_maximize(lambda x: 1.0, (0.0, 1.0), 65, 0)
 
 
-def _scalar_grid_maximize(objective, box, resolution, refinements):
-    """Point-by-point reference: the full grid in itertools order, scalar calls."""
-    original = [(float(lo), float(hi)) for lo, hi in box]
-    current = list(original)
-    best_point, best_value = None, -math.inf
+def _scalar_grid_maximize(objective, interval, resolution, refinements):
+    """Point-by-point reference: every grid point in increasing order, scalar calls."""
+    olo, ohi = (float(bound) for bound in interval)
+    lo, hi = olo, ohi
+    best_x, best_value = None, -math.inf
     for _ in range(refinements + 1):
-        axes = [np.linspace(lo, hi, resolution).tolist() for lo, hi in current]
-        for point in itertools.product(*axes):
-            value = float(objective(*point))
-            if value > best_value or (value == best_value and point < best_point):
-                best_value, best_point = value, point
-        shrunk = []
-        for (olo, ohi), (lo, hi), x in zip(original, current, best_point):
-            width = (hi - lo) / 4.0
-            shrunk.append((max(olo, x - width / 2.0), min(ohi, x + width / 2.0)))
-        current = shrunk
-    return best_point, best_value
+        for x in np.linspace(lo, hi, resolution).tolist():
+            value = float(objective(x))
+            if value > best_value or (value == best_value and x < best_x):
+                best_value, best_x = value, x
+        width = (hi - lo) / 4.0
+        lo, hi = max(olo, best_x - width / 2.0), min(ohi, best_x + width / 2.0)
+    return best_x, best_value
 
 
-def _oracle_objective(var_q, var_p, n_bar):
-    """The single-mode oracle objective over (s, split), s = ln(2 input_q), for arrays."""
+def _oracle_profile(var_q, var_p, n_bar):
+    """The single-mode oracle objective over s = ln(2 input_q), maximized over 65 splits.
+
+    Takes a float or an array of s; the splits run along a new last axis.
+    """
     budget = 2.0 * n_bar + 1.0
+    split = np.linspace(0.0, 1.0, 65)
 
-    def objective(s, split):
+    def objective(s):
+        s = np.asarray(s)[..., None]
         in_q, in_p = 0.5 * np.exp(s), 0.5 * np.exp(-s)
         mod_total = np.maximum(budget - np.cosh(s), 0.0)
         nu_out = np.sqrt(in_q + var_q) * np.sqrt(in_p + var_p)
         nu_bar = np.sqrt(in_q + var_q + split * mod_total) * np.sqrt(
             in_p + var_p + (1.0 - split) * mod_total
         )
-        return thermal_entropy(nu_bar - 0.5) - thermal_entropy(nu_out - 0.5)
+        return np.max(thermal_entropy(nu_bar - 0.5) - thermal_entropy(nu_out - 0.5), axis=-1)
 
     half_width = math.acosh(budget)
-    return objective, [(-half_width, half_width), (0.0, 1.0)]
+    return objective, (-half_width, half_width)
 
 
 class TestGridMaximizeMatchesScalarSearch:
@@ -425,14 +446,14 @@ class TestGridMaximizeMatchesScalarSearch:
         ids=["above", "below", "anisotropic"],
     )
     def test_oracle_objective(self, var_q, var_p, n_bar):
-        objective, box = _oracle_objective(var_q, var_p, n_bar)
-        expected = _scalar_grid_maximize(objective, box, 65, 2)
-        assert grid_maximize(objective, box, 65, 2) == expected
+        objective, interval = _oracle_profile(var_q, var_p, n_bar)
+        expected = _scalar_grid_maximize(objective, interval, 65, 2)
+        assert grid_maximize(objective, interval, 65, 2) == expected
 
     def test_exact_ties(self):
-        # A plateau of exact ties across slices and passes: the
-        # lexicographically smallest point of the plateau wins.
-        objective = lambda x, y: -np.maximum(np.abs(x - 0.3), np.abs(y - 0.6)) // 0.25
-        box = [(0.0, 1.0), (0.0, 1.0)]
-        expected = _scalar_grid_maximize(objective, box, 65, 2)
-        assert grid_maximize(objective, box, 65, 2) == expected
+        # A plateau of exact ties on (0.05, 0.55): each pass moves the
+        # incumbent to the smallest plateau point on its grid.
+        objective = lambda x: -np.abs(x - 0.3) // 0.25
+        expected = _scalar_grid_maximize(objective, (0.0, 1.0), 65, 2)
+        assert grid_maximize(objective, (0.0, 1.0), 65, 2) == expected
+        assert 0.05 < expected[0] < 0.0625 and expected[1] == -1.0
