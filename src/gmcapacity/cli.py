@@ -20,12 +20,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from typing import NamedTuple
 
 import click
 import numpy as np
 
-from .gaussian import VACUUM_VARIANCE
 from .numerics import IntegrationError
 from .spectra import (
     MarkovNoise,
@@ -37,9 +35,7 @@ from .spectra import (
 from .solver import (
     BelowThresholdError,
     MonoNoise,
-    _check_energy,
-    _reaches,
-    _threshold,
+    _multimode,
     asymptotic_capacity,
     brute_force_mono_oracle,
     classical_limit_capacity,
@@ -47,8 +43,8 @@ from .solver import (
     first_mode_variance,
     mono_solve,
     mono_threshold,
+    multimode_solve,
     multimode_threshold,
-    squeezing_fraction,
 )
 
 EXIT_OK = 0
@@ -196,66 +192,26 @@ def _mono_csv(command, params, noise, nbar, extra, sol):
 _MULTIMODE_FIELDS = ["phi", "N", "nbar", "threshold", "eta", "mu_global", "capacity_bits", "status"]
 
 
-class _MultimodePoints(NamedTuple):
-    """One correlation's points as arrays: the numeric ``_MULTIMODE_FIELDS`` and the above mask.
+def _fig3_texts(phi: float, variances: np.ndarray, energies: np.ndarray, p, limit: str):
+    """The CSV texts of one correlation's fig3 rows, one ``_array_rows`` call per run of equal ``above``.
 
-    ``eta``, ``mu_global`` and ``capacity_bits`` are nan where ``above``
-    is false: there the energy is below the threshold.
+    ``p`` holds the columns that :func:`~gmcapacity.solver._multimode`
+    returned for these variances and energies.  A row above threshold
+    prints every field; one below prints its threshold, then empty
+    ``eta``, ``mu_global`` and ``capacity_bits``.  ``limit`` holds the
+    classical-limit field and its comma.
     """
-
-    phi: float
-    N: np.ndarray
-    nbar: np.ndarray
-    threshold: np.ndarray
-    eta: np.ndarray
-    mu_global: np.ndarray
-    capacity_bits: np.ndarray
-    above: np.ndarray
-
-
-def _multimode_points(phi: float, variances: np.ndarray, energies: np.ndarray) -> _MultimodePoints:
-    """Evaluate one correlation at arrays of valid noise variances and of energies.
-
-    Checked as point-by-point calls would be: the correlation, then each
-    energy in order.  Only the points above threshold become
-    :class:`MarkovNoise` objects, for one :func:`squeezing_fraction` and
-    one batched :func:`asymptotic_capacity` call.
-    """
-    threshold = _threshold(phi, variances)
-    invalid = np.flatnonzero(~(np.isfinite(energies) & (energies >= 0)))
-    if invalid.size:
-        _check_energy(energies[invalid[0]].item())  # raises the one-point message
-    above = _reaches(energies, threshold)
-    eta, mu_global, capacity = (np.full(len(energies), np.nan) for _ in range(3))
-    if above.any():
-        noises = [MarkovNoise(variance, phi) for variance in variances[above].tolist()]
-        eta[above] = squeezing_fraction(noises, energies[above])
-        capacity[above] = asymptotic_capacity(noises, energies[above])
-        # asymptotic_capacity has checked that nbar + N is finite.
-        mu_global[above] = energies[above] + variances[above] + VACUUM_VARIANCE
-    return _MultimodePoints(phi, variances, energies, threshold, eta, mu_global, capacity, above)
-
-
-def _multimode_texts(points: _MultimodePoints, extra: str = ""):
-    """The CSV texts of the rows of ``points``, from one ``_array_rows`` call per run of equal ``above``.
-
-    A row above threshold prints every field; one below prints its
-    threshold, then empty ``eta``, ``mu_global`` and ``capacity_bits``.
-    ``extra`` holds the fields, each followed by a comma, that every row
-    carries before its status.
-    """
-    p = points
-    head = f"{_fmt(p.phi)},{{:.12g}},{{:.12g}},{{:.12g}},"
-    ok = head + "{:.12g},{:.12g},{:.12g}," + extra + "ok"
-    below = head + ",,," + extra + "below_threshold"
+    head = f"{_fmt(phi)},{{:.12g}},{{:.12g}},{{:.12g}},"
+    ok = head + "{:.12g},{:.12g},{:.12g}," + limit + "ok"
+    below = head + ",,," + limit + "below_threshold"
     edges = [0, *(np.flatnonzero(np.diff(p.above)) + 1).tolist(), len(p.above)]
     for start, stop in zip(edges, edges[1:]):
         run = slice(start, stop)
         if p.above[start]:
-            yield from _array_rows(ok, p.N[run], p.nbar[run], p.threshold[run],
-                                   p.eta[run], p.mu_global[run], p.capacity_bits[run])
+            yield from _array_rows(ok, variances[run], energies[run], p.threshold[run],
+                                   p.squeezing_fraction[run], p.water_level[run], p.capacity_bits[run])
         else:
-            yield from _array_rows(below, p.N[run], p.nbar[run], p.threshold[run])
+            yield from _array_rows(below, variances[run], energies[run], p.threshold[run])
 
 
 @_command
@@ -288,14 +244,21 @@ def capacity(phi, variance, nbar, allow_below, first_mode):
         ("phi", _fmt(phi)), ("N", _fmt(variance)), ("nbar", _fmt(nbar)),
         ("allow_below", _fmt(allow_below)), ("first_mode", _fmt(first_mode)),
     ]
-    MarkovNoise(variance, phi)  # checks N, then |phi| < 1
-    points = _multimode_points(phi, np.array([variance]), np.array([nbar]))
-    columns, extra = list(_MULTIMODE_FIELDS), ""
+    noise = MarkovNoise(variance, phi)  # checks N, then |phi| < 1
+    try:
+        sol = multimode_solve(noise, nbar)
+        fields = [_fmt(v) for v in (sol.threshold, sol.squeezing_fraction, sol.water_level, sol.capacity_bits)]
+        status, code = "ok", EXIT_OK
+    except BelowThresholdError as below:
+        fields, status = [_fmt(below.threshold), "", "", ""], "below_threshold"
+        code = EXIT_OK if allow_below else EXIT_BELOW_THRESHOLD
+    columns = list(_MULTIMODE_FIELDS)
     if first_mode:
+        # After the solver, which reports a correlation outside its range first.
         columns[-1:-1] = ["first_mode_variance", "first_mode_variance_alt"]
-        extra = "".join(_fmt(first_mode_variance(phi, alt_form=alt)) + "," for alt in (False, True))
-    code = EXIT_OK if points.above[0] or allow_below else EXIT_BELOW_THRESHOLD
-    return _csv("capacity", params, columns, _multimode_texts(points, extra)), code
+        fields += [_fmt(first_mode_variance(phi, alt_form=alt)) for alt in (False, True)]
+    row = [_fmt(phi), _fmt(variance), _fmt(nbar), *fields, status]
+    return _csv("capacity", params, columns, _list_rows([row])), code
 
 
 def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
@@ -310,11 +273,12 @@ def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
     return [lo * ratio ** (i / (steps - 1)) for i in range(steps)]
 
 
-# fig3 computes every number of its table before it writes a row: ~60 B a
-# row held in arrays, plus ~0.2 KB a row above threshold while one
-# correlation is evaluated.  At the cap, 7 x 14000 rows peaked at 38 MB
-# RSS, 9 MB above the import floor (Python 3.11, numpy 2.4).  The cap
-# bounds that memory and the run time.
+# fig3 computes every number of its table before it writes a row: ~40 B a
+# row held in arrays, plus ~0.13 KB a row while one correlation is
+# evaluated (tracemalloc peaks of 169 B a row at 1 x 20000 rows and 67 B
+# at 7 x 14000).  At the cap, 7 x 14000 rows peaked at 37 MB RSS, 8 MB
+# above the import floor (Python 3.11, numpy 2.4).  The cap bounds that
+# memory and the run time.
 _FIG3_MAX_ROWS = 100_000
 
 
@@ -361,8 +325,9 @@ def fig3(phis, n_min, n_max, steps):
             raise ValueError(f"nbar = N * snr overflows at N = {_fmt(variances[overflow[0]])}, snr = {_fmt(snr)}")
         # The classical limit reads only the correlation and the snr.
         sweeps.append((phi, energies, _fmt(classical_limit_capacity(noise, snr)) + ","))
-    evaluated = [(_multimode_points(phi, variances, energies), limit) for phi, energies, limit in sweeps]
-    texts = (text for points, limit in evaluated for text in _multimode_texts(points, limit))
+    evaluated = [(phi, energies, _multimode(phi, variances, energies), limit) for phi, energies, limit in sweeps]
+    texts = (text for phi, energies, points, limit in evaluated
+             for text in _fig3_texts(phi, variances, energies, points, limit))
     return _csv("fig3", params, columns, texts), EXIT_OK
 
 
@@ -399,9 +364,10 @@ def fig4(phis, variance, nbar, n_max, n_values):
     rows = []
     for phi in phis:
         noise = MarkovNoise(variance, phi)
-        # One correlation at a time keeps a point-by-point error order.
-        points = _multimode_points(phi, np.array([variance]), np.array([nbar]))
-        cap, status = (_fmt(points.capacity_bits[0]), "ok") if points.above[0] else ("", "below_threshold")
+        try:
+            cap, status = _fmt(asymptotic_capacity(noise, nbar)), "ok"
+        except BelowThresholdError:
+            cap, status = "", "below_threshold"
         for n in uses:
             rows.append([_fmt(phi), str(n), _fmt(finite_n_rate(noise, nbar, n)), cap, status])
     return _csv("fig4", params, columns, _list_rows(rows)), EXIT_OK
@@ -424,6 +390,13 @@ def _circulant_spectrum(first_row: np.ndarray) -> np.ndarray:
     return values[::-1]
 
 
+# spectrum --kind asymptotic holds a few arrays of its samples before it
+# writes a row: at 1000000 samples one run peaked at 55 MB RSS in 1.4 s,
+# against 36 MB at 200001 (Python 3.11, numpy 2.4).  The cap bounds that
+# memory and the run time.
+_MAX_SAMPLES = 1_000_000
+
+
 @_command
 @click.option("--kind", type=click.Choice(["toeplitz", "circulant", "asymptotic"]),
               required=True, help="Finite matrix spectra or the limiting symbol.")
@@ -432,7 +405,7 @@ def _circulant_spectrum(first_row: np.ndarray) -> np.ndarray:
               help="Noise variance per quadrature.")
 @click.option("--n", type=int, default=None, help="Matrix size (matrix kinds only).")
 @click.option("--samples", type=int, default=201, show_default=True,
-              help="Sample count on [0, pi] (asymptotic kind only).")
+              help=f"Sample count on [0, pi], at most {_MAX_SAMPLES} (asymptotic kind only).")
 @click.option("--sign", type=click.Choice(["+1", "-1"]), default="+1", show_default=True,
               help="Correlation sign branch (+1: q quadrature, -1: p quadrature).")
 @click.option("--dump-matrix", is_flag=True,
@@ -451,6 +424,8 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
             raise ValueError("--dump-matrix applies to matrix kinds only")
         if samples < 2:
             raise ValueError("samples must be at least 2")
+        if samples > _MAX_SAMPLES:
+            raise ValueError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
         params.append(("samples", _fmt(samples)))
         xs = math.pi * np.arange(samples) / (samples - 1)
         values = asymptotic_markov_spectrum(noise, xs)

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -283,36 +282,12 @@ def _landen_ellipk(c: float, alt_form: bool) -> tuple[float, float]:
     return ellipk_split(k * k, gap * (1.0 + d + 2.0 * c) / (1.0 + d) ** 2)
 
 
-def _points(noise, n_bar) -> tuple[bool, list[MarkovNoise], np.ndarray]:
-    """Whether a call is one point, and its noises and energies as a list and an array."""
-    single = isinstance(noise, MarkovNoise)
-    noises = [noise] if single else list(noise)
-    energies = np.asarray([n_bar] if single else n_bar, dtype=float)
-    if energies.shape != (len(noises),):
-        raise ValueError(
-            f"expected {len(noises)} energies, one per noise, got shape {energies.shape}"
-        )
-    return single, noises, energies
+def _squeezing_split(correlation: float) -> float:
+    """Mean input variance minus 1/2 at correlation c: ((1 + c^2) K(c^4) - pi/2) / pi."""
+    return _landen_ellipk(correlation, alt_form=True)[1] / math.pi
 
 
-def _runs(noises: list[MarkovNoise], block: int | None = None):
-    """Yield (correlation, slice) for each run of consecutive points of one correlation.
-
-    With ``block``, a run is also cut wherever the point index crosses a
-    multiple of ``block``.
-    """
-    stop = 0
-    for (correlation, _), run in groupby(
-        (point.correlation, i // block if block else 0) for i, point in enumerate(noises)
-    ):
-        start, stop = stop, stop + len(list(run))
-        yield correlation, slice(start, stop)
-
-
-def squeezing_fraction(
-    noise: MarkovNoise | Sequence[MarkovNoise],
-    n_bar: float | Sequence[float],
-) -> float | np.ndarray:
+def squeezing_fraction(noise: MarkovNoise, n_bar: float) -> float:
     """Fraction of the photon budget spent on squeezing the input.
 
     (mean input variance - 1/2) / n_bar with the mean taken over the
@@ -320,35 +295,22 @@ def squeezing_fraction(
     with K the complete elliptic integral, taken as K(k^2) - pi/2 at the
     Landen modulus k = 2c / (1 + c^2) without cancellation, so it keeps
     its precision at weak correlation.  It is divided by pi, then by
-    n_bar, since pi n_bar overflows at the largest energies.
+    n_bar, since pi n_bar overflows at the largest energies; a quotient
+    that overflows is inf, as in float arithmetic.
     Zero for white noise, the only case that admits zero energy;
     otherwise independent of the noise variance by construction.  Lies
     in [0, 1] whenever n_bar is at or above :func:`multimode_threshold`;
     larger values signal that the energy cannot cover the squeezing
     demanded by the noise anisotropy.
-
-    Also takes equal-length sequences of :class:`MarkovNoise` and
-    energies, as :func:`asymptotic_capacity` does, and then returns an
-    array of the fractions, bitwise equal to one-point calls, or raises
-    the error of the first point whose one-point call would.  Each run of
-    consecutive points of one correlation takes one closed-form
-    evaluation, divided by each point's energy.
     """
-    single, noises, energies = _points(noise, n_bar)
-    fractions = np.zeros(len(noises))
-    for correlation, run in _runs(noises):
-        _check_correlation(correlation)
-        # Zero energy, and any invalid one, takes the one-point check.
-        for i in run.start + np.flatnonzero(~(energies[run] > 0) | np.isinf(energies[run])):
-            energy = _check_energy(energies[i].item())
-            # Only a zero threshold admits zero energy (see _reaches).
-            if energy == 0 and not _reaches(0.0, multimode_threshold(noises[i])):
-                raise ValueError("n_bar must be positive, got 0")
-        split = _landen_ellipk(correlation, alt_form=True)[1] / math.pi
-        # As in float arithmetic, a quotient that overflows is inf.
-        with np.errstate(over="ignore"):
-            np.divide(split, energies[run], out=fractions[run], where=energies[run] != 0)
-    return float(fractions[0]) if single else fractions
+    _check_correlation(noise.correlation)
+    energy = _check_energy(n_bar)
+    if energy == 0:
+        # Only a zero threshold admits zero energy (see _reaches).
+        if not _reaches(0.0, multimode_threshold(noise)):
+            raise ValueError("n_bar must be positive, got 0")
+        return 0.0
+    return _squeezing_split(noise.correlation) / energy
 
 
 def _entropy_mean(spectrum: Callable[[np.ndarray], np.ndarray], r: float,
@@ -373,47 +335,75 @@ def mean_environment_entropy(noise: MarkovNoise) -> float:
     return _entropy_mean(env_symplectic_spectrum(noise), noise.correlation**2, 0.5)
 
 
-# asymptotic_capacity integrates at most this many points in one call, so
-# that the (points x nodes) arrays stay small.
+# _multimode integrates at most this many points in one call, so that the
+# (points x nodes) arrays stay small.
 _BATCH_ROWS = 32
 
 
-def asymptotic_capacity(
-    noise: MarkovNoise | Sequence[MarkovNoise],
-    n_bar: float | Sequence[float],
-) -> float | np.ndarray:
+class _MultimodePoints(NamedTuple):
+    """One correlation's points as arrays: the threshold, the above mask and the solution columns.
+
+    ``squeezing_fraction``, ``water_level`` and ``capacity_bits`` are
+    nan where ``above`` is false: there the energy is below the
+    threshold.
+    """
+
+    threshold: np.ndarray
+    above: np.ndarray
+    squeezing_fraction: np.ndarray
+    water_level: np.ndarray
+    capacity_bits: np.ndarray
+
+
+def _multimode(correlation: float, variances: np.ndarray, energies: np.ndarray) -> _MultimodePoints:
+    """The water-filling solution of one correlation at arrays of valid noise variances and of energies.
+
+    Checked on arrays in the order of a one-point call: the correlation,
+    then the first non-finite or negative energy, then, among the points
+    at or above the threshold, the first whose n_bar + variance
+    overflows; each raises its one-point message.  Points below the
+    threshold raise nothing.  Every point is checked before any
+    integral.  The squeezing fraction is one closed form divided by each
+    energy, the water level is n_bar + variance + 1/2, and
+    ``_BATCH_ROWS`` points above threshold share one :func:`integrate`
+    call, taken in order, each capacity bitwise as if alone.
+    """
+    threshold = _threshold(correlation, variances)
+    invalid = np.flatnonzero(~(np.isfinite(energies) & (energies >= 0)))
+    if invalid.size:
+        _check_energy(energies[invalid[0]].item())  # raises the one-point message
+    above = _reaches(energies, threshold)
+    index = np.flatnonzero(above)
+    energy, variance = energies[index], variances[index]
+    with np.errstate(over="ignore"):
+        photons = energy + variance
+    overflow = np.flatnonzero(np.isinf(photons))
+    if overflow.size:
+        _check_energy(energy[overflow[0]].item(), variance[overflow[0]].item())
+    fraction, level, capacity = np.full((3, len(energies)), np.nan)
+    # Zero energy is above threshold only for white noise, whose fraction is 0.
+    fraction[index] = np.divide(_squeezing_split(correlation), energy,
+                                out=np.zeros(index.size), where=energy != 0)
+    level[index] = photons + VACUUM_VARIANCE
+    for start in range(0, index.size, _BATCH_ROWS):
+        batch = slice(start, start + _BATCH_ROWS)
+        # A (k, 1) column, so that the spectrum gives one row per point.
+        means = _entropy_mean(_env_spectrum(variance[batch, None], correlation), correlation**2, 0.5)
+        # Clamped at 0: the trapezoid weights do not sum to exactly pi.
+        capacity[index[batch]] = np.maximum(thermal_entropy(photons[batch]) - means, 0.0)
+    return _MultimodePoints(threshold, above, fraction, level, capacity)
+
+
+def asymptotic_capacity(noise: MarkovNoise, n_bar: float) -> float:
     """Capacity in the infinite-use limit, in bits per channel use.
 
     g(n_bar + variance) minus the spectral mean of g over the symplectic
-    noise spectrum.  Only valid above :func:`multimode_threshold`.
-
-    Also takes equal-length sequences of :class:`MarkovNoise` and
-    energies, and then returns an array of the capacities, bitwise equal
-    to one-point calls.  Every point is validated before any integral,
-    including that n_bar + variance is finite, on arrays per correlation:
-    the first point whose one-point call would fail raises its error.
-    Consecutive points of one correlation share one :func:`integrate`
-    call, within blocks of ``_BATCH_ROWS`` points, taken in order.
+    noise spectrum.  Only valid above :func:`multimode_threshold`; below
+    it raises :class:`BelowThresholdError`, carrying the threshold.
     """
-    single, noises, energies = _points(noise, n_bar)
-    variances = np.array([point.variance for point in noises])
-    for correlation, run in _runs(noises):
-        energy, variance = energies[run], variances[run]
-        with np.errstate(over="ignore"):
-            valid = (energy >= 0) & np.isfinite(energy + variance)
-        valid &= _reaches(energy, _threshold(correlation, variance))
-        # Only the points the array checks reject take the one-point checks, which raise.
-        for i in run.start + np.flatnonzero(~valid):
-            _above(noises[i], energies[i].item(), multimode_threshold)
-            _check_energy(energies[i].item(), noises[i].variance)
-    capacities = np.empty(len(noises))
-    for correlation, batch in _runs(noises, _BATCH_ROWS):
-        # A (k, 1) column, so that the spectrum gives one row per point.
-        column = variances[batch, None]
-        means = _entropy_mean(_env_spectrum(column, correlation), correlation**2, 0.5)
-        # Clamped at 0: the trapezoid weights do not sum to exactly pi.
-        capacities[batch] = np.maximum(thermal_entropy(energies[batch] + variances[batch]) - means, 0.0)
-    return float(capacities[0]) if single else capacities
+    _above(noise, n_bar, multimode_threshold)
+    points = _multimode(noise.correlation, np.array([noise.variance]), np.array([n_bar], dtype=float))
+    return float(points.capacity_bits[0])
 
 
 def multimode_solve(noise: MarkovNoise, n_bar: float) -> MultimodeSolution:

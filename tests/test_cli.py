@@ -196,6 +196,22 @@ class TestCapacity:
         result = runner.invoke(main, ["capacity", "--phi", "1.2", "--N", "1", "--nbar", "2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("phi", ["-0.5", "0.9995"])
+    def test_solver_range_reported_before_first_mode(self, runner, phi):
+        # first_mode_variance accepts both correlations or rejects them with
+        # its own message; the solver's check comes first.
+        result = runner.invoke(main, ["capacity", "--phi", phi, "--N", "1", "--nbar", "2", "--first-mode"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(
+            f"Error: closed-form solvers accept correlations in [0, 0.999], got {float(phi)}\n")
+
+    def test_energy_reported_before_first_mode(self, runner):
+        result = runner.invoke(main, ["capacity", "--phi", "0.5", "--N", "1", "--nbar", "nan", "--first-mode"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith("Error: n_bar must be finite and non-negative, got nan\n")
+
 
 class TestFig3:
     def test_rows_and_trends(self, runner):
@@ -330,10 +346,11 @@ class TestFig3:
         assert calls == []
 
     def test_memory_per_row(self, runner, tmp_path):
-        # Each correlation is evaluated on numpy arrays: ~60 B a row held
-        # until the table is written, and ~0.2 KB a row above threshold
-        # while its correlation is evaluated; 260 B a row in all here.
-        # A Python list of strings per row took 820 B.
+        # Each correlation is evaluated on numpy arrays in the solver: ~40 B
+        # a row held until the table is written, and ~0.13 KB a row while
+        # its correlation is evaluated; 169 B a row in all here.  A
+        # MarkovNoise object per point above threshold took 260 B, and a
+        # Python list of strings per row 820 B.
         steps = 20000
         args = ["fig3", "--phi", "0.5", "--n-min", "1", "--n-max", "100", "--steps", str(steps),
                 "--out", str(tmp_path / "out.csv")]
@@ -344,7 +361,7 @@ class TestFig3:
         finally:
             tracemalloc.stop()
         assert result.exit_code == 0, result.output
-        assert peak / steps < 450
+        assert peak / steps < 200
 
     @pytest.mark.parametrize("args", [
         ["--phi", "0.5", "--steps", "100001"],
@@ -416,6 +433,15 @@ class TestFig4:
         for row in rows:
             assert row["rate_bits"] == row["capacity_bits"]
 
+    def test_overflow_after_an_infinite_threshold(self, runner):
+        # The threshold overflows to inf, so the capacity cell is empty;
+        # the rate then reports that nbar + N overflows.
+        result = runner.invoke(main, ["fig4", "--phi", "0.5", "--N", "1e308", "--nbar", "1e308", "--n", "3"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(
+            "Error: n_bar + noise variance overflows: n_bar = 1e+308, variance = 1e+308\n")
+
     def test_below_threshold_phi_keeps_rates(self, runner):
         result = runner.invoke(
             main, ["fig4", "--phi", "0.9", "--N", "1", "--nbar", "7.5", "--n", "2"]
@@ -455,6 +481,19 @@ class TestSpectrum:
         expected = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
         assert result.output.splitlines()[-samples:] == expected
         assert result.output.splitlines()[-samples - 1] == "x,value"
+
+    def test_samples_above_the_cap_is_usage_error(self, runner, monkeypatch):
+        # One past the cap fails before any array of the samples is built.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built an array before checking --samples")
+
+        monkeypatch.setattr(cli.np, "arange", unreachable)
+        result = runner.invoke(main, ["spectrum", "--kind", "asymptotic", "--phi", "0.5",
+                                      "--samples", str(cli._MAX_SAMPLES + 1)])
+        assert result.exit_code == 2, result.output
+        assert f"Error: samples must be at most {cli._MAX_SAMPLES}, got {cli._MAX_SAMPLES + 1}" in result.stderr
+        # The benchmark's table fits under the cap.
+        assert cli._MAX_SAMPLES >= 200001
 
     @pytest.mark.parametrize("sign, index, peak", [
         ("+1", 0, "0,1999"),

@@ -143,6 +143,16 @@ def test_every_approx_states_its_absolute_tolerance():
     assert [where for where, passes_abs in calls if not passes_abs] == []
 
 
+def test_cli_imports_no_solver_check():
+    # The threshold and energy rules live in the solver: the only private
+    # name the CLI imports from it is the multimode core.
+    tree = ast.parse((ROOT / "src" / "gmcapacity" / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "solver"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == ["_multimode"]
+
+
 def _record_golden():
     """Rewrite the recorded stdout and exit code of every README example."""
     index = {}

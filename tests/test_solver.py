@@ -9,6 +9,7 @@ oracle.
 """
 
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -423,11 +424,14 @@ class TestMultimodeSolve:
             assert asymptotic_capacity(noise, n_bar) == pytest.approx(expected, abs=abs_tol)
         sol = multimode_solve(noise, n_bar)
         assert sol.capacity_bits == asymptotic_capacity(noise, n_bar)
-        # The same point among others in one batched call.
-        batch = asymptotic_capacity(
-            [MarkovNoise(2.0, 0.5), noise, MarkovNoise(0.5, 0.95)], [10.0, n_bar, 100.0]
-        )
-        assert sol.capacity_bits == batch[1]
+        # The same point among others of its correlation in one core call.
+        points = solver._multimode(phi, np.array([variance, variance, 0.5 * variance]),
+                                   np.array([2.0 * n_bar, n_bar, n_bar]))
+        assert points.above.all()
+        assert points.capacity_bits[1] == sol.capacity_bits
+        assert points.squeezing_fraction[1] == sol.squeezing_fraction
+        assert points.water_level[1] == sol.water_level
+        assert points.threshold[1] == sol.threshold
         assert sol.squeezing_fraction == squeezing_fraction(noise, n_bar)
         assert sol.threshold == multimode_threshold(noise)
 
@@ -507,56 +511,71 @@ class TestAsymptoticCapacity:
 
 
 class TestAsymptoticCapacitySequences:
-    # Fixed-SNR sweep as in fig3, with every correlation in one sequence so
-    # that batches of the shared integral also mix correlations.
+    # Fixed-SNR sweeps as in fig3, one solver._multimode call per
+    # correlation, against one-point calls.  Every third energy is halved,
+    # which puts it below threshold wherever the correlation is positive,
+    # so points below and above threshold interleave across the
+    # _BATCH_ROWS boundaries.
     PHIS = (0.0, 0.1, 0.4, 0.7, 0.9, 0.99, 0.999)
-    VARIANCES = np.geomspace(1.0, 1e4, 200).tolist()
-
-    def sweep(self):
-        noises, energies = [], []
-        for phi in self.PHIS:
-            snr = multimode_threshold(MarkovNoise(1.0, phi))
-            for variance in self.VARIANCES:
-                noises.append(MarkovNoise(variance, phi))
-                energies.append(variance * snr)
-        return noises, energies
+    VARIANCES = np.geomspace(1.0, 1e4, 200)
 
     def test_bitwise_equal_to_one_point_calls(self):
-        noises, energies = self.sweep()
-        batch = asymptotic_capacity(noises, energies)
-        assert isinstance(batch, np.ndarray)
-        expected = [asymptotic_capacity(noise, n_bar) for noise, n_bar in zip(noises, energies)]
-        assert batch.tolist() == expected
+        for phi in self.PHIS:
+            energies = self.VARIANCES * multimode_threshold(MarkovNoise(1.0, phi))
+            energies[::3] *= 0.5
+            points = solver._multimode(phi, self.VARIANCES, energies)
+            assert points.above.tolist() == [phi == 0 or i % 3 != 0 for i in range(len(energies))]
+            for i, (variance, n_bar) in enumerate(zip(self.VARIANCES.tolist(), energies.tolist())):
+                noise = MarkovNoise(variance, phi)
+                assert points.threshold[i] == multimode_threshold(noise)
+                columns = [points.capacity_bits[i], points.squeezing_fraction[i], points.water_level[i]]
+                if points.above[i]:
+                    sol = multimode_solve(noise, n_bar)
+                    assert columns == [sol.capacity_bits, sol.squeezing_fraction, sol.water_level]
+                else:
+                    with pytest.raises(BelowThresholdError):
+                        asymptotic_capacity(noise, n_bar)
+                    assert np.isnan(columns).all()
 
     def test_scalar_form_returns_float(self):
         assert type(asymptotic_capacity(MarkovNoise(1.0, 0.7), 7.5)) is float
-        assert asymptotic_capacity([], []).shape == (0,)
+        points = solver._multimode(0.7, np.array([]), np.array([]))
+        assert [column.shape for column in points] == [(0,)] * len(points)
 
     def test_one_point_below_threshold_raises(self, monkeypatch):
-        # The point sits in the second batch; it must raise before the
-        # first batch is integrated.
+        # The core marks a point below threshold and raises nothing; its
+        # one-point call raises, carrying the same threshold.
+        variances, energies = np.ones(40), np.full(40, 10.0)
+        energies[33] = 1.0
+        points = solver._multimode(0.5, variances, energies)
+        assert np.flatnonzero(~points.above).tolist() == [33]
+        assert np.isnan(points.capacity_bits[33])
+        with pytest.raises(BelowThresholdError) as excinfo:
+            asymptotic_capacity(MarkovNoise(1.0, 0.5), 1.0)
+        assert excinfo.value.threshold == points.threshold[33]
+        # n_bar + N overflows, but below an infinite threshold it is only marked.
+        points = solver._multimode(0.5, np.array([1e308]), np.array([1e308]))
+        assert points.threshold.tolist() == [math.inf]
+        assert points.above.tolist() == [False]
+        with pytest.raises(BelowThresholdError):
+            asymptotic_capacity(MarkovNoise(1e308, 0.5), 1e308)
+
+        # An invalid energy in the second batch raises before the first
+        # batch is integrated.
         def no_integral(*args):
             raise AssertionError("integrated before validating every point")
 
         monkeypatch.setattr(solver, "integrate", no_integral)
-        noises = [MarkovNoise(1.0, 0.5)] * 40
-        energies = [10.0] * 40
-        energies[33] = 1.0
-        with pytest.raises(BelowThresholdError) as excinfo:
-            asymptotic_capacity(noises, energies)
-        assert excinfo.value.threshold == multimode_threshold(noises[33])
+        energies[35] = -1.0
+        with pytest.raises(ValueError, match="n_bar must be finite and non-negative, got -1.0"):
+            solver._multimode(0.5, variances, energies)
 
     def test_validation(self):
-        noise = MarkovNoise(1.0, 0.5)
-        with pytest.raises(ValueError, match="energies"):
-            asymptotic_capacity([noise, noise], [7.5])
-        with pytest.raises(ValueError, match="energies"):
-            asymptotic_capacity(noise, [7.5, 7.5])
+        variances = np.ones(2)
         with pytest.raises(ValueError, match="n_bar must be finite"):
-            asymptotic_capacity([noise, noise], [7.5, math.nan])
+            solver._multimode(0.5, variances, np.array([7.5, math.nan]))
         with pytest.raises(ValueError, match="closed-form solvers accept"):
-            asymptotic_capacity([noise, MarkovNoise(1.0, -0.5)], [7.5, 7.5])
-
+            solver._multimode(-0.5, variances, np.array([7.5, 7.5]))
 
 
 class TestSqueezingFractionSequences:
@@ -565,14 +584,17 @@ class TestSqueezingFractionSequences:
     ENERGIES = [5e-324, 1e-320, 1e-13, 0.5, 2.0, 7.5, 1e4, 6e307, 1.7e308]
 
     def test_bitwise_equal_to_one_point_calls(self, monkeypatch):
-        noises, energies = [], []
+        sweeps = []
         for phi in self.PHIS:
             # Zero energy is valid only at phi = 0, whose threshold is 0.
-            points = [*self.ENERGIES, 0.0] if phi == 0 else self.ENERGIES
-            for i, n_bar in enumerate(points):
-                noises.append(MarkovNoise(1.0 + i, phi) if n_bar else MarkovNoise(1.0, phi))
-                energies.append(n_bar)
-        expected = [squeezing_fraction(noise, n_bar) for noise, n_bar in zip(noises, energies)]
+            energies = [*self.ENERGIES, 0.0] if phi == 0 else self.ENERGIES
+            variances = [1.0 + i if n_bar else 1.0 for i, n_bar in enumerate(energies)]
+            expected = [squeezing_fraction(MarkovNoise(variance, phi), n_bar)
+                        for variance, n_bar in zip(variances, energies)]
+            sweeps.append((phi, np.array(variances), np.array(energies), expected))
+        assert sweeps[0][3][-1] == 0.0
+        # Below threshold the one-point form overflows to inf.
+        assert sweeps[-1][3][0] == math.inf
         calls = []
         landen = solver._landen_ellipk
 
@@ -581,36 +603,42 @@ class TestSqueezingFractionSequences:
             return landen(c, alt_form)
 
         monkeypatch.setattr(solver, "_landen_ellipk", counting)
-        batch = squeezing_fraction(noises, np.array(energies))
-        assert isinstance(batch, np.ndarray)
-        assert batch.tolist() == expected
-        assert expected[len(self.ENERGIES)] == 0.0
-        # One closed form per run of one correlation.
+        for phi, variances, energies, expected in sweeps:
+            points = solver._multimode(phi, variances, energies)
+            assert points.above.any()
+            assert points.squeezing_fraction[points.above].tolist() == np.array(expected)[points.above].tolist()
+            assert np.isnan(points.squeezing_fraction[~points.above]).all()
+        # One closed form per correlation.
         assert calls == list(self.PHIS)
 
     def test_zero_energy_below_a_positive_threshold(self):
-        values = squeezing_fraction([MarkovNoise(1.0, 0.0)] * 2, [0.0, 2.0])
-        assert values.tolist() == [0.0, 0.0]
+        points = solver._multimode(0.0, np.ones(2), np.array([0.0, 2.0]))
+        assert points.squeezing_fraction.tolist() == [0.0, 0.0]
         # Zero energy lies below every positive threshold, down to 3e-13
-        # at phi = 1e-13, N = 1.
-        for noise in (MarkovNoise(1.0, 1e-13), MarkovNoise(10.0, 1e-13), MarkovNoise(1.0, 0.5)):
+        # at phi = 1e-13, N = 1: the core marks it, the one-point form raises.
+        for variance, phi in ((1.0, 1e-13), (10.0, 1e-13), (1.0, 0.5)):
+            points = solver._multimode(phi, np.array([variance]), np.array([0.0]))
+            assert not points.above[0]
+            assert np.isnan(points.squeezing_fraction[0])
             with pytest.raises(ValueError, match="n_bar must be positive, got 0"):
-                squeezing_fraction([MarkovNoise(1.0, 0.0), noise], [0.0, 0.0])
+                squeezing_fraction(MarkovNoise(variance, phi), 0.0)
 
     def test_scalar_form_returns_float(self):
         assert type(squeezing_fraction(MarkovNoise(1.0, 0.7), 7.5)) is float
-        assert squeezing_fraction([], []).shape == (0,)
-        with pytest.raises(ValueError, match="energies"):
-            squeezing_fraction([MarkovNoise(1.0, 0.5)] * 2, [7.5])
+        assert type(squeezing_fraction(MarkovNoise(1.0, 0.7), np.float64(7.5))) is float
+        assert type(squeezing_fraction(MarkovNoise(1.0, 0.0), 0.0)) is float
 
 
-def _first_one_point_error(function, noises, energies):
+def _first_one_point_error(noises, energies):
+    """The error of the first one-point call that fails other than below threshold, or None."""
     for noise, n_bar in zip(noises, energies):
         try:
-            function(noise, n_bar)
+            asymptotic_capacity(noise, n_bar)
+        except BelowThresholdError:
+            continue
         except ValueError as err:
             return type(err), str(err)
-    raise AssertionError("no point fails")
+    return None
 
 
 @pytest.mark.parametrize("function", [asymptotic_capacity, squeezing_fraction])
@@ -624,13 +652,32 @@ def _first_one_point_error(function, noises, energies):
     [(1.0, 1e-13, 0.0), (10.0, 1e-13, 0.0)],
 ], ids=["nan", "below-then-sign", "correlation", "sum-overflow", "negative", "inf", "zero"])
 def test_sequence_raises_the_first_one_point_error(function, points):
-    # The sequence forms check points in arrays; the first point whose
-    # one-point call fails must raise that call's error.
-    noises = [MarkovNoise(variance, phi) for variance, phi, _ in points]
-    energies = [n_bar for *_, n_bar in points]
-    with pytest.raises(ValueError) as excinfo:
-        function(noises, energies)
-    assert (type(excinfo.value), str(excinfo.value)) == _first_one_point_error(function, noises, energies)
+    # solver._multimode checks the points of one correlation on arrays,
+    # so each run of one correlation takes one call.  It must raise the
+    # error of the first point whose one-point call fails, except below
+    # threshold: there it raises nothing and marks the point.  Where it
+    # raises nothing, the column of ``function`` matches its one-point
+    # calls at the points above threshold.
+    column = {asymptotic_capacity: "capacity_bits", squeezing_fraction: "squeezing_fraction"}[function]
+    for phi, run in groupby(points, key=lambda point: point[1]):
+        variances, _, energies = (np.array(values) for values in zip(*run))
+        noises = [MarkovNoise(variance, phi) for variance in variances.tolist()]
+        expected = _first_one_point_error(noises, energies.tolist())
+        if expected is not None:
+            with pytest.raises(ValueError) as excinfo:
+                solver._multimode(phi, variances, energies)
+            assert (type(excinfo.value), str(excinfo.value)) == expected
+            continue
+        result = solver._multimode(phi, variances, energies)
+        for noise, n_bar, above, value in zip(noises, energies.tolist(), result.above,
+                                              getattr(result, column).tolist()):
+            if above:
+                assert value == function(noise, n_bar)
+            else:
+                with pytest.raises(BelowThresholdError):
+                    asymptotic_capacity(noise, n_bar)
+                assert math.isnan(value)
+
 
 class TestFiniteNRate:
     def test_single_use(self):
@@ -888,8 +935,11 @@ class TestOutputEnergyOverflow:
             raise AssertionError("integrated before validating every point")
 
         monkeypatch.setattr(solver, "integrate", unreachable)
+        # The overflowing point sits in the second batch.
+        variances, energies = np.ones(40), np.full(40, 5.0)
+        variances[33] = energies[33] = 1e308
         with pytest.raises(ValueError, match="overflows: n_bar = 1e\\+308"):
-            asymptotic_capacity([MarkovNoise(1.0, 0.5), MarkovNoise(1e308, 0.0)], [5.0, 1e308])
+            solver._multimode(0.0, variances, energies)
 
     def test_largest_finite_sum_accepted(self):
         assert asymptotic_capacity(MarkovNoise(8e307, 0.0), 8e307) == pytest.approx(1.0, rel=1e-12, abs=0)
@@ -912,11 +962,15 @@ class TestFixedQuadratureTarget:
                     yield noise, n_bar
 
     def test_asymptotic_capacity_meets_the_target(self):
-        noises, energies = zip(*self._points(multimode_threshold))
-        assert len(noises) > 3900
-        capacities = asymptotic_capacity(noises, energies)
+        capacities = []
+        for c, run in groupby(self._points(multimode_threshold), key=lambda point: point[0].correlation):
+            noises, energies = zip(*run)
+            points = solver._multimode(c, np.array([noise.variance for noise in noises]), np.array(energies))
+            assert points.above.all()
+            capacities.extend(points.capacity_bits.tolist())
+        assert len(capacities) > 3900
         assert np.all(np.isfinite(capacities))
-        assert capacities.min() >= 0.0
+        assert min(capacities) >= 0.0
 
     def test_symmetric_noise_meets_the_target(self):
         points = list(self._points(symmetric_threshold))[::10]
