@@ -68,8 +68,8 @@ def _csv(command: str, params, columns, rows):
     yield from rows
 
 
-# _array_rows (from numpy arrays) and _list_rows (from lists of fields) hand
-# a table to _write _CHUNK_ROWS rows to a text, so no write holds it whole.
+# _array_rows hands a table to _write _CHUNK_ROWS rows to a text, so no
+# write holds it whole.
 _CHUNK_ROWS = 4096
 
 
@@ -78,12 +78,6 @@ def _array_rows(template: str, *columns: np.ndarray):
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         chunks = [column[start:start + _CHUNK_ROWS].tolist() for column in columns]
         yield "\n".join(map(template.format, *chunks))
-
-
-def _list_rows(rows: list[list[str]]):
-    """Yield the comma-joined ``rows``, ``_CHUNK_ROWS`` to a text."""
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        yield "\n".join(map(",".join, rows[start:start + _CHUNK_ROWS]))
 
 
 def _write(texts, out_path: str | None) -> None:
@@ -186,7 +180,7 @@ def _mono_csv(command, params, noise, nbar, extra, sol):
         row += [""] * len(_MONO_FIELDS) + ["below_threshold"]
     else:
         row += [_fmt(getattr(sol, name)) for name in [*extra, *_MONO_FIELDS]] + ["ok"]
-    return _csv(command, params, columns, _list_rows([row]))
+    return _csv(command, params, columns, [",".join(row)])
 
 
 _MULTIMODE_FIELDS = ["phi", "N", "nbar", "threshold", "eta", "mu_global", "capacity_bits", "status"]
@@ -258,7 +252,7 @@ def capacity(phi, variance, nbar, allow_below, first_mode):
         columns[-1:-1] = ["first_mode_variance", "first_mode_variance_alt"]
         fields += [_fmt(first_mode_variance(phi, alt_form=alt)) for alt in (False, True)]
     row = [_fmt(phi), _fmt(variance), _fmt(nbar), *fields, status]
-    return _csv("capacity", params, columns, _list_rows([row])), code
+    return _csv("capacity", params, columns, [",".join(row)]), code
 
 
 def _geometric_floats(lo: float, hi: float, steps: int) -> list[float]:
@@ -361,16 +355,17 @@ def fig4(phis, variance, nbar, n_max, n_values):
         ("n", " ".join(str(n) for n in uses)),
     ]
     columns = ["phi", "n", "rate_bits", "capacity_bits", "status"]
-    rows = []
+    texts = []
     for phi in phis:
         noise = MarkovNoise(variance, phi)
         try:
             cap, status = _fmt(asymptotic_capacity(noise, nbar)), "ok"
         except BelowThresholdError:
             cap, status = "", "below_threshold"
-        for n in uses:
-            rows.append([_fmt(phi), str(n), _fmt(finite_n_rate(noise, nbar, n)), cap, status])
-    return _csv("fig4", params, columns, _list_rows(rows)), EXIT_OK
+        rates = np.array([finite_n_rate(noise, nbar, n) for n in uses])
+        # One correlation's rows; its fixed cells go into the template, as in fig3.
+        texts += _array_rows(f"{_fmt(phi)},{{}},{{:.12g}},{cap},{status}", np.array(uses), rates)
+    return _csv("fig4", params, columns, texts), EXIT_OK
 
 
 def _circulant_spectrum(first_row: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, thermal_entropy
 from .numerics import _EPS, ellipk_split, grid_maximize, integrate
-from .spectra import MarkovNoise, SpectralFunction, _ar1_gap, finite_spectrum, markov_matrix, markov_symbol
+from .spectra import MarkovNoise, SpectralFunction, finite_spectrum, markov_matrix, markov_symbol
 
 # Cap for the closed-form solvers: thresholds and water levels diverge as
 # the correlation approaches 1, so stronger correlations are rejected and
@@ -229,18 +229,19 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
 # ---------------------------------------------------------------------------
 
 
-def _env_spectrum(variance, correlation) -> SpectralFunction:
+def _env_spectrum(variance, c) -> SpectralFunction:
     # Floats give one spectrum; (k, 1) columns give k rows on the nodes x.
-    r = correlation * correlation
-    scale = variance * (1.0 - r)
-    return SpectralFunction(lambda x: scale / np.sqrt(_ar1_gap(r, 2.0 * x)))
+    d = (1.0 - c) * (1.0 + c)
+    scale = variance * d
+    return SpectralFunction(lambda x: scale / np.sqrt(d * d + 4.0 * c * c * np.sin(x) ** 2))
 
 
 def env_symplectic_spectrum(noise: MarkovNoise) -> SpectralFunction:
     """Geometric mean of the two quadrature noise spectra.
 
-    variance (1 - c^2) / |1 - c^2 e^{2ix}|, whose denominator :func:`_ar1_gap`
-    takes as sqrt((1 - c^2)^2 + 4 c^2 sin^2 x), free of the cancellation of
+    variance (1 - c^2) / |1 - c^2 e^{2ix}|, with d = 1 - c^2 formed as
+    (1 - c)(1 + c) and the denominator taken as sqrt(d^2 + 4 c^2 sin^2 x):
+    free of the cancellation of 1 - c*c near |c| = 1 and of
     sqrt((1 + c^2)^2 - 4 c^2 cos^2 x) near the endpoints at strong correlation;
     equals the plain variance at both endpoints, so the integrands built on
     it stay smooth for |correlation| < 1.

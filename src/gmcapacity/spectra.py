@@ -170,10 +170,12 @@ def markov_symbol(noise: MarkovNoise) -> SpectralFunction:
     """Limiting AR(1) spectrum on [0, pi] as a callable.
 
     variance * (1 - c^2) / |1 - c e^{ix}|^2 with c = correlation, by :func:`_ar1_gap`,
-    so the symbol of ``MarkovNoise(N, -phi)`` is this one at pi - x.
+    so the symbol of ``MarkovNoise(N, -phi)`` is this one at pi - x.  Here and in
+    :func:`tridiagonal_inverse` and :func:`inverse_symbol`, 1 - c^2 is formed as
+    (1 - c)(1 + c), which does not cancel near |c| = 1.
     """
     c = noise.correlation
-    scale = noise.variance * (1.0 - c * c)
+    scale = noise.variance * ((1.0 - c) * (1.0 + c))
     return SpectralFunction(lambda x: scale / _ar1_gap(c, x))
 
 
@@ -190,7 +192,7 @@ def tridiagonal_inverse(noise: MarkovNoise, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("n must be at least 2")
     c = noise.correlation
-    prefactor = 1.0 / (noise.variance * (1.0 - c * c))
+    prefactor = 1.0 / (noise.variance * ((1.0 - c) * (1.0 + c)))
     first_row = np.zeros(n)
     first_row[:2] = prefactor * (1.0 + c * c), -prefactor * c
     return _symmetric_toeplitz(1.0, first_row)
@@ -199,7 +201,7 @@ def tridiagonal_inverse(noise: MarkovNoise, n: int) -> np.ndarray:
 def inverse_symbol(noise: MarkovNoise) -> SpectralFunction:
     """Symbol of :func:`tridiagonal_inverse`: 1 / :func:`markov_symbol`, also by :func:`_ar1_gap`."""
     c = noise.correlation
-    prefactor = 1.0 / (noise.variance * (1.0 - c * c))
+    prefactor = 1.0 / (noise.variance * ((1.0 - c) * (1.0 + c)))
     return SpectralFunction(lambda x: prefactor * _ar1_gap(c, x))
 
 

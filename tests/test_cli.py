@@ -452,6 +452,17 @@ class TestFig4:
         assert rows[0]["capacity_bits"] == ""
         assert rows[0]["rate_bits"] == _fmt(finite_n_rate(MarkovNoise(1.0, 0.9), 7.5, 2))
 
+    def test_one_text_per_correlation(self, runner, writes):
+        # The header, then each correlation's rows as one text.
+        result = runner.invoke(main, ["fig4", "--phi", "0", "--phi", "0.5", "--n", "1", "--n", "2", "--n", "3"])
+        assert result.exit_code == 0, result.output
+        assert "".join(writes) == result.output
+        header, *tables = [text.splitlines() for text in writes]
+        assert header[-1] == "phi,n,rate_bits,capacity_bits,status"
+        assert [[row.split(",")[:2] for row in table] for table in tables] == [
+            [[phi, n] for n in ["1", "2", "3"]] for phi in ["0", "0.5"]
+        ]
+
 
 class TestSpectrum:
     def test_asymptotic_endpoints(self, runner):
@@ -510,6 +521,35 @@ class TestSpectrum:
         assert result.exit_code == 0
         lines = result.output.splitlines()
         assert lines[lines.index("x,value") + 1:][index] == peak
+
+    @pytest.mark.parametrize("phi", ["0.6", "0.999"])
+    @pytest.mark.parametrize("sign", ["+1", "-1"])
+    def test_asymptotic_table_prints_the_exact_digits(self, runner, phi, sign):
+        # Every printed value is the 12-digit rendering of the 40-digit
+        # symbol N (1 - c^2) / (1 + c^2 - 2 c cos x) at the program's own
+        # float abscissa.  A value within 4e-16 relative of a rounding tie
+        # may round either way; it is printed and not failed on.
+        mpmath = pytest.importorskip("mpmath")
+        samples = 2001
+        result = runner.invoke(main, ["spectrum", "--kind", "asymptotic", "--phi", phi, "--N", "1.7",
+                                      "--samples", str(samples), "--sign", sign])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.output)
+        xs = (math.pi * np.arange(samples) / (samples - 1)).tolist()
+        assert [row["x"] for row in rows] == [_fmt(x) for x in xs]
+        misprints, ties = [], []
+        with mpmath.workdps(40):
+            c = mpmath.mpf(float(sign) * float(phi))
+            for x, row in zip(xs, rows):
+                exact = mpmath.mpf(1.7) * (1 - c * c) / (1 + c * c - 2 * c * mpmath.cos(mpmath.mpf(x)))
+                exponent = int(mpmath.floor(mpmath.log10(exact))) - 11
+                mantissa = exact / mpmath.mpf(10) ** exponent  # in [1e11, 1e12)
+                if abs(mantissa - mpmath.floor(mantissa) - 0.5) <= 4e-16 * mantissa:
+                    ties.append((x, row["value"], mpmath.nstr(exact, 20)))
+                elif row["value"] != _fmt(float(f"{int(mpmath.nint(mantissa))}e{exponent}")):
+                    misprints.append((x, row["value"], mpmath.nstr(exact, 20)))
+        print(f"phi = {phi}, sign = {sign}: {len(ties)} ties", *ties, sep="\n")
+        assert misprints == []
 
     def test_toeplitz_white_noise(self, runner):
         result = runner.invoke(

@@ -8,6 +8,7 @@ import pytest
 from numpy.lib.array_utils import byte_bounds
 
 from gmcapacity.numerics import integrate
+from gmcapacity.solver import env_symplectic_spectrum
 from gmcapacity.spectra import (
     MarkovNoise,
     asymptotic_markov_spectrum,
@@ -227,14 +228,14 @@ class TestAsymptoticSpectrum:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_array_matches_scalar_formula(self, phi, sign):
         # One array call against the closed form evaluated point by point,
-        # with |1 - c e^{ix}|^2 in its cancellation-free form.
+        # with 1 - c^2 and |1 - c e^{ix}|^2 in their cancellation-free forms.
         xs = np.linspace(0.0, math.pi, 1001)
         values = asymptotic_markov_spectrum(MarkovNoise(1.3, sign * phi), xs)
         c = sign * phi
         a = abs(c)
         for x, value in zip(xs.tolist(), values.tolist()):
             h = math.sin(0.5 * x) if c >= 0 else math.cos(0.5 * x)
-            expected = 1.3 * (1.0 - c * c) / ((1.0 - a) ** 2 + 4.0 * a * h * h)
+            expected = 1.3 * ((1.0 - c) * (1.0 + c)) / ((1.0 - a) ** 2 + 4.0 * a * h * h)
             assert value == pytest.approx(expected, rel=4e-16, abs=0.0)
 
     @pytest.mark.parametrize("bad", [-0.1, math.pi + 0.1, math.nan])
@@ -260,17 +261,29 @@ class TestAsymptoticSpectrum:
 
     @pytest.mark.parametrize("phi", [0.5, 0.9, 0.999, -0.999])
     def test_symbol_against_mpmath(self, phi):
-        # The symbol's peak sits at x = 0 (phi > 0) or x = pi (phi < 0), where
+        # The symbol, its inverse and the symplectic spectrum.  The symbol's
+        # peak sits at x = 0 (phi > 0) or x = pi (phi < 0), where
         # 1 + c^2 - 2 c cos x cancels; the grid reaches 1e-8 from both ends.
+        # At |c| = 0.999 a scale 1 - c*c, formed from the rounded c*c, errs
+        # by ~1.5e-14 relative; (1 - c)(1 + c) stays within a few ulp.
         mpmath = pytest.importorskip("mpmath")
         offsets = [10.0**-k for k in range(1, 9)]
         xs = [0.0, *offsets, 0.5, 1.0, 1.5, 2.0, 2.5, *(math.pi - d for d in offsets), math.pi]
-        values = markov_symbol(MarkovNoise(1.7, phi))(np.array(xs))
+        noise = MarkovNoise(1.7, phi)
+        values = {builder.__name__: builder(noise)(np.array(xs)).tolist()
+                  for builder in (markov_symbol, inverse_symbol, env_symplectic_spectrum)}
         with mpmath.workdps(40):
             c = mpmath.mpf(phi)
-            for x, value in zip(xs, values.tolist()):
-                exact = 1.7 * (1 - c * c) / (1 + c * c - 2 * c * mpmath.cos(mpmath.mpf(x)))
-                assert abs(value / exact - 1) <= 3e-14, x
+            for i, x in enumerate(xs):
+                cos = mpmath.cos(mpmath.mpf(x))
+                gap = 1 + c * c - 2 * c * cos  # |1 - c e^{ix}|^2
+                # |1 - c^2 e^{2ix}|^2 = 1 + c^4 - 2 c^2 cos 2x, with cos 2x = 2 cos^2 x - 1.
+                symplectic_gap = 1 + c**4 - 2 * c * c * (2 * cos * cos - 1)
+                scale = 1.7 * (1 - c * c)
+                exact = {"markov_symbol": scale / gap, "inverse_symbol": gap / scale,
+                         "env_symplectic_spectrum": scale / mpmath.sqrt(symplectic_gap)}
+                for name, value in exact.items():
+                    assert abs(values[name][i] / value - 1) <= 2e-15, (name, x)
 
 
 class TestSzegoConvergence:
@@ -320,7 +333,7 @@ class TestTridiagonalInverse:
     @pytest.mark.parametrize("n", [2, 3, 50])
     def test_equals_diag_construction(self, phi, n):
         v = tridiagonal_inverse(MarkovNoise(1.3, phi), n)
-        prefactor = 1.0 / (1.3 * (1.0 - phi * phi))
+        prefactor = 1.0 / (1.3 * ((1.0 - phi) * (1.0 + phi)))
         # Assigned, not added, so that the -0.0 off-diagonal of phi = 0 stays.
         expected = np.diag(np.full(n, prefactor * (1.0 + phi * phi)))
         i = np.arange(n - 1)
