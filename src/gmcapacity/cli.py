@@ -126,16 +126,15 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     for key, (lineno, _) in raw.items():
         if key not in known:
             raise click.UsageError(f"{config_path}:{lineno}: no command has an option {key!r}")
-    # Only the command being run converts its values: a list for a
-    # repeatable option elsewhere may be a bad value for a scalar one here.
+    # Only the command being run reads its values: a list for a repeatable
+    # option elsewhere may be a bad value for a scalar one here.  Click
+    # converts a value once, when no flag overrides it.
     defaults = {}
     for param in main.commands[ctx.invoked_subcommand].params:
         for key in (opt.lstrip("-") for opt in param.opts):
             if key in raw:
                 value = raw[key][1]
-                defaults[param.name] = param.type_cast_value(
-                    ctx, value.split() if param.multiple else value
-                )
+                defaults[param.name] = value.split() if param.multiple else value
     ctx.default_map = {ctx.invoked_subcommand: defaults}
 
 
@@ -422,7 +421,8 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
         if samples > _MAX_SAMPLES:
             raise ValueError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
         params.append(("samples", _fmt(samples)))
-        xs = math.pi * np.arange(samples) / (samples - 1)
+        # The last abscissa is pi itself: pi * (s - 1) / (s - 1) may round above it.
+        xs = np.append(math.pi * np.arange(samples - 1) / (samples - 1), math.pi)
         values = asymptotic_markov_spectrum(noise, xs)
         rows = _array_rows("{:.12g},{:.12g}", xs, values)
         return _csv("spectrum", params, ["x", "value"], rows), EXIT_OK

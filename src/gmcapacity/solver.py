@@ -162,11 +162,8 @@ def _reaches(n_bar, threshold):
     return reached if isinstance(reached, np.ndarray) else bool(reached)
 
 
-def _above(
-    noise: MonoNoise | MarkovNoise, n_bar: float, threshold_of: Callable[..., float]
-) -> float:
-    """Validate noise and energy once; return the threshold or raise below it."""
-    threshold = threshold_of(noise)
+def _above(n_bar: float, threshold: float) -> None:
+    """Validate the energy; raise :class:`BelowThresholdError` below the threshold."""
     _check_energy(n_bar)
     if not _reaches(n_bar, threshold):
         raise BelowThresholdError(
@@ -174,7 +171,6 @@ def _above(
             f"{threshold:.12g}",
             threshold=threshold,
         )
-    return threshold
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +201,7 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
     Raises :class:`BelowThresholdError` when a modulation variance would
     turn negative.
     """
-    _above(noise, n_bar, mono_threshold)
+    _above(n_bar, mono_threshold(noise))
     root_q, root_p = math.sqrt(noise.var_q), math.sqrt(noise.var_p)
     input_q = 0.5 * root_q / root_p
     input_p = 0.5 * root_p / root_q
@@ -402,7 +398,7 @@ def asymptotic_capacity(noise: MarkovNoise, n_bar: float) -> float:
     noise spectrum.  Only valid above :func:`multimode_threshold`; below
     it raises :class:`BelowThresholdError`, carrying the threshold.
     """
-    _above(noise, n_bar, multimode_threshold)
+    _above(n_bar, multimode_threshold(noise))
     points = _multimode(noise.correlation, np.array([noise.variance]), np.array([n_bar], dtype=float))
     return float(points.capacity_bits[0])
 
@@ -499,7 +495,8 @@ def symmetric_noise_solution(noise: MarkovNoise, n_bar: float) -> MultimodeSolut
     modulation water-fills over noise + 1/2 in both quadratures with the
     common level n_bar + variance + 1/2.
     """
-    threshold = _above(noise, n_bar, symmetric_threshold)
+    threshold = symmetric_threshold(noise)
+    _above(n_bar, threshold)
     photons = _check_energy(n_bar, noise.variance)
     spectrum = markov_symbol(noise)
     mean = _entropy_mean(spectrum, noise.correlation)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import reference
 from gmcapacity import cli, solver
 from gmcapacity.cli import _CHUNK_ROWS, _fmt, _geometric_floats, main
 from gmcapacity.numerics import IntegrationError
@@ -525,11 +526,10 @@ class TestSpectrum:
     @pytest.mark.parametrize("phi", ["0.6", "0.999"])
     @pytest.mark.parametrize("sign", ["+1", "-1"])
     def test_asymptotic_table_prints_the_exact_digits(self, runner, phi, sign):
-        # Every printed value is the 12-digit rendering of the 40-digit
+        # Every printed value is the 12-digit rendering of the mpmath
         # symbol N (1 - c^2) / (1 + c^2 - 2 c cos x) at the program's own
-        # float abscissa.  A value within 4e-16 relative of a rounding tie
+        # float abscissa.  A value within reference.TIE of a rounding tie
         # may round either way; it is printed and not failed on.
-        mpmath = pytest.importorskip("mpmath")
         samples = 2001
         result = runner.invoke(main, ["spectrum", "--kind", "asymptotic", "--phi", phi, "--N", "1.7",
                                       "--samples", str(samples), "--sign", sign])
@@ -538,18 +538,29 @@ class TestSpectrum:
         xs = (math.pi * np.arange(samples) / (samples - 1)).tolist()
         assert [row["x"] for row in rows] == [_fmt(x) for x in xs]
         misprints, ties = [], []
-        with mpmath.workdps(40):
-            c = mpmath.mpf(float(sign) * float(phi))
-            for x, row in zip(xs, rows):
-                exact = mpmath.mpf(1.7) * (1 - c * c) / (1 + c * c - 2 * c * mpmath.cos(mpmath.mpf(x)))
-                exponent = int(mpmath.floor(mpmath.log10(exact))) - 11
-                mantissa = exact / mpmath.mpf(10) ** exponent  # in [1e11, 1e12)
-                if abs(mantissa - mpmath.floor(mantissa) - 0.5) <= 4e-16 * mantissa:
-                    ties.append((x, row["value"], mpmath.nstr(exact, 20)))
-                elif row["value"] != _fmt(float(f"{int(mpmath.nint(mantissa))}e{exponent}")):
-                    misprints.append((x, row["value"], mpmath.nstr(exact, 20)))
+        for x, row in zip(xs, rows):
+            exact = reference.symbol(1.7, float(sign) * float(phi), x)
+            expected = reference.rendered(exact)
+            if expected is None:
+                ties.append((x, row["value"], str(exact)))
+            elif row["value"] != expected:
+                misprints.append((x, row["value"], str(exact)))
         print(f"phi = {phi}, sign = {sign}: {len(ties)} ties", *ties, sep="\n")
         assert misprints == []
+
+    @pytest.mark.parametrize("samples", [14, 100])
+    def test_last_abscissa_is_pi(self, runner, samples):
+        # pi * (s - 1) / (s - 1) rounds one ulp above pi at these counts,
+        # where the symbol rightly rejects it.
+        assert math.pi * (samples - 1) / (samples - 1) > math.pi
+        result = runner.invoke(main, ["spectrum", "--kind", "asymptotic", "--phi", "0.5",
+                                      "--samples", str(samples)])
+        assert result.exit_code == 0, result.output
+        noise = MarkovNoise(1.0, 0.5)
+        at_pi = _fmt(asymptotic_markov_spectrum(noise, math.pi))
+        assert result.output.splitlines()[-1] == f"3.14159265359,{at_pi}"
+        with pytest.raises(ValueError, match="must lie in"):
+            asymptotic_markov_spectrum(noise, math.nextafter(math.pi, 4.0))
 
     def test_toeplitz_white_noise(self, runner):
         result = runner.invoke(
@@ -853,12 +864,35 @@ class TestOutputPlumbing:
         assert [row["phi"] for row in rows] == ["0.7"]
 
     def test_config_list_for_scalar_option_rejected(self, runner, tmp_path):
+        # Click converts the value in the command's own context, so the
+        # usage line names the command.
         cfg = tmp_path / "phis.cfg"
         cfg.write_text("phi = 0.3 0.5\n")
         result = runner.invoke(main, ["--config", str(cfg), "capacity", "--N", "1", "--nbar", "5"])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert "'--phi'" in result.stderr
+        assert result.stderr.splitlines()[0] == "Usage: main capacity [OPTIONS]"
+        assert "Error: Invalid value for '--phi': '0.3 0.5' is not a valid float." in result.stderr
+
+    @pytest.mark.parametrize("text, args, code", [
+        ("phi = 0.3 0.5\n", ["capacity", "--phi", "0.7", "--N", "1", "--nbar", "5"], 3),
+        ("nbar = abc\n", ["mono", "--gq", "1", "--gp", "1", "--nbar", "2"], 0),
+    ], ids=["phi-list", "nbar-text"])
+    def test_config_value_under_a_flag_is_never_read(self, runner, tmp_path, text, args, code):
+        # The flag wins, so the malformed config value is never converted.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["--config", str(cfg), *args])
+        assert result.exit_code == code, result.output
+        assert result.stderr == ""
+        assert result.stdout == runner.invoke(main, args).stdout
+
+    def test_help_shows_config_default_as_written(self, runner, tmp_path):
+        cfg = tmp_path / "nbar.cfg"
+        cfg.write_text("nbar = 1e0\n")
+        result = runner.invoke(main, ["--config", str(cfg), "fig4", "--help"])
+        assert result.exit_code == 0
+        assert "Mean photon number per use.  [default: 1e0]" in result.output
 
     def test_deterministic_across_invocations(self, runner):
         args = ["capacity", "--phi", "0.7", "--N", "1", "--nbar", "7.5", "--first-mode"]

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference
 from gmcapacity.gaussian import thermal_entropy
 
 LOG2E = math.log2(math.e)
@@ -37,15 +38,12 @@ class TestThermalEntropy:
             assert thermal_entropy(mid) >= 0.5 * (thermal_entropy(a) + thermal_entropy(b))
 
     def test_against_mpmath(self):
-        # Reference in the log1p form at 50 digits: the direct form
+        # The reference takes the log1p form: the direct form
         # (x+1) log2(x+1) - x log2(x) would need more than 2 log10(x)
         # digits to survive its own cancellation.
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            for x in np.logspace(-300, 300, 241).tolist() + [0.5, 1.0, 2.0, 1e-310]:
-                xm = mpmath.mpf(x)
-                exact = (mpmath.log1p(xm) + xm * mpmath.log1p(1 / xm)) / mpmath.log(2)
-                assert thermal_entropy(x) == pytest.approx(float(exact), rel=1e-15, abs=0), x
+        for x in np.logspace(-300, 300, 241).tolist() + [0.5, 1.0, 2.0, 1e-310]:
+            exact = float(reference.thermal_entropy(x))
+            assert thermal_entropy(x) == pytest.approx(exact, rel=1e-15, abs=0), x
 
     def test_extreme_arguments_finite(self):
         for x in (5e-324, 1e308, 1.7976931348623157e308):

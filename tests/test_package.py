@@ -1,13 +1,15 @@
 """Tests for the top-level package: its exports and the README examples.
 
 Every ``gmcap`` line of the README's CLI block must reproduce, byte for
-byte, the stdout and exit code recorded under ``tests/readme_cli/``.
+byte, the stdout and exit code recorded under ``tests/readme_cli/``, and
+most recorded numbers must be the rendering of their mpmath reference.
 After an intended change to those outputs, rewrite the records with
 ``PYTHONPATH=src python tests/test_package.py`` and say which digits moved.
 """
 
 import ast
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -16,7 +18,8 @@ import pytest
 from click.testing import CliRunner
 
 import gmcapacity
-from gmcapacity.cli import main
+import reference
+from gmcapacity.cli import _geometric_floats, main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -90,6 +93,89 @@ def test_readme_cli_example_runs(args, tmp_path):
     assert re.fullmatch(r"\w+(,\w+)+", rows[0]), rows[0]
 
 
+def _golden_rows(name):
+    """The table rows of golden ``name`` as dicts keyed by the header."""
+    header, *rows = [line.split(",") for line in (GOLDEN / name).read_text().splitlines()
+                     if not line.startswith("#")]
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _cells(where, row, exact):
+    """``(where, printed, exact)`` for each column of ``exact``, which must name every number of ``row``."""
+    assert set(row) - {"status", "capacity_bits"} <= set(exact) <= set(row), where
+    return [(f"{where} {column}", row[column], value) for column, value in exact.items()]
+
+
+def _audited_cells():
+    """Every number of goldens 01-04, 06 and 08 with its reference, at the program's double inputs."""
+    [row] = _golden_rows("01_mono.csv")
+    exact = {"gamma_q": 2.0, "gamma_p": 0.5, "nbar": 2.0, **reference.mono_solution(2.0, 0.5, 2.0)}
+    cells = _cells("01", row, exact)
+    exact = {
+        "phi": 0.7, "N": 1.0, "nbar": 7.5, "threshold": reference.multimode_threshold(0.7, 1.0),
+        "eta": reference.squeezing_fraction(0.7, 7.5), "mu_global": reference.water_level(7.5, 1.0),
+        "capacity_bits": reference.asymptotic_capacity(1.0, 0.7, 7.5),
+    }
+    [row] = _golden_rows("02_capacity.csv")
+    cells += _cells("02", row, exact)
+    exact |= {"first_mode_variance": reference.first_mode_variance(0.7),
+              "first_mode_variance_alt": reference.first_mode_variance(0.7, alt_form=True)}
+    [row] = _golden_rows("03_capacity.csv")
+    cells += _cells("03", row, exact)
+    # fig3 forms its N grid and nbar = N snr in doubles; the capacity
+    # quadrature is audited on every third row only, for time.
+    variances = _geometric_floats(1.0, 100.0, 15)
+    rows = _golden_rows("04_fig3.csv")
+    assert len(rows) == 3 * len(variances)
+    for i, row in enumerate(rows):
+        phi, variance = (0.4, 0.7, 0.9)[i // len(variances)], variances[i % len(variances)]
+        snr = gmcapacity.solver.multimode_threshold(gmcapacity.MarkovNoise(1.0, phi))
+        nbar = variance * snr
+        exact = {
+            "phi": phi, "N": variance, "nbar": nbar,
+            "threshold": reference.multimode_threshold(phi, variance),
+            "eta": reference.squeezing_fraction(phi, nbar),
+            "mu_global": reference.water_level(nbar, variance),
+            "classical_limit_bits": reference.classical_limit(phi, snr),
+        }
+        if i % 3 == 0:
+            exact["capacity_bits"] = reference.asymptotic_capacity(variance, phi, nbar)
+        cells += _cells(f"04 row {i + 1}", row, exact)
+    # The program's abscissae: pi k / 200 in doubles, and pi itself last.
+    rows = _golden_rows("06_spectrum.csv")
+    xs = [math.pi * k / (len(rows) - 1) for k in range(len(rows) - 1)] + [math.pi]
+    for k, (row, x) in enumerate(zip(rows, xs)):
+        exact = {"x": reference.abscissa(k, len(rows)), "value": reference.symbol(1.0, 0.5, x)}
+        cells += _cells(f"06 row {k + 1}", row, exact)
+    lines = (GOLDEN / "08_spectrum.csv").read_text().splitlines()
+    cells += [(f"08 row {i + 1}", printed, 0.5 ** abs(i - j))
+              for i, line in enumerate(lines) for j, printed in enumerate(line.split())]
+    return cells
+
+
+def test_readme_golden_digits():
+    """Every number of the audited goldens is the 12-digit rendering of its mpmath reference.
+
+    Audited: ``01`` mono, ``02`` and ``03`` capacity, ``04`` fig3 and
+    ``06`` the symbol, every column of every row except the fig3 capacity,
+    which is audited on every third row; and ``08``, the matrix entries.
+    Left out: ``05``, whose R(n) needs Toeplitz eigenvalues in mpmath
+    (ROADMAP item 4); ``07``, the Toeplitz eigenvalues themselves (items 4
+    and 5); and ``09``, the oracle's search result, which has no closed
+    form.  A value within ``reference.TIE`` of a rounding tie may print
+    either way; it is printed and not failed on.
+    """
+    misprints, ties = [], []
+    for where, printed, exact in _audited_cells():
+        expected = reference.rendered(exact)
+        if expected is None:
+            ties.append((where, printed, str(exact)))
+        elif printed != expected:
+            misprints.append((where, printed, expected, str(exact)))
+    print(f"{len(ties)} ties", *ties, sep="\n")
+    assert misprints == []
+
+
 def _unused_imports(path):
     """``file:line: name`` of each name an import binds that the module never reads.
 
@@ -151,6 +237,17 @@ def test_cli_imports_no_solver_check():
                if isinstance(node, ast.ImportFrom) and node.module == "solver"
                for alias in node.names if alias.name.startswith("_")]
     assert private == ["_multimode"]
+
+
+def test_reference_imports_nothing_from_the_package():
+    # The mpmath references are an independent route: they share no code
+    # with the functions they check.
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules
+    assert [name for name in modules if name.partition(".")[0] == "gmcapacity"] == []
+    assert not any(isinstance(node, ast.ImportFrom) and node.level for node in ast.walk(tree))
 
 
 def _record_golden():

@@ -3,9 +3,9 @@
 Reference values are cross-checked against a dense trapezoidal
 integration oracle defined inline (vectorized numpy, 400k+ points),
 independent of the package's quadrature and closed forms, and against
-mpmath at 30 digits where it is installed; headline regression
-constants were frozen from 2,000,001-point evaluations of the same
-oracle.
+the mpmath references of ``reference.py`` where mpmath is installed;
+headline regression constants were frozen from 2,000,001-point
+evaluations of the same oracle.
 """
 
 import math
@@ -14,6 +14,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
+import reference
 from gmcapacity import solver
 from gmcapacity.gaussian import thermal_entropy
 from gmcapacity.numerics import integrate
@@ -59,29 +60,12 @@ XS_DENSE = np.linspace(0.0, math.pi, 400001)
 GRID = np.linspace(0.0, math.pi, 1001)
 
 
-def mpmath_mean(integrand):
-    """(1/pi) times the integral over [0, pi] by mpmath at 30 digits.
-
-    Breakpoints near both ends resolve the boundary layers that strong
-    correlations put there.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        pi = mpmath.pi
-        cuts = [mpmath.mpf(d) for d in ("1e-4", "1e-2", "0.5")]
-        points = [0] + cuts + [pi - d for d in reversed(cuts)] + [pi]
-        return mpmath.quad(lambda x: integrand(mpmath, x), points) / pi
-
-
 class TestHighPrecisionReference:
     @pytest.mark.parametrize("phi", [0.3, 0.9, 0.999])
     def test_squeezing_fraction(self, phi):
-        def input_q(mp, x):
-            c = mp.mpf(phi)
-            return 0.5 * mp.sqrt((1 + c * c + 2 * c * mp.cos(x)) / (1 + c * c - 2 * c * mp.cos(x)))
-
         n_bar = 2.0
-        expected = float((mpmath_mean(input_q) - 0.5) / n_bar)
+        input_q = reference.first_mode_integrand(phi, alt_form=True)
+        expected = float((reference.mean(input_q) - 0.5) / n_bar)
         value = squeezing_fraction(MarkovNoise(1.0, phi), n_bar)
         assert value == pytest.approx(expected, rel=1e-13, abs=0)
 
@@ -90,34 +74,24 @@ class TestHighPrecisionReference:
     def test_first_mode_variance(self, phi, alt_form):
         # With alt_form, the integrand is the optimal input spectrum
         # MultimodeSolution.input_q (test_input_matches_anisotropy_closed_form).
-        def integrand(mp, x):
-            c = mp.mpf(phi)
-            base = 1 + (c * c if alt_form else c)
-            return 0.5 * mp.sqrt((base + 2 * c * mp.cos(x)) / (base - 2 * c * mp.cos(x)))
-
-        expected = float(mpmath_mean(integrand))
+        expected = float(reference.mean(reference.first_mode_integrand(phi, alt_form)))
         value = first_mode_variance(phi, alt_form=alt_form)
         assert value == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_input_spectrum_mean_at_strong_correlation(self):
-        # The double-precision input spectrum, integrated at 30 digits, has
+        # The double-precision input spectrum, integrated in mpmath, has
         # the closed-form mean; its symbols peak at x = 0 and x = pi, where
         # 1 + c^2 -+ 2 c cos x would cancel (an error of ~1e-11 here).
         for phi in (0.9985, 0.999):
             noise = MarkovNoise(1.0, phi)
             sol = multimode_solve(noise, multimode_threshold(noise) + 1.0)
-            expected = float(mpmath_mean(lambda mp, x: sol.input_q(float(x))))
+            expected = float(reference.mean(lambda x: sol.input_q(float(x))))
             assert first_mode_variance(phi, alt_form=True) == pytest.approx(expected, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("phi", [0.5, 0.9, 0.99, 0.999])
     @pytest.mark.parametrize("variance", [1.0, 100.0])
     def test_mean_environment_entropy(self, phi, variance):
-        def entropy_of_env(mp, x):
-            c = mp.mpf(phi)
-            nu = variance * (1 - c * c) / mp.sqrt((1 - c * c) ** 2 + 4 * c * c * mp.sin(x) ** 2)
-            return (nu + 1) * mp.log(nu + 1, 2) - nu * mp.log(nu, 2)
-
-        expected = float(mpmath_mean(entropy_of_env))
+        expected = float(reference.mean_environment_entropy(variance, phi))
         value = mean_environment_entropy(MarkovNoise(variance, phi))
         assert value == pytest.approx(expected, abs=5e-14)
 
@@ -228,13 +202,9 @@ class TestMultimodeThreshold:
 
     @pytest.mark.parametrize("phi", MPMATH_PHIS)
     def test_against_mpmath(self, phi):
-        mpmath = pytest.importorskip("mpmath")
         variance = 2.3
-        with mpmath.workdps(40):
-            c = mpmath.mpf(phi)
-            gain = (1 + c) / (1 - c) - 1
-            expected = float(gain * (mpmath.mpf(variance) + mpmath.mpf(0.5)))
-            expected_symmetric = float(gain * mpmath.mpf(variance))
+        expected = float(reference.multimode_threshold(phi, variance))
+        expected_symmetric = float(reference.symmetric_threshold(phi, variance))
         noise = MarkovNoise(variance, phi)
         assert multimode_threshold(noise) == pytest.approx(expected, rel=1e-15, abs=0)
         assert symmetric_threshold(noise) == pytest.approx(expected_symmetric, rel=1e-15, abs=0)
@@ -260,12 +230,8 @@ class TestSqueezingFraction:
 
     @pytest.mark.parametrize("phi", MPMATH_PHIS + [0.99, 0.9985])
     def test_against_mpmath(self, phi):
-        mpmath = pytest.importorskip("mpmath")
         n_bar = 2.0
-        with mpmath.workdps(40):
-            c = mpmath.mpf(phi)
-            excess = (1 + c * c) * mpmath.ellipk(c**4) - mpmath.pi / 2
-            expected = float(excess / (mpmath.pi * n_bar))
+        expected = float(reference.squeezing_fraction(phi, n_bar))
         value = squeezing_fraction(MarkovNoise(1.0, phi), n_bar)
         assert value == pytest.approx(expected, rel=1e-15, abs=0)
 
@@ -273,10 +239,7 @@ class TestSqueezingFraction:
     def test_largest_energies(self, n_bar):
         # pi * n_bar overflows here, so the fraction is divided by pi first;
         # the subnormal result is good to one unit of its last place.
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            excess = (1 + mpmath.mpf(0.25)) * mpmath.ellipk(mpmath.mpf(0.5) ** 4) - mpmath.pi / 2
-            expected = float(excess / (mpmath.pi * n_bar))
+        expected = float(reference.squeezing_fraction(0.5, n_bar))
         value = squeezing_fraction(MarkovNoise(1.0, 0.5), n_bar)
         assert value > 0.0
         assert value == pytest.approx(expected, rel=1e-15, abs=math.ulp(0.0))
@@ -414,13 +377,9 @@ class TestMultimodeSolve:
         if abs_tol is not None:
             # The fixed 1e-10 target is met with room to spare: the
             # capacity also holds a loose and a tight tolerance against
-            # mpmath at 30 digits.
-            def entropy_of_env(mp, x):
-                c = mp.mpf(phi)
-                nu = variance * (1 - c * c) / mp.sqrt((1 - c * c) ** 2 + 4 * c * c * mp.sin(x) ** 2)
-                return (nu + 1) * mp.log(nu + 1, 2) - nu * mp.log(nu, 2)
-
-            expected = thermal_entropy(n_bar + variance) - float(mpmath_mean(entropy_of_env))
+            # its mpmath reference.
+            mean = float(reference.mean_environment_entropy(variance, phi))
+            expected = thermal_entropy(n_bar + variance) - mean
             assert asymptotic_capacity(noise, n_bar) == pytest.approx(expected, abs=abs_tol)
         sol = multimode_solve(noise, n_bar)
         assert sol.capacity_bits == asymptotic_capacity(noise, n_bar)
@@ -768,19 +727,11 @@ class TestFiniteNRate:
     def test_huge_variance(self):
         # The paired eigenvalues near N = 1e200 overflow as a product.
         # Reference: the unit-variance spectrum from eigvalsh, scaled by N
-        # and paired in mpmath, with g(x) = log2 x + (x + 1) log2(1 + 1/x).
-        mpmath = pytest.importorskip("mpmath")
+        # and paired in mpmath.
         variance, phi, n_bar, n = 1e200, 0.5, 1.0, 3
         dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
         unit = np.linalg.eigvalsh(phi**dist)
-        with mpmath.workdps(40):
-            def g(x):
-                return mpmath.log(x, 2) + (x + 1) * mpmath.log1p(1 / x) / mpmath.log(2)
-
-            big = mpmath.mpf(variance)
-            pairs = [big * mpmath.sqrt(mpmath.mpf(a) * mpmath.mpf(b))
-                     for a, b in zip(unit.tolist(), unit[::-1].tolist())]
-            expected = float(g(big + n_bar) - sum(g(p) for p in pairs) / n)
+        expected = float(reference.paired_rate(variance, n_bar, unit.tolist()))
         assert expected == pytest.approx(0.276691666186, rel=1e-11, abs=0)
         value = finite_n_rate(MarkovNoise(variance, phi), n_bar, n)
         assert value == pytest.approx(expected, rel=1e-12, abs=0)
@@ -1000,11 +951,8 @@ class TestClassicalLimit:
     def test_against_mpmath(self, phi):
         # At the threshold snr, where the quotient is near 1 at weak correlation;
         # summed log1p terms keep every digit there.
-        mpmath = pytest.importorskip("mpmath")
         snr = multimode_threshold(MarkovNoise(1.0, phi))
-        with mpmath.workdps(40):
-            c = mpmath.mpf(phi)
-            expected = float(mpmath.log((1 + mpmath.mpf(snr)) / (1 - c * c), 2))
+        expected = float(reference.classical_limit(phi, snr))
         value = classical_limit_capacity(MarkovNoise(1.0, phi), snr)
         assert value == pytest.approx(expected, rel=5e-16, abs=0)
 
@@ -1096,14 +1044,9 @@ class TestFirstModeVariance:
             rotated = (vectors * (0.5 * np.sqrt(lam / lam[::-1]))) @ vectors.T
             return np.array([rotated[n // 2, n // 2], rotated[0, 0]])
 
-        def weighted_input(mp, x):
-            c = mp.mpf(phi)
-            input_q = 0.5 * mp.sqrt((1 + c * c + 2 * c * mp.cos(x)) / (1 + c * c - 2 * c * mp.cos(x)))
-            return input_q * 2 * mp.sin(x) ** 2 / (1 + c * c - 2 * c * mp.cos(x))
-
         middle, first = 2 * middle_and_first(1000) - middle_and_first(500)
         assert abs(middle - first_mode_variance(phi, alt_form=True)) <= 1e-5
-        assert abs(first - float(mpmath_mean(weighted_input))) <= 1e-5
+        assert abs(first - float(reference.mean(reference.first_entry_integrand(phi)))) <= 1e-5
         # Neither mode reproduces the primary value.
         assert min(abs(middle - first_mode_variance(phi)), abs(first - first_mode_variance(phi))) > 1e-2
 
@@ -1111,13 +1054,7 @@ class TestFirstModeVariance:
     @pytest.mark.parametrize("alt_form", [False, True])
     def test_against_mpmath(self, phi, alt_form):
         # The alternative form is checked in its pre-Landen shape (1 + c^2) K(c^4).
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(60):
-            c = mpmath.mpf(phi)
-            if alt_form:
-                expected = float((1 + c * c) * mpmath.ellipk(c**4) / mpmath.pi)
-            else:
-                expected = float(mpmath.ellipk((2 * c / (1 + c)) ** 2) / mpmath.pi)
+        expected = float(reference.first_mode_variance(phi, alt_form))
         assert first_mode_variance(phi, alt_form=alt_form) == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_domain(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.lib.array_utils import byte_bounds
 
+import reference
 from gmcapacity.numerics import integrate
 from gmcapacity.solver import env_symplectic_spectrum
 from gmcapacity.spectra import (
@@ -266,24 +267,17 @@ class TestAsymptoticSpectrum:
         # 1 + c^2 - 2 c cos x cancels; the grid reaches 1e-8 from both ends.
         # At |c| = 0.999 a scale 1 - c*c, formed from the rounded c*c, errs
         # by ~1.5e-14 relative; (1 - c)(1 + c) stays within a few ulp.
-        mpmath = pytest.importorskip("mpmath")
         offsets = [10.0**-k for k in range(1, 9)]
         xs = [0.0, *offsets, 0.5, 1.0, 1.5, 2.0, 2.5, *(math.pi - d for d in offsets), math.pi]
         noise = MarkovNoise(1.7, phi)
         values = {builder.__name__: builder(noise)(np.array(xs)).tolist()
                   for builder in (markov_symbol, inverse_symbol, env_symplectic_spectrum)}
-        with mpmath.workdps(40):
-            c = mpmath.mpf(phi)
-            for i, x in enumerate(xs):
-                cos = mpmath.cos(mpmath.mpf(x))
-                gap = 1 + c * c - 2 * c * cos  # |1 - c e^{ix}|^2
-                # |1 - c^2 e^{2ix}|^2 = 1 + c^4 - 2 c^2 cos 2x, with cos 2x = 2 cos^2 x - 1.
-                symplectic_gap = 1 + c**4 - 2 * c * c * (2 * cos * cos - 1)
-                scale = 1.7 * (1 - c * c)
-                exact = {"markov_symbol": scale / gap, "inverse_symbol": gap / scale,
-                         "env_symplectic_spectrum": scale / mpmath.sqrt(symplectic_gap)}
-                for name, value in exact.items():
-                    assert abs(values[name][i] / value - 1) <= 2e-15, (name, x)
+        for i, x in enumerate(xs):
+            symbol = reference.symbol(1.7, phi, x)
+            exact = {"markov_symbol": symbol, "inverse_symbol": 1 / symbol,
+                     "env_symplectic_spectrum": reference.environment_spectrum(1.7, phi, x)}
+            for name, value in exact.items():
+                assert abs(values[name][i] / float(value) - 1) <= 2e-15, (name, x)
 
 
 class TestSzegoConvergence:
