@@ -36,7 +36,6 @@ from .solver import (
     BelowThresholdError,
     MonoNoise,
     _multimode,
-    asymptotic_capacity,
     brute_force_mono_oracle,
     classical_limit_capacity,
     finite_n_rate,
@@ -357,10 +356,8 @@ def fig4(phis, variance, nbar, n_max, n_values):
     texts = []
     for phi in phis:
         noise = MarkovNoise(variance, phi)
-        try:
-            cap, status = _fmt(asymptotic_capacity(noise, nbar)), "ok"
-        except BelowThresholdError:
-            cap, status = "", "below_threshold"
+        point = _multimode(phi, np.array([variance]), np.array([nbar]))
+        cap, status = (_fmt(point.capacity_bits[0]), "ok") if point.above[0] else ("", "below_threshold")
         rates = np.array([finite_n_rate(noise, nbar, n) for n in uses])
         # One correlation's rows; its fixed cells go into the template, as in fig3.
         texts += _array_rows(f"{_fmt(phi)},{{}},{{:.12g}},{cap},{status}", np.array(uses), rates)

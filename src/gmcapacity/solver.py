@@ -252,18 +252,21 @@ def multimode_threshold(noise: MarkovNoise) -> float:
     not cancel at weak correlation; grows without bound as the
     correlation approaches 1 and vanishes for white noise.
     """
-    return _threshold(noise.correlation, noise.variance)
+    return _threshold(noise.correlation, noise.variance + VACUUM_VARIANCE)
 
 
-def _threshold(correlation: float, variance):
-    """:func:`multimode_threshold` at a float or, elementwise, an array of noise variances.
+def _threshold(correlation: float, level):
+    """2c/(1 - c) times ``level``, a float or, elementwise, an array.
 
-    Validates the correlation.  As in float arithmetic, a threshold that
-    overflows is inf.
+    The one form of both multimode thresholds: ``level`` is the noise
+    variance plus 1/2 for Gauss-Markov noise, and the variance alone when
+    both quadratures carry the same correlation.  Validates the
+    correlation.  As in float arithmetic, a threshold that overflows is
+    inf.
     """
     _check_correlation(correlation)
     with np.errstate(over="ignore"):
-        return 2.0 * correlation / (1.0 - correlation) * (variance + VACUUM_VARIANCE)
+        return 2.0 * correlation / (1.0 - correlation) * level
 
 
 def _landen_ellipk(c: float, alt_form: bool) -> tuple[float, float]:
@@ -365,7 +368,7 @@ def _multimode(correlation: float, variances: np.ndarray, energies: np.ndarray) 
     ``_BATCH_ROWS`` points above threshold share one :func:`integrate`
     call, taken in order, each capacity bitwise as if alone.
     """
-    threshold = _threshold(correlation, variances)
+    threshold = _threshold(correlation, variances + VACUUM_VARIANCE)
     invalid = np.flatnonzero(~(np.isfinite(energies) & (energies >= 0)))
     if invalid.size:
         _check_energy(energies[invalid[0]].item())  # raises the one-point message
@@ -481,10 +484,8 @@ def full_correlation_capacity(noise: MarkovNoise, n_bar: float) -> float:
 
 
 def symmetric_threshold(noise: MarkovNoise) -> float:
-    """Water-filling threshold when both quadratures carry the same correlation sign."""
-    _check_correlation(noise.correlation)
-    c = noise.correlation
-    return 2.0 * c / (1.0 - c) * noise.variance
+    """Water-filling threshold when both quadratures carry the same correlation sign: 2c/(1 - c) variance."""
+    return _threshold(noise.correlation, noise.variance)
 
 
 def symmetric_noise_solution(noise: MarkovNoise, n_bar: float) -> MultimodeSolution:

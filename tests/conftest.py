@@ -1,11 +1,18 @@
-"""Shared pytest hooks: one pass/fail summary line per acceptance criterion, and the size of ``src/``."""
+"""Shared pytest hooks: a time budget per test, one pass/fail summary line per acceptance criterion, and the size of ``src/``."""
 
 import ast
 import io
+import signal
 import tokenize
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Seconds that one test's call may take; the slowest takes about 1 s.  A
+# loop that never ends then fails its test instead of stalling the run.
+TEST_BUDGET_S = 60
 
 _acceptance_outcomes: dict[str, str] = {}
 
@@ -28,6 +35,20 @@ def logic_lines(source: str) -> int:
         if token.type not in _NON_CODE:
             code.update(range(token.start[0], token.end[0] + 1))
     return len(code - docstrings)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call():
+    def over_budget(signum, frame):
+        pytest.fail(f"ran longer than the {TEST_BUDGET_S} s budget of one test")
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.alarm(TEST_BUDGET_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_runtest_logreport(report):

@@ -332,9 +332,9 @@ class TestFig3:
     @pytest.mark.parametrize("phis", [["0"], ["0.5", "0"], ["-0.0"]], ids=["alone", "after-valid", "negative-zero"])
     def test_zero_correlation_is_usage_error(self, runner, monkeypatch, tmp_path, phis):
         # At phi = 0 the snr, and so every nbar, is 0: the error names the
-        # correlation, and comes before any row is computed.
+        # correlation, and comes before any sweep is evaluated.
         calls = []
-        monkeypatch.setattr(cli, "asymptotic_capacity", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "_multimode", lambda *args: calls.append(args))
         target = tmp_path / "out.csv"
         args = [arg for phi in phis for arg in ("--phi", phi)]
         result = runner.invoke(main, ["fig3", *args, "--out", str(target)])
@@ -375,6 +375,14 @@ class TestFig3:
         assert result.exit_code == 2, result.output
         assert "Error: steps x correlations must be at most 100000, got " in result.stderr
         assert not target.exists()
+
+    def test_row_limit_itself_is_accepted(self, runner, tmp_path):
+        target = tmp_path / "out.csv"
+        result = runner.invoke(main, ["fig3", "--phi", "0.5", "--phi", "0.6", "--steps", "50000",
+                                      "--out", str(target)])
+        assert result.exit_code == 0, result.output
+        rows = [line for line in target.read_text().splitlines() if not line.startswith("#")]
+        assert len(rows) == 1 + 100_000
 
     def test_classical_limit_once_per_correlation(self, runner, monkeypatch):
         calls = []
@@ -452,6 +460,14 @@ class TestFig4:
         assert rows[0]["status"] == "below_threshold"
         assert rows[0]["capacity_bits"] == ""
         assert rows[0]["rate_bits"] == _fmt(finite_n_rate(MarkovNoise(1.0, 0.9), 7.5, 2))
+
+    def test_single_use_grid(self, runner):
+        result = runner.invoke(main, ["fig4", "--n-max", "1"])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.output)
+        assert [(row["phi"], row["n"]) for row in rows] == [
+            (phi, "1") for phi in ["0", "0.4", "0.55", "0.7"]
+        ]
 
     def test_one_text_per_correlation(self, runner, writes):
         # The header, then each correlation's rows as one text.

@@ -93,6 +93,14 @@ def test_readme_cli_example_runs(args, tmp_path):
     assert re.fullmatch(r"\w+(,\w+)+", rows[0]), rows[0]
 
 
+@pytest.mark.parametrize("command, name", [("fig3", "04_fig3.csv"), ("fig4", "05_fig4.csv")])
+def test_figure_defaults_print_their_golden(command, name):
+    # The README spells out each figure's default options.
+    result = CliRunner().invoke(main, [command])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (GOLDEN / name).read_bytes()
+
+
 def _golden_rows(name):
     """The table rows of golden ``name`` as dicts keyed by the header."""
     header, *rows = [line.split(",") for line in (GOLDEN / name).read_text().splitlines()

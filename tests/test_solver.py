@@ -9,7 +9,7 @@ evaluations of the same oracle.
 """
 
 import math
-from itertools import groupby
+from itertools import groupby, permutations
 
 import numpy as np
 import pytest
@@ -880,6 +880,12 @@ class TestOutputEnergyOverflow:
     def test_numpy_scalars_do_not_warn(self):
         with pytest.raises(ValueError, match="overflows"):
             finite_n_rate(MarkovNoise(np.float64(1e308), 0.0), np.float64(1e308), 3)
+        # A symmetric threshold that overflows is inf, as with Python floats.
+        noise = MarkovNoise(1e308, np.float64(0.999))
+        assert symmetric_threshold(noise) == math.inf
+        with pytest.raises(BelowThresholdError) as below:
+            symmetric_noise_solution(noise, 1.0)
+        assert below.value.threshold == math.inf
 
     def test_checked_before_any_integral(self, monkeypatch):
         def unreachable(*args):
@@ -1164,6 +1170,102 @@ class TestBruteForceOracle:
             assert found.above_threshold is solvable, n_bar
             outcomes.append(solvable)
         assert outcomes == [True, True, True, True, False]
+
+
+class TestWaterFillingBinByBin:
+    """The paper's water filling is the optimum, checked bin by bin with the brute-force oracle.
+
+    In the Fourier basis the infinite-use channel splits into single-mode
+    channels, one per spectral bin x, with noise (S(c, x), S(-c, x)) and
+    one shared energy budget.  Water filling gives bin x the energy
+    e(x) = nbar + N - (N_q + N_p) / 2.  The bins sit at the M midpoints of
+    [0, pi], at N = 1; their noise comes from the AR(1) density written
+    out here, not from ``markov_symbol``, and ``brute_force_mono_oracle``,
+    which knows no closed form, scores each bin on its own.
+    """
+
+    CORRELATIONS = [0.4, 0.7, 0.9]
+    RESOLUTION = 321
+    # At this resolution the oracle falls up to ~2e-7 bits short of a bin's
+    # optimum, so an exchange it scores may seem to gain up to twice that.
+    SLACK = 5e-7
+
+    @staticmethod
+    def water_filling(c, m, n_bar):
+        """The bin noise lists N_q and N_p, and the water-filling energies, at ``m`` midpoints."""
+        x = (np.arange(m) + 0.5) * math.pi / m
+
+        def density(r):
+            # (1 - r^2) / |1 - r e^{ix}|^2, its denominator as (1 - r)^2 + 4 r sin^2(x / 2).
+            return (1.0 - r) * (1.0 + r) / ((1.0 - r) ** 2 + 4.0 * r * np.sin(x / 2.0) ** 2)
+
+        q, p = density(c), density(-c)
+        return q.tolist(), p.tolist(), (n_bar + 1.0 - 0.5 * (q + p)).tolist()
+
+    def rate(self, q, p, energy):
+        return brute_force_mono_oracle(MonoNoise(q, p), energy, self.RESOLUTION).capacity_bits
+
+    def best_exchange(self, q, p, energies):
+        """The largest gain, in bits, of moving 1 % or 10 % of min(e_a, 1) from bin a to bin b.
+
+        a and b range over an edge bin, the bin a quarter along and the
+        middle bin, each pair both ways.
+        """
+        m = len(q)
+        picked = [0, m // 4, m // 2]
+        held = {k: self.rate(q[k], p[k], energies[k]) for k in picked}
+        gains = []
+        for a, b in permutations(picked, 2):
+            for fraction in (0.01, 0.1):
+                delta = fraction * min(energies[a], 1.0)
+                moved = self.rate(q[a], p[a], energies[a] - delta) + self.rate(q[b], p[b], energies[b] + delta)
+                gains.append(moved - held[a] - held[b])
+        return max(gains)
+
+    @pytest.mark.parametrize("c", CORRELATIONS)
+    def test_midpoint_mean_is_the_capacity(self, c):
+        # The midpoint rule converges geometrically in M, slowest at c = 0.9.
+        m = 128 if c == 0.9 else 64
+        noise = MarkovNoise(1.0, c)
+        n_bar = 2.0 * multimode_threshold(noise)
+        capacity = asymptotic_capacity(noise, n_bar)
+        q, p, energies = self.water_filling(c, m, n_bar)
+        # The budget holds up to the midpoint rule's error, O(c^(2M)) here.
+        assert math.fsum(energies) / m == pytest.approx(n_bar, rel=0, abs=1e-10)
+        closed = [mono_solve(MonoNoise(*bin_noise), e).capacity_bits for *bin_noise, e in zip(q, p, energies)]
+        assert math.fsum(closed) / m == pytest.approx(capacity, rel=0, abs=1e-12)
+        # Bin pi - x is bin x with N_q and N_p swapped, which leaves its rate
+        # unchanged, so the oracle scores the first half of the bins only.
+        half = m // 2
+        found = math.fsum(self.rate(*point) for point in zip(q[:half], p[:half], energies[:half])) / half
+        assert capacity - self.SLACK <= found <= capacity + 1e-12
+
+    @pytest.mark.parametrize("multiple", [1.0, 2.0], ids=["threshold", "2x"])
+    @pytest.mark.parametrize("c", CORRELATIONS)
+    def test_no_exchange_between_bins_gains(self, c, multiple):
+        n_bar = multiple * multimode_threshold(MarkovNoise(1.0, c))
+        assert self.best_exchange(*self.water_filling(c, 64, n_bar)) <= self.SLACK
+
+    def test_a_distorted_allocation_is_caught(self):
+        # Water filling's deviations from the mean energy, shrunk by 3 %:
+        # the budget still holds, but an exchange gains ~4e-6 bits.
+        n_bar = 2.0 * multimode_threshold(MarkovNoise(1.0, 0.7))
+        q, p, energies = self.water_filling(0.7, 64, n_bar)
+        distorted = [n_bar + 0.97 * (e - n_bar) for e in energies]
+        assert self.best_exchange(q, p, distorted) > self.SLACK
+
+    @pytest.mark.parametrize("c", CORRELATIONS)
+    def test_threshold_is_where_the_edge_bin_meets_its_own(self, c):
+        # At nbar = multimode_threshold every bin keeps a positive slack
+        # above mono_threshold, a different closed form.  The smallest, at
+        # an edge bin, falls 16-fold for each 4-fold M: like 1/M^2, to 0.
+        n_bar = multimode_threshold(MarkovNoise(1.0, c))
+        slack = []
+        for m in (256, 1024):
+            q, p, energies = self.water_filling(c, m, n_bar)
+            slack.append(min(e - mono_threshold(MonoNoise(a, b)) for a, b, e in zip(q, p, energies)))
+        assert min(slack) > 0
+        assert slack[0] / slack[1] == pytest.approx(16.0, rel=0.01, abs=0)
 
 
 # At phi = 0 and n_bar = 0 the output is the noise itself, so every route
