@@ -24,7 +24,7 @@ import math
 import click
 import numpy as np
 
-from .numerics import IntegrationError
+from .numerics import IntegrationError, _check_count
 from .spectra import (
     MarkovNoise,
     asymptotic_markov_spectrum,
@@ -289,8 +289,7 @@ def fig3(phis, n_min, n_max, steps):
     threshold value at N = 1, which keeps every N >= 1 above threshold.
     Every correlation and energy is checked before any row is evaluated.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    _check_count(steps, 1, "steps")
     if steps * len(phis) > _FIG3_MAX_ROWS:
         raise ValueError(f"steps x correlations must be at most {_FIG3_MAX_ROWS}, got {steps} x {len(phis)}")
     if not 0 < n_min <= n_max:
@@ -342,11 +341,9 @@ def _geometric_ints(n_max: int) -> list[int]:
               help="Explicit channel-use counts (overrides the --n-max grid).")
 def fig4(phis, variance, nbar, n_max, n_values):
     """Finite-use transmission rate versus channel uses, with the asymptotic value."""
-    if n_max < 1:
-        raise ValueError("n-max must be at least 1")
+    _check_count(n_max, 1, "n-max")
     uses = sorted(set(n_values)) if n_values else _geometric_ints(n_max)
-    if uses and uses[0] < 1:
-        raise ValueError("channel-use counts must be positive")
+    _check_count(uses[0], 1, "channel-use counts")
     params = [
         ("phi", " ".join(_fmt(p) for p in phis)),
         ("N", _fmt(variance)), ("nbar", _fmt(nbar)),
@@ -413,8 +410,7 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
     if kind == "asymptotic":
         if dump_matrix:
             raise ValueError("--dump-matrix applies to matrix kinds only")
-        if samples < 2:
-            raise ValueError("samples must be at least 2")
+        _check_count(samples, 2, "samples")
         if samples > _MAX_SAMPLES:
             raise ValueError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
         params.append(("samples", _fmt(samples)))

@@ -144,9 +144,12 @@ def ellipk_split(m: float, m1: float) -> tuple[float, float]:
     return math.pi / (a + b), math.pi * (da + db) / (2.0 * (a + b))
 
 
-def _check_integer(value, name: str = "n") -> None:
+def _check_count(value, least: int, name: str = "n") -> None:
+    """Raise ``ValueError``, naming ``value``, unless it is an integer of at least ``least``."""
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _square(m) -> np.ndarray:
@@ -204,12 +207,8 @@ def grid_maximize(
     one.  Ties go to the smaller ``x``.  Returns the best ``x`` and its
     value.
     """
-    _check_integer(resolution, "resolution")
-    _check_integer(refinements, "refinements")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if refinements < 0:
-        raise ValueError("refinements must be non-negative")
+    _check_count(resolution, 2, "resolution")
+    _check_count(refinements, 0, "refinements")
     olo, ohi = (float(bound) for bound in interval)
     if not (math.isfinite(olo) and math.isfinite(ohi)):
         raise ValueError("interval bounds must be finite")

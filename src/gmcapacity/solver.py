@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, thermal_entropy
-from .numerics import _EPS, ellipk_split, grid_maximize, integrate
+from .numerics import _EPS, _check_count, ellipk_split, grid_maximize, integrate
 from .spectra import MarkovNoise, SpectralFunction, finite_spectrum, markov_matrix, markov_symbol
 
 # Cap for the closed-form solvers: thresholds and water levels diverge as
@@ -447,8 +447,7 @@ def finite_n_rate(noise: MarkovNoise, n_bar: float, n: int) -> float:
     |eig(T D)| by O(1/n).
     """
     _check_correlation(noise.correlation)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_count(n, 1)
     photons = _check_energy(n_bar, noise.variance)
     lam_q = finite_spectrum(markov_matrix(noise, n))
     mean_term = float(np.mean(thermal_entropy(np.sqrt(lam_q) * np.sqrt(lam_q[::-1]))))
@@ -591,8 +590,7 @@ def brute_force_mono_oracle(
     overflow.
     """
     _check_energy(n_bar)
-    if resolution < 64:
-        raise ValueError(f"resolution must be at least 64, got {resolution}")
+    _check_count(resolution, 64, "resolution")
     var_q = noise.var_q
     var_p = noise.var_p
     # Total variance budget: input_q + input_p + mod_q + mod_p = 2 n_bar + 1.

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import _check_integer, _check_mirror, _square, symmetric_eigen
+from .numerics import _check_count, _check_mirror, _square, symmetric_eigen
 
 __all__ = [
     "MarkovNoise",
@@ -93,9 +93,7 @@ def markov_matrix(noise: MarkovNoise, n: int) -> np.ndarray:
     The result is a read-only view over 2n - 1 values; ``.copy()`` gives
     a writeable array.
     """
-    _check_integer(n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_count(n, 1)
     return _symmetric_toeplitz(noise.variance, noise.correlation ** np.arange(n))
 
 
@@ -108,9 +106,7 @@ def circulant_embedding(noise: MarkovNoise, n: int) -> np.ndarray:
     The result is a read-only view over 2n - 1 values; ``.copy()`` gives
     a writeable array.
     """
-    _check_integer(n)
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_count(n, 2)
     lags = np.arange(n)
     powers = noise.correlation ** np.arange(n // 2 + 1)
     return _symmetric_toeplitz(noise.variance, powers[np.minimum(lags, n - lags)])
@@ -124,9 +120,7 @@ def fourier_diagonalizer(n: int) -> np.ndarray:
     n - k, and for even n the alternating row (1, -1, ..., -1)/sqrt(n)
     at index n/2.
     """
-    _check_integer(n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_count(n, 1)
     j = np.arange(n)
     k = np.arange(1, (n + 1) // 2)
     # Reduced mod n, every angle lies in [0, 2 pi), where cos and sin keep full precision.
@@ -188,9 +182,7 @@ def tridiagonal_inverse(noise: MarkovNoise, n: int) -> np.ndarray:
     The result is a read-only view over 2n - 1 values; ``.copy()`` gives
     a writeable array.
     """
-    _check_integer(n)
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_count(n, 2)
     c = noise.correlation
     prefactor = 1.0 / (noise.variance * ((1.0 - c) * (1.0 + c)))
     first_row = np.zeros(n)

@@ -46,7 +46,9 @@ def thermal_entropy(x):
 def ellipk(m, m1=None):
     """K(m) and its excess K(m) - pi/2; with ``m1``, at the exact m = 1 - m1."""
     mp = _mp()
-    with mp.workdps(DIGITS):
+    # With m1, as many more digits as m1 has leading zeros, so that 1 - m1 is exact.
+    extra = 0 if m1 is None else max(0, -int(mp.floor(mp.log10(m1))))
+    with mp.workdps(DIGITS + extra):
         k = mp.ellipk(mp.mpf(m) if m1 is None else 1 - mp.mpf(m1))
         return k, k - mp.pi / 2
 

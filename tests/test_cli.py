@@ -251,6 +251,14 @@ class TestFig3:
         assert [row["N"] for row in rows] == ["1e-300", "1", "1e+300"]
         assert [row["status"] for row in rows] == ["below_threshold", "ok", "ok"]
         assert _geometric_floats(1e-300, 1e300, 5)[::4] == [1e-300, 1e300]
+        assert _geometric_floats(1e-300, 1e300, 5) == pytest.approx([1e-300, 1e-150, 1.0, 1e150, 1e300],
+                                                                    rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n_min, n_max", [("0", "1"), ("-1", "1"), ("2", "1")])
+    def test_variance_range_is_checked(self, runner, n_min, n_max):
+        result = runner.invoke(main, ["fig3", "--phi", "0.5", "--n-min", n_min, "--n-max", n_max, "--steps", "2"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.endswith("Error: need 0 < n-min <= n-max\n")
 
     def test_finite_ratio_grid_unchanged(self):
         for lo, hi, steps in [(1.0, 100.0, 15), (0.3, 30.0, 40), (1e-300, 1e7, 9)]:
@@ -523,6 +531,17 @@ class TestSpectrum:
         # The benchmark's table fits under the cap.
         assert cli._MAX_SAMPLES >= 200001
 
+    def test_samples_at_the_cap_is_accepted(self, runner, tmp_path):
+        target = tmp_path / "out.csv"
+        result = runner.invoke(main, ["spectrum", "--kind", "asymptotic", "--phi", "0.5",
+                                      "--samples", str(cli._MAX_SAMPLES), "--out", str(target)])
+        assert result.exit_code == 0, result.output
+        lines = target.read_text().splitlines()
+        assert lines[5] == f"# samples = {cli._MAX_SAMPLES}"
+        assert lines[6] == "x,value"
+        assert len(lines) == 7 + cli._MAX_SAMPLES
+        assert lines[-1].startswith("3.14159265359,")
+
     @pytest.mark.parametrize("sign, index, peak", [
         ("+1", 0, "0,1999"),
         ("-1", -1, "3.14159265359,1999"),
@@ -696,15 +715,33 @@ def test_rejected_value_is_usage_error(runner, command):
     assert isinstance(result.exception, SystemExit)
 
 
-@pytest.mark.parametrize("args, message", [
-    (["fig3", "--steps", "0"], "steps must be at least 1"),
-    (["fig4", "--n-max", "0"], "n-max must be at least 1"),
-    (["spectrum", "--kind", "asymptotic", "--phi", "0.5", "--samples", "1"], "samples must be at least 2"),
-], ids=["fig3-steps", "fig4-n-max", "spectrum-samples"])
-def test_count_below_minimum_is_usage_error(runner, args, message):
-    result = runner.invoke(main, args)
+# Each count option of the CLI: the arguments before its value, its least
+# accepted value and the name its message gives it.
+COUNT_ARGS = {
+    "fig3-steps": (["fig3", "--phi", "0.5", "--steps"], 1, "steps"),
+    "fig4-n-max": (["fig4", "--phi", "0.5", "--n-max"], 1, "n-max"),
+    "fig4-n": (["fig4", "--phi", "0.5", "--n"], 1, "channel-use counts"),
+    "spectrum-samples": (["spectrum", "--kind", "asymptotic", "--phi", "0.5", "--samples"], 2, "samples"),
+    "spectrum-toeplitz-n": (["spectrum", "--kind", "toeplitz", "--phi", "0.5", "--n"], 1, "n"),
+    "spectrum-circulant-n": (["spectrum", "--kind", "circulant", "--phi", "0.5", "--n"], 2, "n"),
+    "oracle-resolution": (["oracle", "--gq", "2", "--gp", "0.5", "--nbar", "1", "--resolution"], 64, "resolution"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_ARGS))
+def test_count_below_minimum_is_usage_error(runner, case):
+    args, least, name = COUNT_ARGS[case]
+    result = runner.invoke(main, [*args, str(least - 1)])
     assert result.exit_code == 2, result.output
-    assert f"Error: {message}" in result.stderr
+    assert result.stderr.endswith(f"Error: {name} must be at least {least}, got {least - 1}\n")
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_ARGS))
+def test_count_at_minimum_is_accepted(runner, case):
+    args, least, _ = COUNT_ARGS[case]
+    result = runner.invoke(main, [*args, str(least)])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
 
 
 class TestNonFiniteInput:

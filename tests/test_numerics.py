@@ -148,6 +148,23 @@ class TestIntegrate:
             pass
         assert calls == [_node_count(r) // 2 + 1]
 
+    def test_node_cap_itself_is_accepted(self):
+        # The largest r whose rule asks for exactly 2**20 nodes, found by
+        # bisection over doubles, integrates on them; the next double is rejected.
+        def nodes(r):
+            s = r / (1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
+            return 4 * math.ceil(32.0 / -math.log(s))
+
+        lo, hi = 0.9, 1.0 - 1e-12
+        while math.nextafter(lo, 1.0) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if nodes(mid) <= 2**20 else (lo, mid)
+        calls = []
+        assert integrate(_counted(np.ones_like, calls), lo) == pytest.approx(math.pi, abs=1e-12)
+        assert calls == [2**19 + 1]
+        with pytest.raises(ValueError, match=f"needs {2**20 + 4} nodes, more than {2**20}"):
+            integrate(np.ones_like, hi)
+
     def test_nodes_in_the_interval(self):
         # The nodes run from 0 to pi and cluster near the pole at u = 0.
         seen = []
@@ -265,7 +282,7 @@ class TestEllipk:
         assert k == pytest.approx(exact, rel=1e-15, abs=0)
         assert excess == pytest.approx(exact_excess, rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("m1", [1e-20, 1e-32])
+    @pytest.mark.parametrize("m1", [1e-20, 1e-32, 5e-324])
     def test_tiny_complement_against_mpmath(self, m1):
         # m = 1.0 is the rounding of 1 - m1; K follows the exact complement.
         exact, exact_excess = map(float, reference.ellipk(1.0, m1))
@@ -306,6 +323,14 @@ class TestSymmetricEigen:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             symmetric_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_asymmetry_tolerance_scales_with_the_largest_entry(self):
+        # The accepted asymmetry is 1e-12 max(1, max|m|): 1e-7 passes at
+        # entries of 2e6, and 1e-11 fails at entries of 1.
+        values = symmetric_eigen(np.array([[2e6, 1e6], [1e6 + 1e-7, 2e6]]))
+        assert values == pytest.approx([3e6, 1e6], rel=1e-12, abs=0)
+        with pytest.raises(ValueError, match="not symmetric"):
+            symmetric_eigen(np.array([[1.0, 0.5], [0.5 + 1e-11, 1.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -368,12 +393,19 @@ class TestGridMaximize:
         with pytest.raises(ValueError, match="non-finite value at 0.0"):
             grid_maximize(lambda x: np.where(x < 0.5, np.nan, x), (0.0, 1.0), 65, 0)
 
+    def test_equal_value_in_a_later_pass_keeps_the_smaller_x(self):
+        # A plateau on [0.3, 0.4]: the first pass finds it at 1/3, the
+        # refined even grid first at 0.375, and the tie keeps 1/3.
+        plateau = lambda x: ((x >= 0.3) & (x <= 0.4)).astype(float)
+        assert grid_maximize(plateau, (0.0, 1.0), 4, 1) == (1.0 / 3.0, 1.0)
+
     def test_degenerate_box(self):
         x, value = grid_maximize(lambda x: -x * x, (0.5, 0.5), 65, 1)
         assert (x, value) == (0.5, -0.25)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        assert grid_maximize(lambda x: x, (0.0, 1.0), 2, 0) == (1.0, 1.0)
+        with pytest.raises(ValueError, match="resolution must be at least 2, got 1"):
             grid_maximize(lambda x: x, (0.0, 1.0), 1, 0)
         with pytest.raises(ValueError, match="lo <= hi"):
             grid_maximize(lambda x: x, (1.0, 0.0), 65, 0)
@@ -386,7 +418,8 @@ class TestGridMaximize:
                 grid_maximize(lambda x: x, (0.0, 1.0), resolution, refinements)
 
     def test_negative_refinements_rejected(self):
-        with pytest.raises(ValueError, match="refinements must be non-negative"):
+        assert grid_maximize(lambda x: x, (0.0, 1.0), 65, 0) == (1.0, 1.0)
+        with pytest.raises(ValueError, match="refinements must be at least 0, got -1"):
             grid_maximize(lambda x: x, (0.0, 1.0), 65, -1)
 
     def test_objective_shape_checked(self):

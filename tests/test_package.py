@@ -8,12 +8,14 @@ After an intended change to those outputs, rewrite the records with
 """
 
 import ast
+import importlib
 import json
 import math
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -101,11 +103,15 @@ def test_figure_defaults_print_their_golden(command, name):
     assert result.stdout_bytes == (GOLDEN / name).read_bytes()
 
 
+def _table_rows(text):
+    """The table rows of a command's CSV ``text`` as dicts keyed by the header."""
+    header, *rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    return [dict(zip(header, row)) for row in rows]
+
+
 def _golden_rows(name):
     """The table rows of golden ``name`` as dicts keyed by the header."""
-    header, *rows = [line.split(",") for line in (GOLDEN / name).read_text().splitlines()
-                     if not line.startswith("#")]
-    return [dict(zip(header, row)) for row in rows]
+    return _table_rows((GOLDEN / name).read_text())
 
 
 def _cells(where, row, exact):
@@ -173,15 +179,86 @@ def test_readme_golden_digits():
     form.  A value within ``reference.TIE`` of a rounding tie may print
     either way; it is printed and not failed on.
     """
+    assert _misprints(_audited_cells()) == []
+
+
+def _misprints(cells):
+    """The cells whose printed number is not the rendering of their reference; ties are printed, not returned."""
     misprints, ties = [], []
-    for where, printed, exact in _audited_cells():
+    for where, printed, exact in cells:
         expected = reference.rendered(exact)
         if expected is None:
             ties.append((where, printed, str(exact)))
         elif printed != expected:
             misprints.append((where, printed, expected, str(exact)))
     print(f"{len(ties)} ties", *ties, sep="\n")
-    assert misprints == []
+    return misprints
+
+
+def _workload_commands(workload):
+    """The argument lists of seed 1 of benchmark ``workload``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(ROOT / "bench"))
+        return [command.args for command in importlib.import_module("workloads").commands(workload, 1)]
+
+
+def _run(args):
+    """The options of ``gmcap args`` as the command receives them, and the rows it prints."""
+    name, *options = args
+    params = main.commands[name].make_context(name, options).params
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code == 0, result.output
+    return params, _table_rows(result.stdout)
+
+
+def _capacity_workload_cells():
+    """Every audited number of seed 1 of the ``capacity`` workload with its reference, at the program's inputs."""
+    sweep, single = _workload_commands("capacity")
+    params, rows = _run(sweep)
+    # fig3's N grid and its nbar = N snr, formed in doubles as the program forms them.
+    variances = np.array(_geometric_floats(params["n_min"], params["n_max"], params["steps"]))
+    ends = {0, len(variances) // 2, len(variances) - 1}
+    assert len(rows) == len(params["phis"]) * len(variances)
+    cells = []
+    for j, phi in enumerate(params["phis"]):
+        snr = gmcapacity.solver.multimode_threshold(gmcapacity.MarkovNoise(1.0, phi))
+        energies = variances * snr
+        for i, (variance, nbar) in enumerate(zip(variances.tolist(), energies.tolist())):
+            exact = {
+                "phi": phi, "N": variance, "nbar": nbar,
+                "threshold": reference.multimode_threshold(phi, variance),
+                "eta": reference.squeezing_fraction(phi, nbar),
+                "mu_global": reference.water_level(nbar, variance),
+                "classical_limit_bits": reference.classical_limit(phi, snr),
+            }
+            if i in ends:
+                exact["capacity_bits"] = reference.asymptotic_capacity(variance, phi, nbar)
+            k = j * len(variances) + i
+            cells += _cells(f"fig3 row {k + 1}", rows[k], exact)
+    params, [row] = _run(single)
+    phi, variance, nbar = params["phi"], params["variance"], params["nbar"]
+    exact = {
+        "phi": phi, "N": variance, "nbar": nbar,
+        "threshold": reference.multimode_threshold(phi, variance),
+        "eta": reference.squeezing_fraction(phi, nbar),
+        "mu_global": reference.water_level(nbar, variance),
+        "capacity_bits": reference.asymptotic_capacity(variance, phi, nbar),
+        "first_mode_variance": reference.first_mode_variance(phi),
+        "first_mode_variance_alt": reference.first_mode_variance(phi, alt_form=True),
+    }
+    return cells + _cells("capacity row", row, exact)
+
+
+def test_capacity_workload_digits():
+    """Seed 1 of the benchmark's ``capacity`` workload prints the rendering of each audited reference.
+
+    Audited: every column of every ``fig3`` row except the capacity, which
+    is audited on the first, middle and last row of each correlation, for
+    time; and every number of the ``capacity --first-mode`` row.  Each
+    input is rebuilt as the program forms it, not read from the 12-digit
+    echo: at the printed inputs a reference drifts by up to 5.3e-11 bits.
+    """
+    assert _misprints(_capacity_workload_cells()) == []
 
 
 def _unused_imports(path):

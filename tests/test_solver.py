@@ -693,8 +693,12 @@ class TestFiniteNRate:
             finite_n_rate(MarkovNoise(1.0, 0.9), 7.5, 10)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        assert finite_n_rate(MarkovNoise(1.0, 0.5), 7.5, 1) > 0
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
             finite_n_rate(MarkovNoise(1.0, 0.5), 7.5, 0)
+        # The count is checked before the energy.
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+            finite_n_rate(MarkovNoise(1.0, 0.5), math.nan, 0)
         for n in (2.5, 1e3):
             with pytest.raises(ValueError, match="n must be an integer"):
                 finite_n_rate(MarkovNoise(1.0, 0.5), 7.5, n)
@@ -991,6 +995,16 @@ class TestSymmetricNoise:
         sol = symmetric_noise_solution(MarkovNoise(variance, phi), n_bar)
         assert sol.capacity_bits == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("phi", [0.3, 0.9])
+    def test_capacity_against_mpmath(self, phi):
+        # g(n_bar + N) minus the mean of g over the AR(1) symbol, within the
+        # quadrature's 1e-10 target.
+        variance, n_bar = 1.3, 40.0
+        mean = reference.mean(lambda x: reference.thermal_entropy(reference.symbol(variance, phi, x)))
+        expected = float(reference.thermal_entropy(n_bar + variance) - mean)
+        sol = symmetric_noise_solution(MarkovNoise(variance, phi), n_bar)
+        assert sol.capacity_bits == pytest.approx(expected, abs=1e-10)
+
     def test_threshold(self):
         assert symmetric_threshold(MarkovNoise(1.0, 0.7)) == pytest.approx(
             2 * 0.7 / 0.3, abs=1e-12
@@ -1127,7 +1141,10 @@ class TestBruteForceOracle:
         assert brute_force_mono_oracle(noise, 2.5) == brute_force_mono_oracle(noise, 2.5)
 
     def test_resolution_floor(self):
-        with pytest.raises(ValueError):
+        assert brute_force_mono_oracle(MonoNoise(1.0, 1.0), 1.0, resolution=64).capacity_bits > 0
+        with pytest.raises(ValueError, match="resolution must be at least 64, got 63"):
+            brute_force_mono_oracle(MonoNoise(1.0, 1.0), 1.0, resolution=63)
+        with pytest.raises(ValueError, match="resolution must be at least 64, got 32"):
             brute_force_mono_oracle(MonoNoise(1.0, 1.0), 1.0, resolution=32)
 
     def test_non_integer_counts_rejected(self):

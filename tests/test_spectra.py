@@ -63,7 +63,8 @@ class TestMarkovMatrix:
 
     def test_validation(self):
         noise = MarkovNoise(1.0, 0.5)
-        with pytest.raises(ValueError):
+        assert markov_matrix(noise, 1).tolist() == [[1.0]]
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
             markov_matrix(noise, 0)
         for n in (7.5, 1e3):
             with pytest.raises(ValueError, match="n must be an integer"):
@@ -123,7 +124,8 @@ class TestCirculantEmbedding:
             assert np.allclose(c[near], t[near])
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
+        assert circulant_embedding(MarkovNoise(1.0, 0.5), 2).tolist() == [[1.0, 0.5], [0.5, 1.0]]
+        with pytest.raises(ValueError, match="n must be at least 2, got 1"):
             circulant_embedding(MarkovNoise(1.0, 0.5), 1)
         for n in (7.5, 1e3):
             with pytest.raises(ValueError, match="n must be an integer"):
@@ -151,7 +153,7 @@ class TestFourierDiagonalizer:
         assert np.array_equal(fourier_diagonalizer(1), [[1.0]])
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
             fourier_diagonalizer(0)
         for n in (7.5, 1e3):
             with pytest.raises(ValueError, match="n must be an integer"):
@@ -335,7 +337,8 @@ class TestTridiagonalInverse:
         assert v.tobytes() == expected.tobytes()
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
+        assert tridiagonal_inverse(MarkovNoise(1.0, 0.5), 2).shape == (2, 2)
+        with pytest.raises(ValueError, match="n must be at least 2, got 1"):
             tridiagonal_inverse(MarkovNoise(1.0, 0.5), 1)
         for n in (7.5, 1e3):
             with pytest.raises(ValueError, match="n must be an integer"):
