@@ -2,36 +2,37 @@
 
 Run from the repository root (stdlib only; pytest does not collect this file)::
 
-    python tests/mutation_sweep.py                 # numerics and spectra, and the count sites of solver and cli
-    python tests/mutation_sweep.py --full          # every site of the five modules (~25 min on two workers)
-    python tests/mutation_sweep.py --workers 2 --limit 150 numerics:all cli:count
+    python tests/mutation_sweep.py          # numerics and spectra, and the count sites of solver and cli
+    python tests/mutation_sweep.py --full   # every site of the five modules (~25 min on two workers)
 
 A site is one operator or constant of a module's AST.  Each mutant changes
 exactly one: ``+``/``-`` and ``*``/``/`` swap, a strict comparison becomes
 non-strict and back, a float constant is scaled by ``1 + 1e-9`` (a 0.0 becomes
 1e-300), a unary minus is dropped, and the least value of a ``_check_count``
 call moves by one either way.  The mutant is spliced into the source text,
-so comments and layout stay.  ``count`` selects the sites on lines that call
-``_check_count`` or name a ``_MAX_`` cap.  Each mutant runs in its own copy
-of the repository with ``PYTHONDONTWRITEBYTECODE=1``: first the module's own
-test file, then, if that passes, the whole suite, both with ``-x`` and under
-one time limit per mutant, so a hang is counted as ``hung``, not waited on.
+so comments and layout stay.  The default sweep takes every site of
+``numerics`` and ``spectra`` and, in ``solver`` and ``cli``, the sites on lines
+that call ``_check_count`` or name a ``_MAX_`` cap.  Each mutant runs on one
+of ``WORKERS`` copies of the repository with ``PYTHONDONTWRITEBYTECODE=1``:
+first the module's own test file, then, if that passes, the whole suite,
+both with ``-x`` and under ``LIMIT_S`` seconds per mutant, so a hang is
+counted as ``hung``, not waited on.
 
 Each result line reads ``verdict module.py:line:column: 'old' -> 'new'``
 (the column counts bytes).  The default sweep, 229 mutants, left 209 killed,
 0 hung and these 20 survivors, each equivalent or boundary-only:
 
 - numerics 44:20, 49:12, 56:17: ``_ROUNDOFF_FACTOR``, ``_ABS_TOL`` and
-  ``_SYMMETRY_TOL`` scaled by 1e-9.  No tested bound or asymmetry lies
-  within 1e-9 of its limit.
+  ``_SYMMETRY_TOL`` scaled by 1 + 1e-9.  No tested bound or asymmetry lies
+  within a relative 1e-9 of its limit.
 - numerics 83:43, 84:53, 87:10, 87:22: the Möbius ``s``, the node rule's
-  32 and the map's ``k`` scaled by 1e-9.  They move the nodes, and the
+  32 and the map's ``k`` scaled by 1 + 1e-9.  They move the nodes, and the
   result stays within the 1e-10 target.
 - numerics 107:20, 112:25, 178:12: ``bound > _ABS_TOL``, the failure
   reason's ``floor > _ABS_TOL`` and the symmetry check's ``err > tol``
   made non-strict.  They differ only at an exact float equality.
 - numerics 136:25, 136:45: ``m <= 1.0`` and ``m1 <= 1.0`` scaled by
-  1e-9 in ``ellipk_split``; the other bound and the sum check still
+  1 + 1e-9 in ``ellipk_split``; the other bound and the sum check still
   reject every value they would let in.
 - numerics 136:71, 136:74: the sum check ``|m + m1 - 1| <= 4 eps`` made
   strict, or its 4 scaled; boundary-only slack.
@@ -39,7 +40,7 @@ Each result line reads ``verdict module.py:line:column: 'old' -> 'new'``
   non-strict, its 2 scaled, or written ``2 eps / a``.  The loop stops at
   most one step apart, and ``pi / (a + b)`` is then already exact to
   rounding, as the AGM converges quadratically.
-- numerics 178:34: ``max(1.0, max|m|)`` scaled by 1e-9; boundary-only.
+- numerics 178:34: ``max(1.0, max|m|)`` scaled by 1 + 1e-9; boundary-only.
 - numerics 230:73: ``xs[k] < best_x`` made non-strict; at an equal ``x``
   the update rewrites the same point and value.
 - spectra 159:22: ``r >= 0`` made strict in ``_ar1_gap``; at ``r = 0``
@@ -54,7 +55,7 @@ The full sweep, 499 mutants in ~25 min on two workers, left 454 killed,
 - gaussian 47:26: ``(1.0 + x)`` written ``(1.0 - x)`` where
   ``x < 2**-1000``; the same double.
 - solver 161:40, 600:26: the ``4 eps`` slack of ``_reaches`` and the
-  oracle's ``4.0 * budget`` overflow guard scaled by 1e-9; boundary-only.
+  oracle's ``4.0 * budget`` overflow guard scaled by 1 + 1e-9; boundary-only.
 - solver 211:55, 310:25, 612:53: a 0.0 made 1e-300 in the ``mono_solve``
   p-modulation clamp, the zero-energy threshold test and the oracle's
   modulation clamp; no tested value lies in (0, 1e-300].
@@ -72,7 +73,7 @@ The full sweep, 499 mutants in ~25 min on two workers, left 454 killed,
   the oracle's tolerance.
 - cli 250:20: ``columns[-1:1]`` for ``columns[-1:-1]``; both slices are
   empty at the last column, so the insertion is the same.
-- cli 330:73: the start 1.0 of ``_geometric_ints``' grid scaled by 1e-9;
+- cli 330:73: the start 1.0 of ``_geometric_ints``' grid scaled by 1 + 1e-9;
   ``round`` absorbs it.
 """
 
@@ -94,6 +95,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "gmcapacity"
 MODULES = ("numerics", "spectra", "gaussian", "solver", "cli")
 DEFAULT = ("numerics:all", "spectra:all", "solver:count", "cli:count")
+WORKERS = 2
+LIMIT_S = 150.0
 # Each mutated operator: its symbol and the symbol that replaces it.
 SWAP = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*"),
         ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
@@ -166,12 +169,9 @@ def run_mutant(copy: Path, module: str, mutant: bytes, limit: float) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("targets", nargs="*", default=DEFAULT, help="module:all or module:count")
     parser.add_argument("--full", action="store_true", help="every site of every module")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--limit", type=float, default=150.0, help="seconds per mutant")
     args = parser.parse_args(argv)
-    targets = [f"{module}:all" for module in MODULES] if args.full else args.targets
+    targets = [f"{module}:all" for module in MODULES] if args.full else DEFAULT
     jobs = []
     for target in targets:
         module, _, scope = target.partition(":")
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
                 jobs.append((label, module, source[:start] + text.encode() + source[end:]))
     copies: queue.Queue[Path] = queue.Queue()
     with tempfile.TemporaryDirectory() as scratch:
-        for k in range(args.workers):
+        for k in range(WORKERS):
             copy = Path(scratch) / f"copy{k}"
             for part in ("src", "tests", "bench"):
                 shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
                 shutil.copy(ROOT / name, copy / name)
             copies.put(copy)
         # The unmutated sources must pass, or every mutant would read as killed.
-        baseline = run_mutant(copy, "numerics", (ROOT / PACKAGE / "numerics.py").read_bytes(), args.limit)
+        baseline = run_mutant(copy, "numerics", (ROOT / PACKAGE / "numerics.py").read_bytes(), LIMIT_S)
         if baseline != "survived":
             print(f"the unmutated suite is {baseline}, not passing; no sweep")
             return 1
@@ -202,13 +202,13 @@ def main(argv=None) -> int:
             label, module, mutant = job
             copy = copies.get()
             try:
-                verdict = run_mutant(copy, module, mutant, args.limit)
+                verdict = run_mutant(copy, module, mutant, LIMIT_S)
             finally:
                 copies.put(copy)
             print(f"{verdict:8s} {label}", flush=True)
             return verdict
 
-        with ThreadPoolExecutor(args.workers) as pool:
+        with ThreadPoolExecutor(WORKERS) as pool:
             verdicts = list(pool.map(one, jobs))
     counts = {verdict: verdicts.count(verdict) for verdict in ("killed", "survived", "hung")}
     print(f"{len(jobs)} mutants:", ", ".join(f"{n} {verdict}" for verdict, n in counts.items()))
