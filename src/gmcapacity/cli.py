@@ -24,7 +24,7 @@ import math
 import click
 import numpy as np
 
-from .numerics import IntegrationError, _check_count
+from .numerics import IntegrationError, _MAX_DENSE, _MAX_POINTS, _check_count
 from .spectra import (
     MarkovNoise,
     asymptotic_markov_spectrum,
@@ -289,9 +289,7 @@ def fig3(phis, n_min, n_max, steps):
     threshold value at N = 1, which keeps every N >= 1 above threshold.
     Every correlation and energy is checked before any row is evaluated.
     """
-    _check_count(steps, 1, "steps")
-    if steps * len(phis) > _FIG3_MAX_ROWS:
-        raise ValueError(f"steps x correlations must be at most {_FIG3_MAX_ROWS}, got {steps} x {len(phis)}")
+    _check_count(steps, 1, "steps", _FIG3_MAX_ROWS // max(len(phis), 1))
     if not 0 < n_min <= n_max:
         raise ValueError("need 0 < n-min <= n-max")
     if math.isinf(n_max):
@@ -336,14 +334,16 @@ def _geometric_ints(n_max: int) -> list[int]:
 @click.option("--N", "variance", type=float, default=1.0, show_default=True,
               help="Noise variance per quadrature.")
 @click.option("--nbar", type=float, default=7.5, show_default=True, help="Mean photon number per use.")
-@click.option("--n-max", type=int, default=400, show_default=True, help="Largest number of channel uses.")
+@click.option("--n-max", type=int, default=400, show_default=True,
+              help=f"Largest number of channel uses, at most {_MAX_DENSE}.")
 @click.option("--n", "n_values", type=int, multiple=True,
-              help="Explicit channel-use counts (overrides the --n-max grid).")
+              help=f"Explicit channel-use counts, each at most {_MAX_DENSE} (overrides the --n-max grid).")
 def fig4(phis, variance, nbar, n_max, n_values):
     """Finite-use transmission rate versus channel uses, with the asymptotic value."""
     _check_count(n_max, 1, "n-max")
     uses = sorted(set(n_values)) if n_values else _geometric_ints(n_max)
     _check_count(uses[0], 1, "channel-use counts")
+    _check_count(uses[-1], 1, "channel-use counts", _MAX_DENSE)
     params = [
         ("phi", " ".join(_fmt(p) for p in phis)),
         ("N", _fmt(variance)), ("nbar", _fmt(nbar)),
@@ -378,12 +378,6 @@ def _circulant_spectrum(first_row: np.ndarray) -> np.ndarray:
     return values[::-1]
 
 
-# spectrum --kind asymptotic holds a few arrays of its samples before it
-# writes a row: at 1000000 samples one run peaked at 55 MB RSS in 1.4 s,
-# against 36 MB at 200001 (Python 3.11, numpy 2.4).  The cap bounds that
-# memory and the run time.
-_MAX_SAMPLES = 1_000_000
-
 
 @_command
 @click.option("--kind", type=click.Choice(["toeplitz", "circulant", "asymptotic"]),
@@ -391,9 +385,9 @@ _MAX_SAMPLES = 1_000_000
 @click.option("--phi", type=float, required=True, help="Nearest-neighbor correlation.")
 @click.option("--N", "variance", type=float, default=1.0, show_default=True,
               help="Noise variance per quadrature.")
-@click.option("--n", type=int, default=None, help="Matrix size (matrix kinds only).")
+@click.option("--n", type=int, help=f"Matrix size, at most {_MAX_DENSE} (toeplitz) or {_MAX_POINTS} (circulant).")
 @click.option("--samples", type=int, default=201, show_default=True,
-              help=f"Sample count on [0, pi], at most {_MAX_SAMPLES} (asymptotic kind only).")
+              help=f"Sample count on [0, pi], at most {_MAX_POINTS} (asymptotic kind only).")
 @click.option("--sign", type=click.Choice(["+1", "-1"]), default="+1", show_default=True,
               help="Correlation sign branch (+1: q quadrature, -1: p quadrature).")
 @click.option("--dump-matrix", is_flag=True,
@@ -410,9 +404,7 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
     if kind == "asymptotic":
         if dump_matrix:
             raise ValueError("--dump-matrix applies to matrix kinds only")
-        _check_count(samples, 2, "samples")
-        if samples > _MAX_SAMPLES:
-            raise ValueError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
+        _check_count(samples, 2, "samples", _MAX_POINTS)
         params.append(("samples", _fmt(samples)))
         # The last abscissa is pi itself: pi * (s - 1) / (s - 1) may round above it.
         xs = np.append(math.pi * np.arange(samples - 1) / (samples - 1), math.pi)
@@ -437,7 +429,7 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
 @click.option("--gp", type=float, required=True, help="Noise variance in the p quadrature.")
 @click.option("--nbar", type=float, required=True, help="Mean photon number per use.")
 @click.option("--resolution", type=int, default=161, show_default=True,
-              help="Grid points on the squeezing axis (minimum 64).")
+              help=f"Grid points on the squeezing axis, at least 64 and at most {_MAX_POINTS}.")
 def oracle(gq, gp, nbar, resolution):
     """Brute-force search for the single-mode optimum.
 

@@ -51,6 +51,16 @@ _ABS_TOL = 1e-10
 # Node cap of :func:`integrate`, reached near r = 1 - 7.5e-9; it bounds the memory.
 _MAX_NODES = 2**20
 
+# One memory budget bounds every size a command accepts: a tracemalloc peak
+# of at most ~300 MB (Python 3.11, numpy 2.4).  A dense AR(1) spectrum peaks
+# at ~4.1 B per n^2 (traced at n = 1200 and 2400), so its n is at most 8192
+# (~275 MB).  The oracle peaks at ~210 B per grid point, a circulant
+# spectrum at ~44 B per n and the asymptotic symbol table at ~25 B per
+# sample (traced at 10**4 to 10**6), so each of these counts is at most
+# 10**6 (~210 MB); the table also takes ~1 s to print at the cap.
+_MAX_DENSE = 8192
+_MAX_POINTS = 1_000_000
+
 # Accepted asymmetry in :func:`symmetric_eigen`, relative to the largest
 # entry (floored at 1).
 _SYMMETRY_TOL = 1e-12
@@ -82,8 +92,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], r: float) -> float | np.nda
     # The hyperbolic midpoint of 0 and r, in a form that is exact at r = 0.
     s = r / (1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
     nodes = 8 if s == 0.0 else max(8, 4 * math.ceil(32.0 / -math.log(s)))
-    if nodes > _MAX_NODES:
-        raise ValueError(f"pole radius {r} needs {nodes} nodes, more than {_MAX_NODES}")
+    _check_count(nodes, 8, f"nodes at pole radius {r}", _MAX_NODES)
     k = (1.0 - s) / (1.0 + s)
     # Half angles v/2 in [0, pi/2]; cos(v/2) is the sine of the complement,
     # accurate near v = pi, where the weights du/dv peak with width ~k.
@@ -144,12 +153,14 @@ def ellipk_split(m: float, m1: float) -> tuple[float, float]:
     return math.pi / (a + b), math.pi * (da + db) / (2.0 * (a + b))
 
 
-def _check_count(value, least: int, name: str = "n") -> None:
-    """Raise ``ValueError``, naming ``value``, unless it is an integer of at least ``least``."""
+def _check_count(value, least: int, name: str = "n", most: float = math.inf) -> None:
+    """Raise ``ValueError``, naming ``value``, unless it is an integer in ``[least, most]``."""
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
 
 
 def _square(m) -> np.ndarray:

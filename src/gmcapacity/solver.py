@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, thermal_entropy
-from .numerics import _EPS, _check_count, ellipk_split, grid_maximize, integrate
+from .numerics import _EPS, _MAX_DENSE, _MAX_POINTS, _check_count, ellipk_split, grid_maximize, integrate
 from .spectra import MarkovNoise, SpectralFunction, finite_spectrum, markov_matrix, markov_symbol
 
 # Cap for the closed-form solvers: thresholds and water levels diverge as
@@ -444,10 +444,11 @@ def finite_n_rate(noise: MarkovNoise, n_bar: float, n: int) -> float:
     :func:`asymptotic_capacity` as n grows.  This is the paper's paired
     formula, exact only for n <= 2, where the blocks commute; for n >= 3
     it exceeds the rate of Williamson's symplectic eigenvalues
-    |eig(T D)| by O(1/n).
+    |eig(T D)| by O(1/n).  ``n`` is at most 8192, the dense cap of
+    :func:`markov_matrix`.
     """
     _check_correlation(noise.correlation)
-    _check_count(n, 1)
+    _check_count(n, 1, "n", _MAX_DENSE)
     photons = _check_energy(n_bar, noise.variance)
     lam_q = finite_spectrum(markov_matrix(noise, n))
     mean_term = float(np.mean(thermal_entropy(np.sqrt(lam_q) * np.sqrt(lam_q[::-1]))))
@@ -577,7 +578,8 @@ def brute_force_mono_oracle(
     constraint with equality.  The input is pure, (e^s / 2, e^-s / 2),
     and spends cosh(s) of the variance budget 2 n_bar + 1, so s ranges
     over |s| <= acosh(2 n_bar + 1), a box free of cancellation at every
-    energy; ``resolution`` counts the grid points in s.  At fixed s the
+    energy; ``resolution`` counts the grid points in s, from 64 to 10**6
+    (~210 B a point, the point cap of one memory budget).  At fixed s the
     output's symplectic eigenvalue is the geometric mean of two affine
     functions of the split, so it is concave in the split, and a
     golden-section search finds its maximizer, exactly 0 or 1 where that
@@ -590,7 +592,7 @@ def brute_force_mono_oracle(
     overflow.
     """
     _check_energy(n_bar)
-    _check_count(resolution, 64, "resolution")
+    _check_count(resolution, 64, "resolution", _MAX_POINTS)
     var_q = noise.var_q
     var_p = noise.var_p
     # Total variance budget: input_q + input_p + mod_q + mod_p = 2 n_bar + 1.

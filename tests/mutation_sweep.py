@@ -3,77 +3,81 @@
 Run from the repository root (stdlib only; pytest does not collect this file)::
 
     python tests/mutation_sweep.py          # numerics and spectra, and the count sites of solver and cli
-    python tests/mutation_sweep.py --full   # every site of the five modules (~25 min on two workers)
+    python tests/mutation_sweep.py --full   # every site of the five modules (~26 min on two workers)
 
 A site is one operator or constant of a module's AST.  Each mutant changes
 exactly one: ``+``/``-`` and ``*``/``/`` swap, a strict comparison becomes
 non-strict and back, a float constant is scaled by ``1 + 1e-9`` (a 0.0 becomes
 1e-300), a unary minus is dropped, and the least value of a ``_check_count``
-call moves by one either way.  The mutant is spliced into the source text,
-so comments and layout stay.  The default sweep takes every site of
-``numerics`` and ``spectra`` and, in ``solver`` and ``cli``, the sites on lines
-that call ``_check_count`` or name a ``_MAX_`` cap.  Each mutant runs on one
-of ``WORKERS`` copies of the repository with ``PYTHONDONTWRITEBYTECODE=1``:
-first the module's own test file, then, if that passes, the whole suite,
-both with ``-x`` and under ``LIMIT_S`` seconds per mutant, so a hang is
-counted as ``hung``, not waited on.
+call, and its most value where it gives one, moves by one either way.  The
+mutant is spliced into the source text, so comments and layout stay.  The
+default sweep takes every site of ``numerics`` and ``spectra`` and, in
+``solver`` and ``cli``, the sites on lines that call ``_check_count`` or name
+a ``_MAX_`` cap.  Each mutant runs on one of ``WORKERS`` copies of the
+repository with ``PYTHONDONTWRITEBYTECODE=1``: first the module's own test
+file, then, if that passes, the whole suite, both with ``-x`` and under
+``LIMIT_S`` seconds per mutant, so a hang is counted as ``hung``, not waited on.
 
 Each result line reads ``verdict module.py:line:column: 'old' -> 'new'``
-(the column counts bytes).  The default sweep, 229 mutants, left 209 killed,
-0 hung and these 20 survivors, each equivalent or boundary-only:
+(the column counts bytes).  The default sweep, 247 mutants, left 225 killed,
+0 hung and these 22 survivors, each equivalent or boundary-only:
 
-- numerics 44:20, 49:12, 56:17: ``_ROUNDOFF_FACTOR``, ``_ABS_TOL`` and
+- numerics 44:20, 49:12, 66:17: ``_ROUNDOFF_FACTOR``, ``_ABS_TOL`` and
   ``_SYMMETRY_TOL`` scaled by 1 + 1e-9.  No tested bound or asymmetry lies
   within a relative 1e-9 of its limit.
-- numerics 83:43, 84:53, 87:10, 87:22: the Möbius ``s``, the node rule's
+- numerics 93:43, 94:53, 96:10, 96:22: the Möbius ``s``, the node rule's
   32 and the map's ``k`` scaled by 1 + 1e-9.  They move the nodes, and the
   result stays within the 1e-10 target.
-- numerics 107:20, 112:25, 178:12: ``bound > _ABS_TOL``, the failure
+- numerics 95:25: the node count's least value 8 made 7; the rule never
+  gives fewer than 8 nodes.
+- numerics 116:20, 121:25, 189:12: ``bound > _ABS_TOL``, the failure
   reason's ``floor > _ABS_TOL`` and the symmetry check's ``err > tol``
   made non-strict.  They differ only at an exact float equality.
-- numerics 136:25, 136:45: ``m <= 1.0`` and ``m1 <= 1.0`` scaled by
+- numerics 145:25, 145:45: ``m <= 1.0`` and ``m1 <= 1.0`` scaled by
   1 + 1e-9 in ``ellipk_split``; the other bound and the sum check still
   reject every value they would let in.
-- numerics 136:71, 136:74: the sum check ``|m + m1 - 1| <= 4 eps`` made
+- numerics 145:71, 145:74: the sum check ``|m + m1 - 1| <= 4 eps`` made
   strict, or its 4 scaled; boundary-only slack.
-- numerics 140:17, 140:19, 140:30: the AGM stop ``a - b > 2 eps a`` made
+- numerics 149:17, 149:19, 149:30: the AGM stop ``a - b > 2 eps a`` made
   non-strict, its 2 scaled, or written ``2 eps / a``.  The loop stops at
   most one step apart, and ``pi / (a + b)`` is then already exact to
   rounding, as the AGM converges quadratically.
-- numerics 178:34: ``max(1.0, max|m|)`` scaled by 1 + 1e-9; boundary-only.
-- numerics 230:73: ``xs[k] < best_x`` made non-strict; at an equal ``x``
+- numerics 189:34: ``max(1.0, max|m|)`` scaled by 1 + 1e-9; boundary-only.
+- numerics 241:73: ``xs[k] < best_x`` made non-strict; at an equal ``x``
   the update rewrites the same point and value.
-- spectra 159:22: ``r >= 0`` made strict in ``_ar1_gap``; at ``r = 0``
+- spectra 161:22: ``r >= 0`` made strict in ``_ar1_gap``; at ``r = 0``
   the term ``4 |r| h^2`` is 0 with either half-angle function.
+- cli 346:28: the least value 1 of ``fig4``'s largest channel-use count
+  made 0; the smallest count, checked on the line before, is at least 1.
 
-The full sweep, 499 mutants in ~25 min on two workers, left 454 killed,
-0 hung, those 20 and these 25 survivors, each equivalent or boundary-only:
+The full sweep, 517 mutants in ~26 min on two workers, left 470 killed,
+0 hung, those 22 and these 25 survivors, each equivalent or boundary-only:
 
 - gaussian 17:9, 38:29, 38:63, 49:48: the ``_TINY`` and ``_HUGE``
   switches of ``thermal_entropy`` scaled or made (non-)strict; both forms
   agree at the switch.
 - gaussian 47:26: ``(1.0 + x)`` written ``(1.0 - x)`` where
   ``x < 2**-1000``; the same double.
-- solver 161:40, 600:26: the ``4 eps`` slack of ``_reaches`` and the
+- solver 161:40, 602:26: the ``4 eps`` slack of ``_reaches`` and the
   oracle's ``4.0 * budget`` overflow guard scaled by 1 + 1e-9; boundary-only.
-- solver 211:55, 310:25, 612:53: a 0.0 made 1e-300 in the ``mono_solve``
+- solver 211:55, 310:25, 614:53: a 0.0 made 1e-300 in the ``mono_solve``
   p-modulation clamp, the zero-energy threshold test and the oracle's
   modulation clamp; no tested value lies in (0, 1e-300].
 - solver 372:66: ``energies >= 0`` made strict in ``_multimode``'s
   invalid mask; a zero energy then reaches ``_check_energy``, which accepts it.
-- solver 528:31, 528:33: ``correlation < 1.0`` in ``first_mode_variance``
+- solver 529:31, 529:33: ``correlation < 1.0`` in ``first_mode_variance``
   made non-strict or scaled; ``ellipk_split`` still rejects ``c >= 1``,
   with its own message.
-- solver 541:22, 541:29, 541:36, 542:35, 561:21: the golden-section ratio
+- solver 542:22, 542:29, 542:36, 543:35, 562:21: the golden-section ratio
   and its 1e-9 step target scaled, or its ``f(x) >= f(y)`` made strict;
   the search still brackets a maximizer of the concave split to 1e-9.
-- solver 605:11, 605:30, 605:43, 605:45, 605:64: the oracle's pass rule
+- solver 607:11, 607:30, 607:43, 607:45, 607:64: the oracle's pass rule
   ``2 half_width 0.25**passes > 0.01 (resolution - 1)`` scaled, made
   non-strict or given ``resolution + 1``; at most one pass apart, within
   the oracle's tolerance.
 - cli 250:20: ``columns[-1:1]`` for ``columns[-1:-1]``; both slices are
   empty at the last column, so the insertion is the same.
-- cli 330:73: the start 1.0 of ``_geometric_ints``' grid scaled by 1 + 1e-9;
+- cli 328:73: the start 1.0 of ``_geometric_ints``' grid scaled by 1 + 1e-9;
   ``round`` absorbs it.
 """
 
@@ -134,8 +138,10 @@ def sites(source: bytes):
         elif isinstance(node, ast.Constant) and type(node.value) is float:
             edits.append((*_span(starts, node), repr(node.value * (1 + 1e-9)) if node.value else "1e-300"))
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_count":
-            least = node.args[1]
-            edits += [(*_span(starts, least), f"{ast.unparse(least)} {sign} 1") for sign in "+-"]
+            # The least value, and the most value where the call gives one.
+            bounds = [node.args[1], *node.args[3:], *(k.value for k in node.keywords if k.arg == "most")]
+            edits += [(*_span(starts, bound), f"{ast.unparse(bound)} {sign} 1")
+                      for bound in bounds for sign in "+-"]
     return sorted(edits)
 
 

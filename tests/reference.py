@@ -135,6 +135,48 @@ def symbol(variance, c, x):
         return mp.mpf(variance) * (1 - c * c) / (1 + c * c - 2 * c * mp.cos(mp.mpf(x)))
 
 
+def kms_eigenvalues(variance, c, n):
+    """The eigenvalues, descending, of the n x n Kac-Murdock-Szegő matrix N c^|i-j|.
+
+    Eigenvalue k is N (1 - c^2) / |1 - c e^{i theta_k}|^2, with theta_k the
+    root in ((k - 1) pi / n, k pi / n) of the phase equation
+    (n - 1) theta + 2 atan2(sin theta, cos theta - c) = k pi (Kac, Murdock
+    & Szegő, *Ann. Math. Stat.* 24, 1953); the left side increases with
+    theta.  Each root is found by Newton's method from k pi / (n + 1), the
+    root at c = 0, kept inside its bracket by bisection.
+    """
+    mp = _mp()
+    with mp.workdps(DIGITS):
+        c, big = mp.mpf(c), mp.mpf(variance)
+        values = []
+        for k in range(1, n + 1):
+            lo, hi, theta = mp.pi * (k - 1) / n, mp.pi * k / n, mp.pi * k / (n + 1)
+            step = 1
+            while abs(step) > mp.mpf(10) ** (5 - DIGITS):
+                cos = mp.cos(theta)
+                phase = (n - 1) * theta + 2 * mp.atan2(mp.sin(theta), cos - c) - k * mp.pi
+                lo, hi = (lo, theta) if phase > 0 else (theta, hi)
+                step = phase / ((n - 1) + 2 * (1 - c * cos) / (1 - 2 * c * cos + c * c))
+                theta = theta - step if lo <= theta - step <= hi else (lo + hi) / 2
+            values.append(big * (1 - c * c) / (1 - 2 * c * mp.cos(theta) + c * c))
+        return sorted(values, reverse=True)
+
+
+def circulant_eigenvalues(variance, c, n):
+    """The eigenvalues, descending, of the n x n circulant N c^min(|i-j|, n - |i-j|), for even n.
+
+    Eigenvalue j is N (1 - c^2)(1 - (-1)^j c^{n/2}) / |1 - c e^{i theta_j}|^2,
+    theta_j = 2 pi j / n: the first row's DFT, summed as two geometric series.
+    """
+    assert n % 2 == 0, "the closed form holds for even n"
+    mp = _mp()
+    with mp.workdps(DIGITS):
+        c, big = mp.mpf(c), mp.mpf(variance)
+        gaps = [1 - 2 * c * mp.cos(2 * mp.pi * j / n) + c * c for j in range(n)]
+        values = [big * (1 - c * c) * (1 - (-1) ** j * c ** (n // 2)) / gap for j, gap in enumerate(gaps)]
+        return sorted(values, reverse=True)
+
+
 def _environment(mp, variance, c, x):
     c = mp.mpf(c)
     gap = (1 - c * c) ** 2 + 4 * c * c * mp.sin(mp.mpf(x)) ** 2

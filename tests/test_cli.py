@@ -372,16 +372,17 @@ class TestFig3:
         assert result.exit_code == 0, result.output
         assert peak / steps < 200
 
-    @pytest.mark.parametrize("args", [
-        ["--phi", "0.5", "--steps", "100001"],
-        ["--phi", "0.5", "--phi", "0.6", "--steps", "50001"],
+    @pytest.mark.parametrize("args, most", [
+        (["--phi", "0.5", "--steps", "100001"], 100_000),
+        (["--phi", "0.5", "--phi", "0.6", "--steps", "50001"], 50_000),
     ], ids=["one-phi", "two-phis"])
-    def test_row_limit_is_usage_error(self, runner, tmp_path, args):
+    def test_row_limit_is_usage_error(self, runner, tmp_path, args, most):
         # One past the limit: the grid is never built, so this fails at once.
+        # The 100000 rows are shared out as a steps cap per correlation.
         target = tmp_path / "out.csv"
         result = runner.invoke(main, ["fig3", *args, "--out", str(target)])
         assert result.exit_code == 2, result.output
-        assert "Error: steps x correlations must be at most 100000, got " in result.stderr
+        assert result.stderr.endswith(f"Error: steps must be at most {most}, got {most + 1}\n")
         assert not target.exists()
 
     def test_row_limit_itself_is_accepted(self, runner, tmp_path):
@@ -391,6 +392,18 @@ class TestFig3:
         assert result.exit_code == 0, result.output
         rows = [line for line in target.read_text().splitlines() if not line.startswith("#")]
         assert len(rows) == 1 + 100_000
+
+    def test_row_limit_without_a_correlation(self, runner, tmp_path):
+        # A config line "phi =" leaves no correlation; the steps still have
+        # the whole row limit as their cap, checked before the grid is built.
+        config = tmp_path / "gmcap.cfg"
+        config.write_text("phi =\n")
+        result = runner.invoke(main, ["--config", str(config), "fig3", "--steps", "100001"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.endswith("Error: steps must be at most 100000, got 100001\n")
+        result = runner.invoke(main, ["--config", str(config), "fig3", "--steps", "100000"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines()[-1].startswith("phi,N,nbar,")  # the header, and no row
 
     def test_classical_limit_once_per_correlation(self, runner, monkeypatch):
         calls = []
@@ -477,6 +490,18 @@ class TestFig4:
             (phi, "1") for phi in ["0", "0.4", "0.55", "0.7"]
         ]
 
+    @pytest.mark.parametrize("counts, message", [
+        (["5", "0"], "channel-use counts must be at least 1, got 0"),
+        (["8193", "5"], "channel-use counts must be at most 8192, got 8193"),
+    ], ids=["least", "most"])
+    def test_counts_checked_at_both_ends_before_any_rate(self, runner, monkeypatch, counts, message):
+        rates = []
+        monkeypatch.setattr(cli, "finite_n_rate", lambda noise, nbar, n: rates.append(n))
+        result = runner.invoke(main, ["fig4", "--phi", "0.5", "--n", counts[0], "--n", counts[1]])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.endswith(f"Error: {message}\n")
+        assert rates == []
+
     def test_one_text_per_correlation(self, runner, writes):
         # The header, then each correlation's rows as one text.
         result = runner.invoke(main, ["fig4", "--phi", "0", "--phi", "0.5", "--n", "1", "--n", "2", "--n", "3"])
@@ -525,21 +550,21 @@ class TestSpectrum:
 
         monkeypatch.setattr(cli.np, "arange", unreachable)
         result = runner.invoke(main, ["spectrum", "--kind", "asymptotic", "--phi", "0.5",
-                                      "--samples", str(cli._MAX_SAMPLES + 1)])
+                                      "--samples", str(cli._MAX_POINTS + 1)])
         assert result.exit_code == 2, result.output
-        assert f"Error: samples must be at most {cli._MAX_SAMPLES}, got {cli._MAX_SAMPLES + 1}" in result.stderr
+        assert f"Error: samples must be at most {cli._MAX_POINTS}, got {cli._MAX_POINTS + 1}" in result.stderr
         # The benchmark's table fits under the cap.
-        assert cli._MAX_SAMPLES >= 200001
+        assert cli._MAX_POINTS >= 200001
 
     def test_samples_at_the_cap_is_accepted(self, runner, tmp_path):
         target = tmp_path / "out.csv"
         result = runner.invoke(main, ["spectrum", "--kind", "asymptotic", "--phi", "0.5",
-                                      "--samples", str(cli._MAX_SAMPLES), "--out", str(target)])
+                                      "--samples", str(cli._MAX_POINTS), "--out", str(target)])
         assert result.exit_code == 0, result.output
         lines = target.read_text().splitlines()
-        assert lines[5] == f"# samples = {cli._MAX_SAMPLES}"
+        assert lines[5] == f"# samples = {cli._MAX_POINTS}"
         assert lines[6] == "x,value"
-        assert len(lines) == 7 + cli._MAX_SAMPLES
+        assert len(lines) == 7 + cli._MAX_POINTS
         assert lines[-1].startswith("3.14159265359,")
 
     @pytest.mark.parametrize("sign, index, peak", [
@@ -742,6 +767,67 @@ def test_count_at_minimum_is_accepted(runner, case):
     result = runner.invoke(main, [*args, str(least)])
     assert result.exit_code == 0, result.output
     assert result.stderr == ""
+
+
+def _unit_spectrum(m):
+    return np.ones(len(m))
+
+
+def _grid_origin(objective, interval, resolution, refinements):
+    return 0.0, 0.0
+
+
+# Each count option's largest accepted value, the name its upper-end message
+# gives it, and where a run at the cap would take more than ~1 s, the solve
+# that the run replaces with a stub: (module, attribute, stub).
+COUNT_CAPS = {
+    "fig3-steps": (100_000, "steps", None),
+    "fig4-n-max": (8192, "channel-use counts", (solver, "finite_spectrum", _unit_spectrum)),
+    "fig4-n": (8192, "channel-use counts", (solver, "finite_spectrum", _unit_spectrum)),
+    "spectrum-samples": (1_000_000, "samples", None),
+    "spectrum-toeplitz-n": (8192, "n", (cli, "finite_spectrum", _unit_spectrum)),
+    "spectrum-circulant-n": (1_000_000, "n", None),
+    "oracle-resolution": (1_000_000, "resolution", (solver, "grid_maximize", _grid_origin)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_ARGS))
+def test_count_help_states_the_cap(case):
+    args, _, _ = COUNT_ARGS[case]
+    most, _, _ = COUNT_CAPS[case]
+    [option] = [param for param in main.commands[args[0]].params if args[-1] in param.opts]
+    assert str(most) in option.help
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_ARGS))
+def test_count_above_maximum_is_usage_error(runner, case):
+    # One past the cap fails before anything of the size it names is allocated.
+    args, _, _ = COUNT_ARGS[case]
+    most, name, _ = COUNT_CAPS[case]
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, [*args, str(most + 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.output
+    assert result.stderr.endswith(f"Error: {name} must be at most {most}, got {most + 1}\n")
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_ARGS))
+def test_count_at_maximum_is_accepted(runner, monkeypatch, tmp_path, case):
+    args, _, _ = COUNT_ARGS[case]
+    most, _, stub = COUNT_CAPS[case]
+    if stub:
+        monkeypatch.setattr(*stub)
+    target = tmp_path / "out.csv"
+    result = runner.invoke(main, [*args, str(most), "--out", str(target)])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    # The parameter echo ends with the cap: the command ran at that size.
+    with target.open() as lines:
+        assert str(most) in {line.split()[-1] for line in lines if line.startswith("# ")}
 
 
 class TestNonFiniteInput:
@@ -1021,15 +1107,17 @@ class TestExtremeInputs:
         assert "overflows the largest double" in result.stderr
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("args", [
-        ["fig4", "--phi", "0.5", "--n-max", str(10**400)],
-        ["oracle", "--gq", "2", "--gp", "0.5", "--nbar", "1", "--resolution", str(10**400)],
+    @pytest.mark.parametrize("args, message", [
+        (["fig4", "--phi", "0.5", "--n-max", str(10**400)], "int too large to convert to float"),
+        # The oracle's count rule rejects it before any float is formed.
+        (["oracle", "--gq", "2", "--gp", "0.5", "--nbar", "1", "--resolution", str(10**400)],
+         f"resolution must be at most 1000000, got {10**400}"),
     ], ids=["fig4", "oracle"])
-    def test_integer_too_large_for_a_float_is_usage_error(self, runner, tmp_path, args):
+    def test_integer_too_large_for_a_float_is_usage_error(self, runner, tmp_path, args, message):
         target = tmp_path / "out.csv"
         result = runner.invoke(main, [*args, "--out", str(target)])
         assert result.exit_code == 2, result.output
-        assert "Error: int too large to convert to float" in result.stderr
+        assert f"Error: {message}" in result.stderr
         assert isinstance(result.exception, SystemExit)
         assert not target.exists()
 

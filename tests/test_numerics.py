@@ -1,6 +1,7 @@
 """Tests for the quadrature, eigensolver and grid-search kernels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,7 +163,8 @@ class TestIntegrate:
         calls = []
         assert integrate(_counted(np.ones_like, calls), lo) == pytest.approx(math.pi, abs=1e-12)
         assert calls == [2**19 + 1]
-        with pytest.raises(ValueError, match=f"needs {2**20 + 4} nodes, more than {2**20}"):
+        message = f"nodes at pole radius {hi} must be at most {2**20}, got {2**20 + 4}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             integrate(np.ones_like, hi)
 
     def test_nodes_in_the_interval(self):

@@ -121,7 +121,7 @@ def _cells(where, row, exact):
 
 
 def _audited_cells():
-    """Every number of goldens 01-04, 06 and 08 with its reference, at the program's double inputs."""
+    """Every number of goldens 01-04 and 06-08 with its reference, at the program's double inputs."""
     [row] = _golden_rows("01_mono.csv")
     exact = {"gamma_q": 2.0, "gamma_p": 0.5, "nbar": 2.0, **reference.mono_solution(2.0, 0.5, 2.0)}
     cells = _cells("01", row, exact)
@@ -161,6 +161,9 @@ def _audited_cells():
     for k, (row, x) in enumerate(zip(rows, xs)):
         exact = {"x": reference.abscissa(k, len(rows)), "value": reference.symbol(1.0, 0.5, x)}
         cells += _cells(f"06 row {k + 1}", row, exact)
+    rows = _golden_rows("07_spectrum.csv")
+    for k, (row, value) in enumerate(zip(rows, reference.kms_eigenvalues(1.0, 0.5, len(rows)))):
+        cells += _cells(f"07 row {k + 1}", row, {"index": k, "eigenvalue": value})
     lines = (GOLDEN / "08_spectrum.csv").read_text().splitlines()
     cells += [(f"08 row {i + 1}", printed, 0.5 ** abs(i - j))
               for i, line in enumerate(lines) for j, printed in enumerate(line.split())]
@@ -170,13 +173,12 @@ def _audited_cells():
 def test_readme_golden_digits():
     """Every number of the audited goldens is the 12-digit rendering of its mpmath reference.
 
-    Audited: ``01`` mono, ``02`` and ``03`` capacity, ``04`` fig3 and
-    ``06`` the symbol, every column of every row except the fig3 capacity,
-    which is audited on every third row; and ``08``, the matrix entries.
-    Left out: ``05``, whose R(n) needs Toeplitz eigenvalues in mpmath
-    (ROADMAP item 4); ``07``, the Toeplitz eigenvalues themselves (items 4
-    and 5); and ``09``, the oracle's search result, which has no closed
-    form.  A value within ``reference.TIE`` of a rounding tie may print
+    Audited: ``01`` mono, ``02`` and ``03`` capacity, ``04`` fig3, ``06``
+    the symbol and ``07`` the Toeplitz eigenvalues, every column of every
+    row except the fig3 capacity, which is audited on every third row; and
+    ``08``, the matrix entries.  Left out: ``05``, whose R(n) would need the
+    Kac-Murdock-Szegő roots at every n of its grid, for time; and ``09``,
+    the oracle's search result, which has no closed form.  A value within ``reference.TIE`` of a rounding tie may print
     either way; it is printed and not failed on.
     """
     assert _misprints(_audited_cells()) == []
@@ -259,6 +261,43 @@ def test_capacity_workload_digits():
     echo: at the printed inputs a reference drifts by up to 5.3e-11 bits.
     """
     assert _misprints(_capacity_workload_cells()) == []
+
+
+def _spectrum_workload_cells():
+    """Seed 1 of the ``spectrum`` workload with its references, at the program's inputs.
+
+    Every row of the Toeplitz and circulant spectra, and every 100th row of
+    the symbol table: its double abscissa as the program forms it.
+    """
+    toeplitz, circulant, symbol = _workload_commands("spectrum")
+    cells = []
+    for args, closed_form in [(toeplitz, reference.kms_eigenvalues),
+                              (circulant, reference.circulant_eigenvalues)]:
+        params, rows = _run(args)
+        # --sign -1 negates the correlation.
+        c = -params["phi"] if params["sign"] == "-1" else params["phi"]
+        values = closed_form(params["variance"], c, params["n"])
+        assert len(rows) == params["n"]
+        cells += [cell for k, (row, value) in enumerate(zip(rows, values))
+                  for cell in _cells(f"{params['kind']} row {k + 1}", row, {"index": k, "eigenvalue": value})]
+    params, rows = _run(symbol)
+    samples = params["samples"]
+    assert len(rows) == samples
+    for k in range(0, samples, 100):
+        x = math.pi * k / (samples - 1) if k < samples - 1 else math.pi
+        value = reference.symbol(params["variance"], params["phi"], x)
+        cells += _cells(f"asymptotic row {k + 1}", rows[k], {"x": reference.abscissa(k, samples), "value": value})
+    return cells
+
+
+def test_spectrum_workload_digits():
+    """Seed 1 of the benchmark's ``spectrum`` workload prints the rendering of each audited reference.
+
+    The Toeplitz rows against the Kac-Murdock-Szegő eigenvalues, the
+    circulant rows against their closed form, and the symbol table, at
+    the program's own double inputs.
+    """
+    assert _misprints(_spectrum_workload_cells()) == []
 
 
 def _unused_imports(path):

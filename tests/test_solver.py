@@ -703,6 +703,14 @@ class TestFiniteNRate:
             with pytest.raises(ValueError, match="n must be an integer"):
                 finite_n_rate(MarkovNoise(1.0, 0.5), 7.5, n)
 
+    def test_size_cap(self, monkeypatch):
+        # At the dense cap only the two half-size solves would be slow, so
+        # they are stubbed.  One past it, the count is checked before the energy.
+        monkeypatch.setattr(solver, "finite_spectrum", lambda m: np.ones(len(m)))
+        assert finite_n_rate(MarkovNoise(1.0, 0.5), 7.5, 8192) > 0
+        with pytest.raises(ValueError, match="n must be at most 8192, got 8193"):
+            finite_n_rate(MarkovNoise(1.0, 0.5), math.nan, 8193)
+
     @pytest.mark.parametrize("phi", [0.0, 0.3, 0.9, 0.999])
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 300])
     def test_matches_two_block_reference(self, phi, n):
@@ -1150,6 +1158,20 @@ class TestBruteForceOracle:
     def test_non_integer_counts_rejected(self):
         with pytest.raises(ValueError, match="must be an integer"):
             brute_force_mono_oracle(MonoNoise(2.0, 0.5), 1.0, resolution=100.5)
+
+    def test_resolution_cap(self, monkeypatch):
+        # The grid search at the point cap would take seconds, so it is stubbed.
+        resolutions = []
+
+        def origin(objective, interval, resolution, refinements):
+            resolutions.append(resolution)
+            return 0.0, 0.0
+
+        monkeypatch.setattr(solver, "grid_maximize", origin)
+        assert brute_force_mono_oracle(MonoNoise(1.0, 1.0), 1.0, resolution=10**6).input_q == 0.5
+        assert resolutions == [10**6]
+        with pytest.raises(ValueError, match="resolution must be at most 1000000, got 1000001"):
+            brute_force_mono_oracle(MonoNoise(1.0, 1.0), 1.0, resolution=10**6 + 1)
 
     @pytest.mark.parametrize("k", [0, 2, 10, 50, 100, 200, 300])
     @pytest.mark.parametrize("mirror", [False, True], ids=["q", "p"])

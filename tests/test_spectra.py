@@ -70,6 +70,13 @@ class TestMarkovMatrix:
             with pytest.raises(ValueError, match="n must be an integer"):
                 markov_matrix(noise, n)
 
+    def test_size_cap(self):
+        # Every caller solves the matrix densely, so n has the dense cap; the
+        # view at the cap holds 2n - 1 values, and one past it raises first.
+        assert markov_matrix(MarkovNoise(1.0, 0.5), 8192).shape == (8192, 8192)
+        with pytest.raises(ValueError, match="n must be at most 8192, got 8193"):
+            markov_matrix(MarkovNoise(1.0, 0.5), 8193)
+
     def test_positive_definite(self):
         values = finite_spectrum(markov_matrix(MarkovNoise(1.0, 0.9), 64))
         assert values[-1] > 0
@@ -130,6 +137,12 @@ class TestCirculantEmbedding:
         for n in (7.5, 1e3):
             with pytest.raises(ValueError, match="n must be an integer"):
                 circulant_embedding(MarkovNoise(1.0, 0.5), n)
+
+    def test_size_cap(self):
+        # The point cap: the spectrum of the first row takes ~44 B per n.
+        assert circulant_embedding(MarkovNoise(1.0, 0.5), 10**6).shape == (10**6, 10**6)
+        with pytest.raises(ValueError, match="n must be at most 1000000, got 1000001"):
+            circulant_embedding(MarkovNoise(1.0, 0.5), 10**6 + 1)
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 0.7, 0.999, -0.7])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -527,3 +540,36 @@ class TestOverflowingSpectrum:
     def test_finite_values_still_returned(self):
         assert np.isfinite(finite_spectrum(markov_matrix(MarkovNoise(1e307, 0.5), 3))).all()
         assert np.isfinite(asymptotic_markov_spectrum(MarkovNoise(1e300, 0.999), 0.0))
+
+
+class TestSpectrumReferences:
+    """The mpmath spectra of ``reference`` against independent routes at small n."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("c", [0.0, 0.7, -0.3, 0.999])
+    def test_kms_matches_a_high_precision_eigensolve(self, n, c):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            matrix = mpmath.matrix([[1.3 * mpmath.mpf(c) ** abs(i - j) for j in range(n)] for i in range(n)])
+            expected = sorted(mpmath.eigsy(matrix, eigvals_only=True), reverse=True)
+            got = reference.kms_eigenvalues(1.3, c, n)
+            assert max(abs(a - b) for a, b in zip(got, expected)) < 1e-40
+
+    @pytest.mark.parametrize("c", [0.6366, -0.6366, 0.999, -0.999])
+    def test_kms_matches_dense_eigvalsh(self, c):
+        # Every bracket of the phase equation at a size no small case reaches.
+        n = 100
+        expected = np.linalg.eigvalsh(markov_matrix(MarkovNoise(1.5, c), n))[::-1]
+        got = np.array([float(value) for value in reference.kms_eigenvalues(1.5, c, n)])
+        assert np.abs(got - expected).max() <= 1e-13 * expected[0]
+
+    @pytest.mark.parametrize("n", [2, 8, 10, 64])
+    @pytest.mark.parametrize("c", [0.3, -0.7, 0.99])
+    def test_circulant_matches_cosine_sums(self, n, c):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(reference.DIGITS):
+            row = [1.3 * mpmath.mpf(c) ** min(m, n - m) for m in range(n)]
+            sums = [mpmath.fsum(r * mpmath.cos(2 * mpmath.pi * j * m / n) for m, r in enumerate(row))
+                    for j in range(n)]
+            got = reference.circulant_eigenvalues(1.3, c, n)
+            assert max(abs(a - b) for a, b in zip(got, sorted(sums, reverse=True))) < 1e-70
