@@ -391,7 +391,7 @@ def _circulant_spectrum(first_row: np.ndarray) -> np.ndarray:
 @click.option("--sign", type=click.Choice(["+1", "-1"]), default="+1", show_default=True,
               help="Correlation sign branch (+1: q quadrature, -1: p quadrature).")
 @click.option("--dump-matrix", is_flag=True,
-              help="Emit the matrix itself: plain rows of space-separated decimals.")
+              help=f"Emit the matrix itself: plain rows of space-separated decimals; n at most {_MAX_DENSE}.")
 def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
     """Noise eigenvalue spectra: finite Toeplitz/circulant matrices or the symbol."""
     noise = MarkovNoise(variance, phi)
@@ -417,6 +417,8 @@ def spectrum(kind, phi, variance, n, samples, sign, dump_matrix):
     builder = markov_matrix if kind == "toeplitz" else circulant_embedding
     matrix = builder(noise, n)
     if dump_matrix:
+        # n^2 numbers: the dense cap bounds the output, as it bounds a dense matrix.
+        _check_count(n, 1, "n", _MAX_DENSE)
         template = " ".join(["{:.12g}"] * n)
         return (template.format(*row.tolist()) for row in matrix), EXIT_OK
     values = finite_spectrum(matrix) if kind == "toeplitz" else _circulant_spectrum(matrix[0])

@@ -138,16 +138,6 @@ def _check_correlation(correlation: float) -> None:
         )
 
 
-def _check_energy(n_bar: float, variance: float = 0.0) -> float:
-    """Validate n_bar; return n_bar + variance, summed as Python floats so that numpy cannot warn."""
-    if not (math.isfinite(n_bar) and n_bar >= 0):
-        raise ValueError(f"n_bar must be finite and non-negative, got {n_bar}")
-    total = float(n_bar) + float(variance)
-    if math.isinf(total):
-        raise ValueError(f"n_bar + noise variance overflows: n_bar = {n_bar:g}, variance = {variance:g}")
-    return total
-
-
 def _reaches(n_bar, threshold):
     """Whether n_bar reaches the threshold: a bool, or elementwise a bool array for arrays.
 
@@ -162,15 +152,26 @@ def _reaches(n_bar, threshold):
     return reached if isinstance(reached, np.ndarray) else bool(reached)
 
 
-def _above(n_bar: float, threshold: float) -> None:
-    """Validate the energy; raise :class:`BelowThresholdError` below the threshold."""
-    _check_energy(n_bar)
+def _check_energy(n_bar: float, variance: float = 0.0, threshold: float = 0.0) -> float:
+    """Validate n_bar, then that it reaches the threshold, then n_bar + variance; return that sum.
+
+    The sum is taken as Python floats, so that numpy cannot warn.  Below
+    the threshold it raises :class:`BelowThresholdError`, before the sum
+    is checked: an infinite threshold is reported as such, not as an
+    overflow.  Every valid n_bar reaches the default threshold 0.
+    """
+    if not (math.isfinite(n_bar) and n_bar >= 0):
+        raise ValueError(f"n_bar must be finite and non-negative, got {n_bar}")
     if not _reaches(n_bar, threshold):
         raise BelowThresholdError(
             f"input energy {n_bar:g} is below the water-filling threshold "
             f"{threshold:.12g}",
             threshold=threshold,
         )
+    total = float(n_bar) + float(variance)
+    if math.isinf(total):
+        raise ValueError(f"n_bar + noise variance overflows: n_bar = {n_bar:g}, variance = {variance:g}")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +202,10 @@ def mono_solve(noise: MonoNoise, n_bar: float) -> MonoSolution:
     Raises :class:`BelowThresholdError` when a modulation variance would
     turn negative.
     """
-    _above(n_bar, mono_threshold(noise))
+    photons = _check_energy(n_bar, 0.5 * noise.var_q + 0.5 * noise.var_p, mono_threshold(noise))
     root_q, root_p = math.sqrt(noise.var_q), math.sqrt(noise.var_p)
     input_q = 0.5 * root_q / root_p
     input_p = 0.5 * root_p / root_q
-    photons = _check_energy(n_bar, 0.5 * noise.var_q + 0.5 * noise.var_p)
     level = photons + VACUUM_VARIANCE
     modulation_q = max(level - input_q - noise.var_q, 0.0)
     modulation_p = max(level - input_p - noise.var_p, 0.0)
@@ -401,7 +401,7 @@ def asymptotic_capacity(noise: MarkovNoise, n_bar: float) -> float:
     noise spectrum.  Only valid above :func:`multimode_threshold`; below
     it raises :class:`BelowThresholdError`, carrying the threshold.
     """
-    _above(n_bar, multimode_threshold(noise))
+    _check_energy(n_bar, threshold=multimode_threshold(noise))
     points = _multimode(noise.correlation, np.array([noise.variance]), np.array([n_bar], dtype=float))
     return float(points.capacity_bits[0])
 
@@ -497,8 +497,7 @@ def symmetric_noise_solution(noise: MarkovNoise, n_bar: float) -> MultimodeSolut
     common level n_bar + variance + 1/2.
     """
     threshold = symmetric_threshold(noise)
-    _above(n_bar, threshold)
-    photons = _check_energy(n_bar, noise.variance)
+    photons = _check_energy(n_bar, noise.variance, threshold)
     spectrum = markov_symbol(noise)
     mean = _entropy_mean(spectrum, noise.correlation)
     return MultimodeSolution(

@@ -2,25 +2,28 @@
 
 Run from the repository root (stdlib only; pytest does not collect this file)::
 
-    python tests/mutation_sweep.py          # numerics and spectra, and the count sites of solver and cli
-    python tests/mutation_sweep.py --full   # every site of the five modules (~26 min on two workers)
+    python tests/mutation_sweep.py          # the default sweep (~22 min on two workers)
+    python tests/mutation_sweep.py --full   # every site of the five modules (~42 min)
 
-A site is one operator or constant of a module's AST.  Each mutant changes
+A site is one operator, constant or statement of a module's AST.  Each mutant changes
 exactly one: ``+``/``-`` and ``*``/``/`` swap, a strict comparison becomes
 non-strict and back, a float constant is scaled by ``1 + 1e-9`` (a 0.0 becomes
-1e-300), a unary minus is dropped, and the least value of a ``_check_count``
-call, and its most value where it gives one, moves by one either way.  The
-mutant is spliced into the source text, so comments and layout stay.  The
-default sweep takes every site of ``numerics`` and ``spectra`` and, in
-``solver`` and ``cli``, the sites on lines that call ``_check_count`` or name
-a ``_MAX_`` cap.  Each mutant runs on one of ``WORKERS`` copies of the
+1e-300), a unary minus is dropped, the least value of a ``_check_count``
+call, and its most value where it gives one, moves by one either way, and a
+statement is replaced by ``pass``: an ``if`` that has no ``else`` and whose
+body raises, or a bare call.  The mutant is spliced into the source text, so
+comments and layout stay.  The default sweep takes every site of
+``numerics`` and ``spectra`` and, in ``gaussian``, ``solver`` and ``cli``,
+the statement sites and the sites on lines that call ``_check_count`` or
+name a ``_MAX_`` cap.  Each mutant runs on one of ``WORKERS`` copies of the
 repository with ``PYTHONDONTWRITEBYTECODE=1``: first the module's own test
 file, then, if that passes, the whole suite, both with ``-x`` and under
 ``LIMIT_S`` seconds per mutant, so a hang is counted as ``hung``, not waited on.
 
 Each result line reads ``verdict module.py:line:column: 'old' -> 'new'``
-(the column counts bytes).  The default sweep, 247 mutants, left 225 killed,
-0 hung and these 22 survivors, each equivalent or boundary-only:
+(the column counts bytes).  The default sweep, 331 mutants (80 of them
+statement deletions) in ~22 min on two workers, left 306 killed, 0 hung and
+these 25 survivors, each equivalent, boundary-only or not run by the suite:
 
 - numerics 44:20, 49:12, 66:17: ``_ROUNDOFF_FACTOR``, ``_ABS_TOL`` and
   ``_SYMMETRY_TOL`` scaled by 1 + 1e-9.  No tested bound or asymmetry lies
@@ -47,31 +50,39 @@ Each result line reads ``verdict module.py:line:column: 'old' -> 'new'``
   the update rewrites the same point and value.
 - spectra 161:22: ``r >= 0`` made strict in ``_ar1_gap``; at ``r = 0``
   the term ``4 |r| h^2`` is 0 with either half-angle function.
+- solver 62:9: ``super().__init__(message)`` of ``BelowThresholdError``
+  deleted.  ``BaseException`` keeps the positional arguments as ``args``,
+  and the threshold is passed by keyword, so ``str(err)`` is still the
+  message.
 - cli 346:28: the least value 1 of ``fig4``'s largest channel-use count
   made 0; the smallest count, checked on the line before, is at least 1.
+- cli 421:25: the least value 1 of the ``--dump-matrix`` cap made 0; both
+  matrix builders have checked a larger least value before it.
+- cli 452:5: ``main()`` under ``__main__`` deleted.  The suite calls
+  ``main`` through click's test runner, never as a script.
 
-The full sweep, 517 mutants in ~26 min on two workers, left 470 killed,
-0 hung, those 22 and these 25 survivors, each equivalent or boundary-only:
+The full sweep, 602 mutants in ~42 min on two workers, left 552 killed,
+0 hung, those 25 and these 25 survivors, each equivalent or boundary-only:
 
 - gaussian 17:9, 38:29, 38:63, 49:48: the ``_TINY`` and ``_HUGE``
   switches of ``thermal_entropy`` scaled or made (non-)strict; both forms
   agree at the switch.
 - gaussian 47:26: ``(1.0 + x)`` written ``(1.0 - x)`` where
   ``x < 2**-1000``; the same double.
-- solver 161:40, 602:26: the ``4 eps`` slack of ``_reaches`` and the
+- solver 151:40, 601:26: the ``4 eps`` slack of ``_reaches`` and the
   oracle's ``4.0 * budget`` overflow guard scaled by 1 + 1e-9; boundary-only.
-- solver 211:55, 310:25, 614:53: a 0.0 made 1e-300 in the ``mono_solve``
+- solver 211:55, 310:25, 613:53: a 0.0 made 1e-300 in the ``mono_solve``
   p-modulation clamp, the zero-energy threshold test and the oracle's
   modulation clamp; no tested value lies in (0, 1e-300].
 - solver 372:66: ``energies >= 0`` made strict in ``_multimode``'s
   invalid mask; a zero energy then reaches ``_check_energy``, which accepts it.
-- solver 529:31, 529:33: ``correlation < 1.0`` in ``first_mode_variance``
+- solver 528:31, 528:33: ``correlation < 1.0`` in ``first_mode_variance``
   made non-strict or scaled; ``ellipk_split`` still rejects ``c >= 1``,
   with its own message.
-- solver 542:22, 542:29, 542:36, 543:35, 562:21: the golden-section ratio
+- solver 541:22, 541:29, 541:36, 542:35, 561:21: the golden-section ratio
   and its 1e-9 step target scaled, or its ``f(x) >= f(y)`` made strict;
   the search still brackets a maximizer of the concave split to 1e-9.
-- solver 607:11, 607:30, 607:43, 607:45, 607:64: the oracle's pass rule
+- solver 606:11, 606:30, 606:43, 606:45, 606:64: the oracle's pass rule
   ``2 half_width 0.25**passes > 0.01 (resolution - 1)`` scaled, made
   non-strict or given ``resolution + 1``; at most one pass apart, within
   the oracle's tolerance.
@@ -98,7 +109,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "gmcapacity"
 MODULES = ("numerics", "spectra", "gaussian", "solver", "cli")
-DEFAULT = ("numerics:all", "spectra:all", "solver:count", "cli:count")
+# The default sweep takes every site of these modules, and in the others
+# the statement sites and the sites on count lines.
+DEFAULT_ALL = ("numerics", "spectra")
 WORKERS = 2
 LIMIT_S = 150.0
 # Each mutated operator: its symbol and the symbol that replaces it.
@@ -137,6 +150,10 @@ def sites(source: bytes):
             edits.append((at, at + 1, ""))
         elif isinstance(node, ast.Constant) and type(node.value) is float:
             edits.append((*_span(starts, node), repr(node.value * (1 + 1e-9)) if node.value else "1e-300"))
+        elif (isinstance(node, ast.If) and not node.orelse and any(isinstance(s, ast.Raise) for s in node.body)
+              or isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
+            # A check that raises, or a call made for its effect, deleted.
+            edits.append((*_span(starts, node), "pass"))
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_count":
             # The least value, and the most value where the call gives one.
             bounds = [node.args[1], *node.args[3:], *(k.value for k in node.keywords if k.arg == "most")]
@@ -177,15 +194,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--full", action="store_true", help="every site of every module")
     args = parser.parse_args(argv)
-    targets = [f"{module}:all" for module in MODULES] if args.full else DEFAULT
     jobs = []
-    for target in targets:
-        module, _, scope = target.partition(":")
+    for module in MODULES:
+        every = args.full or module in DEFAULT_ALL
         source = (ROOT / PACKAGE / f"{module}.py").read_bytes()
         lines = source.decode().splitlines()
         for start, end, text in sites(source):
             line = source.count(b"\n", 0, start) + 1
-            if scope == "all" or _is_count_line(lines[line - 1]):
+            if every or text == "pass" or _is_count_line(lines[line - 1]):
                 column = start - source.rfind(b"\n", 0, start)
                 label = f"{module}.py:{line}:{column}: {source[start:end].decode()!r} -> {text!r}"
                 jobs.append((label, module, source[:start] + text.encode() + source[end:]))

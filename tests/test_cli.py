@@ -705,6 +705,40 @@ class TestSpectrum:
     def test_matrix_kind_requires_n(self, runner):
         result = runner.invoke(main, ["spectrum", "--kind", "toeplitz", "--phi", "0.5"])
         assert result.exit_code == 2
+        assert result.stderr.endswith("Error: --n is required for kind=toeplitz\n")
+
+    @pytest.mark.parametrize("kind", ["toeplitz", "circulant"])
+    def test_dump_matrix_above_the_dense_cap(self, runner, kind):
+        # n^2 numbers: one past the dense cap fails before the first row,
+        # although the circulant spectrum alone accepts n up to 10**6.
+        args = ["spectrum", "--kind", kind, "--phi", "0.5", "--n", "8193", "--dump-matrix"]
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.endswith("Error: n must be at most 8192, got 8193\n")
+        assert peak < 1_000_000
+
+    def test_dump_matrix_at_the_dense_cap(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_DENSE", 4)
+        args = ["spectrum", "--kind", "circulant", "--phi", "0.5", "--dump-matrix", "--n"]
+        result = runner.invoke(main, [*args, "4"])
+        assert result.exit_code == 0, result.output
+        assert len(result.stdout.splitlines()) == 4
+        result = runner.invoke(main, [*args, "5"])
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: n must be at most 4, got 5\n")
+        # The smallest matrix dumps its one entry.
+        result = runner.invoke(main, ["spectrum", "--kind", "toeplitz", "--phi", "0.5", "--n", "1", "--dump-matrix"])
+        assert (result.exit_code, result.stdout) == (0, "1\n")
+
+    def test_dump_matrix_help_states_the_cap(self):
+        [option] = [param for param in main.commands["spectrum"].params if "--dump-matrix" in param.opts]
+        assert "at most 8192" in option.help
 
 
 NON_FINITE_ARGS = {
@@ -964,6 +998,7 @@ class TestOutputPlumbing:
         cfg.write_text("this is not a pair\n")
         result = runner.invoke(main, ["--config", str(cfg), "mono", "--gq", "1", "--gp", "1", "--nbar", "1"])
         assert result.exit_code == 2
+        assert result.stderr.endswith(f"Error: {cfg}:1: expected key=value, got 'this is not a pair'\n")
 
     def test_unknown_config_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "typo.cfg"
@@ -1060,6 +1095,14 @@ class TestExtremeInputs:
         result = runner.invoke(main, ["oracle", "--gq", "1e300", "--gp", "1e-300", "--nbar", "1e301"])
         assert result.exit_code == 0, result.output
         assert parse_csv(result.output)[1][0]["above_threshold"] == "true"
+
+    def test_mono_infinite_threshold_before_an_overflowing_sum(self, runner):
+        # Both the threshold and nbar + (gq + gp)/2 overflow: the threshold
+        # is checked first, so the row is below threshold, not a usage error.
+        result = runner.invoke(main, ["mono", "--gq", "1e308", "--gp", "5e-324", "--nbar", "1.5e308"])
+        assert result.exit_code == 3, result.output
+        row = parse_csv(result.output)[1][0]
+        assert (row["threshold"], row["status"]) == ("inf", "below_threshold")
 
     def test_mono_at_the_largest_doubles(self, runner):
         result = runner.invoke(main, ["mono", "--gq", "1e308", "--gp", "1e-308", "--nbar", "1e308"])

@@ -98,6 +98,8 @@ class TestIntegrate:
         err = excinfo.value
         assert abs(err.estimate) < 1e-6
         assert math.isfinite(err.error_bound)
+        assert str(err) == (f"quadrature missed abs_tol=1e-10: the round-off floor is above it "
+                            f"(estimate {err.estimate:.12g}, bound {err.error_bound:.3g})")
 
     @pytest.mark.parametrize(
         "f, exact",
@@ -335,8 +337,10 @@ class TestSymmetricEigen:
             symmetric_eigen(np.array([[1.0, 0.5], [0.5 + 1e-11, 1.0]]))
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected a square matrix, got shape \\(2, 3\\)"):
             symmetric_eigen(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="expected a square matrix, got shape \\(3,\\)"):
+            symmetric_eigen(np.zeros(3))
 
     def test_empty(self):
         assert symmetric_eigen(np.zeros((0, 0))).shape == (0,)

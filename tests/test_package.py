@@ -263,6 +263,50 @@ def test_capacity_workload_digits():
     assert _misprints(_capacity_workload_cells()) == []
 
 
+def _rates_workload_cells():
+    """Seed 1 of the ``rates`` workload with its references, at the program's inputs.
+
+    The rows of every correlation at each n <= 121, and the row of the
+    strongest correlation at the largest n: the paired rate over the
+    Kac-Murdock-Szegő eigenvalues, and the capacity where the row prints
+    one.  The other rows are left out for time (~0.5 s of roots at n = 600).
+    """
+    [args] = _workload_commands("rates")
+    params, rows = _run(args)
+    phis, variance, nbar = params["phis"], params["variance"], params["nbar"]
+    uses = gmcapacity.cli._geometric_ints(params["n_max"])
+    assert len(rows) == len(phis) * len(uses)
+    cells = []
+    for j, phi in enumerate(phis):
+        first = rows[j * len(uses)]
+        # Below the threshold the capacity cell is empty, so it has no reference.
+        capacity = first["capacity_bits"] and reference.asymptotic_capacity(variance, phi, nbar)
+        for i, n in enumerate(uses):
+            if n > 121 and (j, i) != (len(phis) - 1, len(uses) - 1):
+                continue
+            # An empty cell has no reference.
+            row = {column: cell for column, cell in rows[j * len(uses) + i].items() if cell}
+            exact = {"phi": phi, "n": n}
+            if "rate_bits" in row:
+                exact["rate_bits"] = reference.paired_rate(variance, nbar, reference.kms_eigenvalues(1.0, phi, n))
+            if "capacity_bits" in row:
+                exact["capacity_bits"] = capacity
+            cells += _cells(f"fig4 phi {row['phi']} n {n}", row, exact)
+    return cells
+
+
+def test_rates_workload_digits():
+    """Seed 1 of the benchmark's ``rates`` workload prints the rendering of each audited reference.
+
+    Every printed rate of the audited rows is checked, also on the rows
+    below the finite-use threshold, which print the paired formula's
+    value today; an empty cell is skipped, so a rate left empty there
+    would pass.  Each input is rebuilt as the program forms it: click's
+    parse of the options and its grid of channel-use counts.
+    """
+    assert _misprints(_rates_workload_cells()) == []
+
+
 def _spectrum_workload_cells():
     """Seed 1 of the ``spectrum`` workload with its references, at the program's inputs.
 

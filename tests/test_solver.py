@@ -915,6 +915,47 @@ class TestOutputEnergyOverflow:
         assert mono_solve(MonoNoise(8e307, 8e307), 8e307).water_level == 1.6e308
 
 
+# Each closed-form solver that checks the correlation itself, at a valid
+# energy, snr or count, so that only the correlation can be rejected.
+CORRELATION_ENTRY_POINTS = {
+    "squeezing_fraction": lambda noise: squeezing_fraction(noise, 7.5),
+    "mean_environment_entropy": mean_environment_entropy,
+    "finite_n_rate": lambda noise: finite_n_rate(noise, 7.5, 3),
+    "classical_limit_capacity": lambda noise: classical_limit_capacity(noise, 1.0),
+}
+
+
+@pytest.mark.parametrize("phi", [0.9995, -0.1])
+@pytest.mark.parametrize("entry", sorted(CORRELATION_ENTRY_POINTS))
+def test_correlation_outside_the_closed_forms_rejected(entry, phi):
+    with pytest.raises(ValueError, match=f"closed-form solvers accept correlations in \\[0, 0.999\\], got {phi}"):
+        CORRELATION_ENTRY_POINTS[entry](MarkovNoise(1.0, phi))
+
+
+class TestEnergyRule:
+    # One rule checks n_bar, then the threshold, then n_bar + variance.
+
+    def test_below_threshold_message(self):
+        with pytest.raises(BelowThresholdError) as below:
+            asymptotic_capacity(MarkovNoise(1.0, 0.5), 0.1)
+        assert str(below.value) == "input energy 0.1 is below the water-filling threshold 3"
+        assert below.value.threshold == 3.0
+
+    def test_infinite_threshold_before_an_overflowing_sum(self):
+        # n_bar + variance overflows too, but the threshold is checked first.
+        with pytest.raises(BelowThresholdError) as below:
+            symmetric_noise_solution(MarkovNoise(1e308, 0.5), 1e308)
+        assert below.value.threshold == math.inf
+        with pytest.raises(BelowThresholdError) as below:
+            mono_solve(MonoNoise(1e308, 5e-324), 1.5e308)
+        assert below.value.threshold == math.inf
+
+    def test_invalid_energy_before_the_threshold(self):
+        with pytest.raises(ValueError, match="n_bar must be finite and non-negative, got -1.0") as excinfo:
+            asymptotic_capacity(MarkovNoise(1.0, 0.5), -1.0)
+        assert excinfo.type is ValueError
+
+
 class TestFixedQuadratureTarget:
     # integrate's error target is a constant 1e-10.  Every spectral mean
     # the solvers take meets it, from the smallest to the largest

@@ -404,8 +404,11 @@ class TestCommutatorNorm:
         assert commutator_norm(mp, mm) > 1e-3
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need two square matrices of equal shape"):
             commutator_norm(np.eye(2), np.eye(3))
+        # Two vectors would give the norm of 3 - 3, a silent 0.
+        with pytest.raises(ValueError, match="need two square matrices of equal shape, got \\(3,\\) and \\(3,\\)"):
+            commutator_norm(np.ones(3), np.ones(3))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
